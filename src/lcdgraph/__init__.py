@@ -43,8 +43,6 @@ from .processes import (
     batch_total_degrees,
     build_urn_weights,
     generate,
-    generate_multi,
-    generate_one_connection,
     generate_sequential,
     generate_urn,
     generate_via_pairing,
@@ -97,8 +95,6 @@ __all__ = [
     "batch_total_degrees",
     "build_urn_weights",
     "generate",
-    "generate_multi",
-    "generate_one_connection",
     "generate_sequential",
     "generate_urn",
     "generate_via_pairing",

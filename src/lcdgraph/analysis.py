@@ -36,9 +36,6 @@ class DegreeHistogram:
     def total_vertices(self) -> int:
         return sum(self.counts.values())
 
-    def fraction_at(self, degree: int) -> float:
-        return self.counts.get(degree, 0) / self.n
-
 
 def degree_histogram(g, mode: str) -> DegreeHistogram:
     if mode not in DEGREE_MODES:
@@ -68,9 +65,19 @@ class FractionResult:
     std: float
 
 
-def _replicate_fraction(params: ProcessParams, replicate: int, degree: int, mode: str) -> float:
-    g = generate(params, replicate)
-    return float(np.count_nonzero(g.degrees_of(mode) == degree)) / params.n
+def replicate_counts(
+    params: ProcessParams, degree: int, mode: str, replicates: int, threads: int
+) -> list:
+    """Number of vertices of the given degree in ``generate(params, r)`` for
+    r = 0..replicates-1, in replicate order, on ``threads`` worker threads."""
+
+    def one(r: int) -> int:
+        return int(np.count_nonzero(generate(params, r).degrees_of(mode) == degree))
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(one, range(replicates)))
+    return [one(r) for r in range(replicates)]
 
 
 def empirical_fraction(
@@ -85,16 +92,7 @@ def empirical_fraction(
         raise DomainError("need at least 2 replicates")
     if mode not in DEGREE_MODES:
         raise DomainError(f"unknown degree mode {mode!r}")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fracs = list(
-                pool.map(
-                    lambda r: _replicate_fraction(params, r, degree, mode),
-                    range(replicates),
-                )
-            )
-    else:
-        fracs = [_replicate_fraction(params, r, degree, mode) for r in range(replicates)]
+    fracs = [c / params.n for c in replicate_counts(params, degree, mode, replicates, threads)]
     arr = np.array(fracs)
     return FractionResult(
         params=params,
@@ -172,16 +170,7 @@ def concentration_experiment(
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
-
-    def one(r: int) -> int:
-        g = generate(params, r)
-        return int(np.count_nonzero(g.degrees_of(mode) == d))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = np.array(list(pool.map(one, range(replicates))), dtype=float)
-    else:
-        counts = np.array([one(r) for r in range(replicates)], dtype=float)
+    counts = np.array(replicate_counts(params, d, mode, replicates, threads), dtype=float)
     threshold = math.sqrt(params.n * math.log(params.n)) if params.n > 1 else 0.0
     mean = counts.mean()
     exceed = float(np.mean(np.abs(counts - mean) >= threshold)) if params.n > 1 else 0.0
@@ -285,6 +274,7 @@ def corollary_experiment(
     replicates: int = 8,
     master_seed: int = 0,
     mode: str = "in_degree",
+    threads: int = 1,
 ) -> CorollaryResult:
     """Fraction of vertices at degree d = ceil(n^exponent) for each n in the
     grid, averaged over replicates; reports whether the sequence decreases."""
@@ -299,10 +289,7 @@ def corollary_experiment(
         if d >= 2 * m * n:
             fracs.append(0.0)
             continue
-        per = [
-            float(np.count_nonzero(generate(params, r).degrees_of(mode) == d)) / n
-            for r in range(replicates)
-        ]
+        per = [c / n for c in replicate_counts(params, d, mode, replicates, threads)]
         fracs.append(float(np.mean(per)))
     decreasing = all(a > b for a, b in zip(fracs, fracs[1:]))
     return CorollaryResult(
@@ -362,10 +349,23 @@ def tv_distance(p: dict, q: dict) -> float:
 
 
 def degree_rows_to_distribution(rows: np.ndarray) -> dict:
-    """Empirical distribution of degree-sequence rows (samples, n)."""
-    seqs, counts = np.unique(rows, axis=0, return_counts=True)
+    """Empirical distribution of degree-sequence rows (samples, n).
+
+    Rows are counted through a mixed-radix int64 code over (max + 1,) * n;
+    rows whose code space exceeds int64 raise DomainError."""
+    shape = (int(rows.max()) + 1,) * rows.shape[1]
+    try:
+        codes = np.ravel_multi_index(rows.T, shape)
+    except ValueError:
+        raise DomainError(
+            f"degree rows of shape {rows.shape} are too wide for an int64 row code"
+        ) from None
+    seqs, counts = np.unique(codes, return_counts=True)
     total = rows.shape[0]
-    return {tuple(int(x) for x in s): c / total for s, c in zip(seqs, counts)}
+    return {
+        tuple(int(x) for x in s): c / total
+        for s, c in zip(zip(*np.unravel_index(seqs, shape)), counts)
+    }
 
 
 def cond_prob_discrepancy_table(n_max: int = 6) -> list:

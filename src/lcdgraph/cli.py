@@ -72,8 +72,6 @@ def _fmt(x) -> str:
     shortest round-trip representation (15+ significant digits)."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, float):
-        return str(x)
     return str(x)
 
 
@@ -313,7 +311,7 @@ def _exp_corollary(args, threads) -> int:
     started = time.time()
     n_grid = [int(x) for x in args.n_grid.split(",")]
     res = corollary_experiment(
-        n_grid, args.m, args.exponent, args.replicates, args.seed
+        n_grid, args.m, args.exponent, args.replicates, args.seed, threads=threads
     )
     report = timed_report(
         "corollary",
@@ -408,10 +406,22 @@ def cmd_replay(args) -> int:
     """Re-run a manifest's command into a scratch directory and verify the
     recorded output digests byte-for-byte."""
     manifest = json.loads(Path(args.manifest).read_text())
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("argv"), list)
+        and all(isinstance(tok, str) for tok in manifest["argv"])
+        and manifest["argv"][:1] != ["replay"]
+        and isinstance(manifest.get("outputs"), dict)
+        and all(isinstance(d, str) for d in manifest["outputs"].values())
+    ):
+        raise DomainError(
+            f"{args.manifest} is not a run manifest: it needs an 'argv' list of "
+            "strings, not itself a replay, and an 'outputs' map of file names to digests"
+        )
     argv = list(manifest["argv"])
     with tempfile.TemporaryDirectory() as tmp:
         # redirect --out into the scratch directory, keeping file names
-        for i, tok in enumerate(argv):
+        for i, tok in enumerate(argv[:-1]):
             if tok == "--out":
                 argv[i + 1] = str(Path(tmp) / Path(argv[i + 1]).name)
         code = main(argv)

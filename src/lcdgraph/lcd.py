@@ -89,32 +89,43 @@ def enumerate_pairings(n: int, cap: int = ENUMERATION_CAP):
 
 
 def sample_pairing(n: int, rng: np.random.Generator) -> Pairing:
-    """Uniform random pairing: repeatedly match an open point with a uniform
-    choice among the remaining ones.  Every pairing has probability
-    1/(2n-1)!!; O(n) time.  Deterministic given the generator state."""
+    """Uniform random pairing of {1,..,2n}, built from ``sample_partner_array``:
+    every pairing has probability 1/(2n-1)!!.  Deterministic given the
+    generator state."""
     partner = sample_partner_array(n, rng)
     return Pairing(n, tuple(partner.tolist()))
 
 
 def sample_partner_array(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform pairing as a partner array (index 0 unused)."""
+    """Uniform pairing as a partner array (index 0 unused): the one-sample
+    case of ``sample_partner_rows``."""
+    return sample_partner_rows(n, 1, rng)[0]
+
+
+def sample_partner_rows(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` independent uniform pairings of {1,..,2n}, one partner
+    array per row, shape (samples, 2n+1) with column 0 unused.
+
+    Each row shuffles the 2n points uniformly and pairs consecutive entries.
+    A pairing arises from exactly 2^n n! of the (2n)! orders (its n pairs in
+    any order, each either way round), so each has probability
+    2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.
+    """
     if n < 1:
         raise DomainError("n must be >= 1")
-    pool = np.arange(1, 2 * n + 1, dtype=np.int64)
-    partner = np.zeros(2 * n + 1, dtype=np.int64)
-    # one vectorized draw for all n choices; pool sizes are 2n, 2n-2, ..., 2
-    picks = rng.integers(1, np.arange(2 * n, 1, -2))
-    size = 2 * n
-    for j in range(n):
-        a = int(pool[0])
-        i = int(picks[j])
-        b = int(pool[i])
-        partner[a], partner[b] = b, a
-        # swap-remove both chosen points in O(1)
-        pool[i] = pool[size - 1]
-        pool[0] = pool[size - 2]
-        size -= 2
+    perm = rng.permuted(np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1)), axis=1)
+    rows = np.arange(samples)[:, None]
+    partner = np.zeros((samples, 2 * n + 1), dtype=np.int64)
+    partner[rows, perm[:, 0::2]] = perm[:, 1::2]
+    partner[rows, perm[:, 1::2]] = perm[:, 0::2]
     return partner
+
+
+def point_vertices(is_right: np.ndarray) -> np.ndarray:
+    """Vertex of each point along the last axis, given which points are
+    right endpoints (``partner[i] < i``): 1 + the number of right endpoints
+    strictly before it."""
+    return np.cumsum(is_right, axis=-1) - is_right + 1
 
 
 @dataclass
@@ -174,9 +185,8 @@ def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> L
     is_right = partner[1:] < idx
     if int(is_right.sum()) != n:
         raise DomainError("partner array is not a valid pairing")
-    # vertex of point i: 1 + number of right endpoints strictly before i
-    vertex = np.empty(two_n + 1, dtype=np.int64)
-    vertex[1:] = np.cumsum(is_right) - is_right + 1
+    vertex = np.empty(two_n + 1, dtype=np.int64)  # index 0 unused
+    vertex[1:] = point_vertices(is_right)
     # by involution, every left endpoint's partner lies to its right, so the
     # scan must close exactly n vertices; assert rather than assume
     if vertex[two_n] != n or not is_right[-1]:

@@ -308,10 +308,3 @@ def combined_max_alpha() -> RegionResult:
         vertices=best.vertices,
     )
 
-
-def resolve_system(name: str) -> RegionSystem:
-    if name not in BUILTIN_SYSTEMS:
-        raise DomainError(
-            f"unknown system {name!r}; choose from {sorted(BUILTIN_SYSTEMS)} or 'combined'"
-        )
-    return BUILTIN_SYSTEMS[name]

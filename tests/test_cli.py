@@ -173,6 +173,24 @@ def test_replay_reproduces_experiment(capsys, tmp_path):
     assert "replay PASS" in stdout
 
 
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"outputs": {}},
+        [1, 2],
+        {"argv": ["generate", "--n", "5", "--seed", "0", "--out", "g.csv"]},
+        {"argv": ["replay", "--manifest", "bad.manifest.json"], "outputs": {}},
+    ],
+)
+def test_replay_rejects_malformed_manifest(capsys, tmp_path, manifest):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 2
+    assert "not a run manifest" in err
+    assert stdout == ""  # rejected before anything was re-run
+
+
 def test_threads_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LCDGRAPH_THREADS", "2")
     out = tmp_path / "frac.json"

@@ -16,6 +16,7 @@ from lcdgraph.lcd import (
     pairing_to_graph,
     sample_pairing,
     sample_partner_array,
+    sample_partner_rows,
 )
 from lcdgraph.processes import replicate_rng
 
@@ -120,12 +121,14 @@ def test_sampling_uniform_chi_square(n):
     from scipy import stats
 
     samples = 10**6
-    index = {p.partner: i for i, p in enumerate(enumerate_pairings(n))}
-    counts = np.zeros(len(index), dtype=np.int64)
-    rng = replicate_rng(2024, n)
-    for _ in range(samples):
-        arr = sample_partner_array(n, rng)
-        counts[index[tuple(arr.tolist())]] += 1
+    # each partner array as a base-(2n+1) code, looked up among all pairings
+    weights = (2 * n + 1) ** np.arange(2 * n + 1)
+    codes = np.array([p.partner for p in enumerate_pairings(n)]) @ weights
+    order = np.argsort(codes)
+    drawn = sample_partner_rows(n, samples, replicate_rng(2024, n)) @ weights
+    slot = np.searchsorted(codes[order], drawn)
+    assert (codes[order][slot] == drawn).all()
+    counts = np.bincount(order[slot], minlength=codes.size)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
 

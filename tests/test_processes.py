@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -5,18 +6,27 @@ import pytest
 
 from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.processes import (
+    POINT_CAP,
+    VARIANTS,
     ProcessParams,
     UrnWeights,
     batch_total_degrees,
     build_urn_weights,
     generate,
-    generate_multi,
-    generate_one_connection,
-    generate_urn,
-    generate_via_pairing,
     kappa,
     replicate_rng,
+    sequential_targets,
 )
+
+
+def reference_targets(choices):
+    """Edge targets of the sequential process by its defining loop: primed
+    vertex t appends itself at slot 2t-2, then a copy of slot choices[t-1]."""
+    endpoints = []
+    for t, c in enumerate(choices, 1):
+        endpoints.append(t)
+        endpoints.append(endpoints[c])
+    return endpoints[1::2]
 
 
 def test_params_validation():
@@ -34,11 +44,6 @@ def test_one_connection_n1_deterministic():
         assert g.edge_list() == [(1, 1)]
 
 
-def test_one_connection_requires_m1():
-    with pytest.raises(DomainError):
-        generate_one_connection(ProcessParams(2, 2), replicate_rng(0))
-
-
 def test_n2_attachment_probabilities():
     # v2 self-loops w.p. 1/3 (then D1 = 2), else attaches to v1 (D1 = 3)
     runs = 10**5
@@ -51,11 +56,19 @@ def test_n2_attachment_probabilities():
     assert abs(d1_3 / runs - 2 / 3) < 0.005
 
 
-def test_multi_m1_matches_one_connection_seed_for_seed():
-    params = ProcessParams(100, 1, "sequential", 5)
-    a = generate_multi(params, replicate_rng(5, 0))
-    b = generate_one_connection(params, replicate_rng(5, 0))
-    assert (a.src == b.src).all() and (a.tgt == b.tgt).all()
+def test_sequential_kernel_matches_reference_loop():
+    # all 945 choice vectors of N = 5 primed vertices, one per row
+    choices = np.array(list(itertools.product(*(range(2 * t - 1) for t in range(1, 6)))))
+    assert choices.shape == (945, 5)
+    assert sequential_targets(choices).tolist() == [reference_targets(c) for c in choices.tolist()]
+    # seeded graphs with m = 3: generate equals the loop run on the stream
+    # rng.integers(0, 2t - 1) over t, so the seed-to-bytes mapping holds
+    for n, seed, replicate in ((1, 0, 0), (7, 3, 1), (2000, 11, 4)):
+        g = generate(ProcessParams(n, 3, "sequential", seed), replicate)
+        stream = replicate_rng(seed, replicate).integers(0, 2 * np.arange(1, 3 * n + 1) - 1)
+        tgt = np.array(reference_targets(stream.tolist()))
+        assert g.src.tolist() == np.repeat(np.arange(1, n + 1), 3).tolist()
+        assert g.tgt.tolist() == ((tgt - 1) // 3 + 1).tolist()
 
 
 def test_multi_m2_n1_two_loops():
@@ -136,8 +149,13 @@ def test_urn_targets_precede_sources():
 def test_pairing_variant_n1_loop_and_cap():
     g = generate(ProcessParams(1, 1, "pairing", 0))
     assert g.edge_list() == [(1, 1)]
-    with pytest.raises(CapacityError):
-        generate_via_pairing(ProcessParams(100, 1, "pairing", 0), replicate_rng(0), point_cap=10)
+    # 2 * samples * n * m points one graph or one batch past the cap, for
+    # every variant; the check comes before any allocation
+    for variant in VARIANTS:
+        with pytest.raises(CapacityError):
+            generate(ProcessParams(POINT_CAP // 6 + 1, 3, variant, 0))
+        with pytest.raises(CapacityError):
+            batch_total_degrees(variant, 5, 2, POINT_CAP // 20 + 1, replicate_rng(0))
 
 
 def test_pairing_variant_d1_probability():
@@ -189,7 +207,6 @@ def test_batch_handshake_all_variants():
 
 @pytest.mark.slow
 def test_sequential_throughput_1e7_edges():
-    generate(ProcessParams(10, 1, "sequential", 0))  # warm the jit
     start = time.time()
     g = generate(ProcessParams(10**7, 1, "sequential", 123))
     elapsed = time.time() - start
