@@ -1,8 +1,9 @@
 """Preferential-attachment random graphs via chord diagrams.
 
-Three equivalent-in-the-limit generators (sequential attachment, uniform
-chord-diagram pairings, Polya-urn stick breaking), exact combinatorial
-oracles for the m = 1 degree law, and a desk-scale experiment harness.
+Three generators that are equal in law at every n (sequential attachment,
+uniform chord-diagram pairings, Polya-urn stick breaking), exact
+combinatorial oracles for the m = 1 degree law, and a desk-scale
+experiment harness.
 """
 
 from .errors import (

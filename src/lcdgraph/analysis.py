@@ -6,7 +6,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .lcd import enumerate_pairings, pairing_to_graph
+from .lcd import enumerate_pairings, pairing_count, partner_degree_rows
 from .oracles import cond_prob_degree
 from .processes import ProcessParams, generate
 
@@ -330,15 +330,13 @@ def exact_sequential_law(n: int) -> dict:
 
 
 def exact_pairing_law(n: int) -> dict:
-    """Probability of every total-degree sequence under uniform pairings."""
-    law: dict = {}
-    total = 0
-    for p in enumerate_pairings(n):
-        g = pairing_to_graph(p)
-        key = tuple(int(x) for x in g.total_degrees)
-        law[key] = law.get(key, 0) + 1
-        total += 1
-    return {k: Fraction(v, total) for k, v in law.items()}
+    """Probability of every total-degree sequence under uniform pairings,
+    counted over all (2n-1)!! of them."""
+    counts: Counter = Counter()
+    for block in enumerate_pairings(n):
+        counts.update(count_rows(partner_degree_rows(block)))
+    total = pairing_count(n)
+    return {k: Fraction(c, total) for k, c in counts.items()}
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -348,24 +346,30 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * float(sum(abs(float(p.get(k, 0)) - float(q.get(k, 0))) for k in keys))
 
 
-def degree_rows_to_distribution(rows: np.ndarray) -> dict:
-    """Empirical distribution of degree-sequence rows (samples, n).
+def count_rows(rows: np.ndarray) -> dict:
+    """Occurrences of each distinct row of a 2-D array of non-negative ints,
+    keyed by the row as a tuple of ints, in increasing row-code order.
 
-    Rows are counted through a mixed-radix int64 code over (max + 1,) * n;
+    Rows are counted through a mixed-radix int64 code over (max + 1,) * width;
     rows whose code space exceeds int64 raise DomainError."""
     shape = (int(rows.max()) + 1,) * rows.shape[1]
     try:
         codes = np.ravel_multi_index(rows.T, shape)
     except ValueError:
         raise DomainError(
-            f"degree rows of shape {rows.shape} are too wide for an int64 row code"
+            f"rows of shape {rows.shape} are too wide for an int64 row code"
         ) from None
     seqs, counts = np.unique(codes, return_counts=True)
-    total = rows.shape[0]
     return {
-        tuple(int(x) for x in s): c / total
-        for s, c in zip(zip(*np.unravel_index(seqs, shape)), counts)
+        tuple(int(x) for x in s): c
+        for s, c in zip(zip(*np.unravel_index(seqs, shape)), counts.tolist())
     }
+
+
+def degree_rows_to_distribution(rows: np.ndarray) -> dict:
+    """Empirical distribution of degree-sequence rows (samples, n)."""
+    total = rows.shape[0]
+    return {k: c / total for k, c in count_rows(rows).items()}
 
 
 def cond_prob_discrepancy_table(n_max: int = 6) -> list:
@@ -374,23 +378,23 @@ def cond_prob_discrepancy_table(n_max: int = 6) -> list:
 
     Each row: dict with the cell, the enumerated conditional probability of
     total degree d+1 for vertex k+1 given D_k = 2k+s, the formula value, and
-    whether they agree exactly.  The formula is known to disagree on
-    low-mass cells (chiefly d = 0) at small n.
+    whether they agree exactly.  The formula disagrees on d = 0 and on
+    d >= 1 cells alike: for n <= 6, 35 of the 70 d >= 1 cells with
+    enumerated mass disagree.
     """
     rows = []
     for n in range(2, n_max + 1):
-        by_cell: dict = {}
-        by_cond: dict = {}
-        for p in enumerate_pairings(n):
-            g = pairing_to_graph(p)
-            degs = g.total_degrees
-            partial = 0
-            for k in range(1, n):
-                partial += int(degs[k - 1])
-                s = partial - 2 * k
-                d = int(degs[k]) - 1
-                by_cond[(k, s)] = by_cond.get((k, s), 0) + 1
-                by_cell[(k, s, d)] = by_cell.get((k, s, d), 0) + 1
+        by_cell: Counter = Counter()
+        ks = np.arange(1, n)
+        for block in enumerate_pairings(n):
+            degs = partner_degree_rows(block)
+            # cell (k, s, d) of vertex k+1 for k = 1..n-1: D_k = 2k + s
+            s = np.cumsum(degs[:, :-1], axis=1) - 2 * ks
+            cells = np.stack([np.broadcast_to(ks, s.shape), s, degs[:, 1:] - 1], axis=-1)
+            by_cell.update(count_rows(cells.reshape(-1, 3)))
+        by_cond: Counter = Counter()
+        for (k, s, _), c in by_cell.items():
+            by_cond[(k, s)] += c
         for k in range(1, n):
             for s in range(0, n - k + 1):
                 denom = by_cond.get((k, s), 0)
@@ -426,8 +430,6 @@ class ExperimentReport:
     replicates: list = field(default_factory=list)  # list of flat dicts
     aggregates: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)  # {"name", "passed", "detail"}
-    wall_clock_seconds: float = 0.0
-    started_at: str = ""
 
     def add_verdict(self, name: str, passed: bool, detail: str = ""):
         self.verdicts.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -436,10 +438,10 @@ class ExperimentReport:
     def all_passed(self) -> bool:
         return all(v["passed"] for v in self.verdicts)
 
-    def to_json(self, include_timing: bool = False) -> str:
-        """Serialize the report.  Timing is excluded by default so that a
-        replay with the same seed produces byte-identical files; the wall
-        clock lives in the run manifest instead."""
+    def to_json(self) -> str:
+        """Serialize the report.  It holds no timing, so that a replay with
+        the same seed produces byte-identical files; the wall clock lives in
+        the run manifest instead."""
         payload = {
             "name": self.name,
             "parameters": self.parameters,
@@ -447,14 +449,11 @@ class ExperimentReport:
             "aggregates": self.aggregates,
             "verdicts": self.verdicts,
         }
-        if include_timing:
-            payload["wall_clock_seconds"] = self.wall_clock_seconds
-            payload["started_at"] = self.started_at
         return json.dumps(payload, indent=2, sort_keys=True, default=str)
 
-    def write_json(self, path, include_timing: bool = False) -> Path:
+    def write_json(self, path) -> Path:
         path = Path(path)
-        path.write_text(self.to_json(include_timing) + "\n")
+        path.write_text(self.to_json() + "\n")
         return path
 
     def write_csv(self, path) -> Path:
@@ -468,14 +467,6 @@ class ExperimentReport:
             for row in rows:
                 writer.writerow(row)
         return path
-
-
-def timed_report(name: str, parameters: dict) -> ExperimentReport:
-    return ExperimentReport(
-        name=name,
-        parameters=parameters,
-        started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-    )
 
 
 def write_region_csv(vertices, path) -> Path:

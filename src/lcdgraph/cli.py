@@ -21,8 +21,11 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
+    ExperimentReport,
     concentration_experiment,
     corollary_experiment,
     degree_histogram,
@@ -32,13 +35,12 @@ from .analysis import (
     power_law_exponent,
     sum_s1,
     sum_s2_bound,
-    timed_report,
     tv_distance,
     write_region_csv,
 )
 from .errors import DomainError
 from .io import write_graph
-from .lcd import enumerate_pairings, pairing_to_graph
+from .lcd import enumerate_pairings, partner_degree_rows
 from .oracles import (
     DkQuery,
     cond_prob_degree,
@@ -90,7 +92,7 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
+    if args.threads:
         return args.threads
     env = os.environ.get(THREADS_ENV)
     return int(env) if env else 1
@@ -129,16 +131,21 @@ def _write_manifest(args, out_path: Path, outputs, started: float) -> Path:
 
 def cmd_enumerate(args) -> int:
     started = time.time()
+    blocks = enumerate_pairings(args.n)  # checks n before the file is opened
     out = Path(args.out)
+    width = 2 * args.n + 1
+    pair_text = np.array([f"{a}-{b}" for a in range(width) for b in range(width)], dtype=object)
     rows = 0
     with open(out, "w") as fh:
         fh.write("pairing,total_degrees\n")
-        for p in enumerate_pairings(args.n):
-            g = pairing_to_graph(p)
-            pairs = ";".join(f"{a}-{b}" for a, b in p.pairs())
-            degs = ";".join(str(int(x)) for x in g.total_degrees)
-            fh.write(f"{pairs},{degs}\n")
-            rows += 1
+        for partner in blocks:
+            # every row has n left points; nonzero lists them row by row, in order
+            is_left = partner[:, 1:] > np.arange(1, width)
+            left = np.nonzero(is_left)[1].reshape(len(partner), -1) + 1
+            pairs = pair_text[left * width + np.take_along_axis(partner, left, axis=1)]
+            for ps, ds in zip(pairs.tolist(), partner_degree_rows(partner).tolist()):
+                fh.write(f"{';'.join(ps)},{';'.join(map(str, ds))}\n")
+            rows += len(partner)
     _write_manifest(args, out, [out], started)
     print(f"wrote {rows} pairings to {out}")
     return 0
@@ -185,7 +192,6 @@ def cmd_oracle(args) -> int:
 
 
 def _finish_experiment(args, report, extra_outputs=(), started=0.0) -> int:
-    report.wall_clock_seconds = time.time() - started
     out = Path(args.out)
     json_path = report.write_json(out)
     csv_path = report.write_csv(out.with_suffix(".csv"))
@@ -197,15 +203,15 @@ def _finish_experiment(args, report, extra_outputs=(), started=0.0) -> int:
     return 0 if report.all_passed else 1
 
 
-def _exp_fraction(args, threads) -> int:
+def _exp_fraction(args) -> int:
     started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     degree = args.d + args.m  # total degree of an in-degree-d vertex
     res = empirical_fraction(
-        params, degree, "total_degree", args.replicates, threads=threads
+        params, degree, "total_degree", args.replicates, threads=_resolve_threads(args)
     )
     target = expected_count(args.n, args.m, args.d) / args.n
-    report = timed_report(
+    report = ExperimentReport(
         "fraction",
         {"n": args.n, "m": args.m, "d": args.d, "degree": degree, "seed": args.seed,
          "replicates": args.replicates},
@@ -223,7 +229,7 @@ def _exp_fraction(args, threads) -> int:
     return _finish_experiment(args, report, started=started)
 
 
-def _exp_gamma(args, threads) -> int:
+def _exp_gamma(args) -> int:
     started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     g = generate(params)
@@ -232,7 +238,7 @@ def _exp_gamma(args, threads) -> int:
     fit_in = power_law_exponent(hist_in, args.dlo, args.dhi)
     fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
     hill = hill_exponent(hist_in, args.dlo)
-    report = timed_report(
+    report = ExperimentReport(
         "gamma",
         {"n": args.n, "m": args.m, "dlo": args.dlo, "dhi": args.dhi, "seed": args.seed},
     )
@@ -252,13 +258,13 @@ def _exp_gamma(args, threads) -> int:
     return _finish_experiment(args, report, started=started)
 
 
-def _exp_concentration(args, threads) -> int:
+def _exp_concentration(args) -> int:
     started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     res = concentration_experiment(
-        params, args.d, args.replicates, threads=threads
+        params, args.d, args.replicates, threads=_resolve_threads(args)
     )
-    report = timed_report(
+    report = ExperimentReport(
         "concentration",
         {"n": args.n, "m": args.m, "d": args.d, "seed": args.seed,
          "replicates": args.replicates, "expectation_proxy": "replicate grand mean"},
@@ -278,11 +284,11 @@ def _exp_concentration(args, threads) -> int:
     return _finish_experiment(args, report, started=started)
 
 
-def _exp_sums(args, threads) -> int:
+def _exp_sums(args) -> int:
     started = time.time()
     s1 = sum_s1(args.n, args.d, args.beta, alpha=args.alpha)
     s2 = sum_s2_bound(args.n, args.m, max(args.d, 1), args.beta)
-    report = timed_report(
+    report = ExperimentReport(
         "sums",
         {"n": args.n, "m": args.m, "d": args.d, "beta": args.beta, "alpha": args.alpha},
     )
@@ -307,13 +313,13 @@ def _exp_sums(args, threads) -> int:
     return _finish_experiment(args, report, started=started)
 
 
-def _exp_corollary(args, threads) -> int:
+def _exp_corollary(args) -> int:
     started = time.time()
     n_grid = [int(x) for x in args.n_grid.split(",")]
     res = corollary_experiment(
-        n_grid, args.m, args.exponent, args.replicates, args.seed, threads=threads
+        n_grid, args.m, args.exponent, args.replicates, args.seed, threads=_resolve_threads(args)
     )
-    report = timed_report(
+    report = ExperimentReport(
         "corollary",
         {"n_grid": n_grid, "m": args.m, "exponent": args.exponent, "seed": args.seed,
          "replicates": args.replicates},
@@ -331,7 +337,7 @@ def _exp_corollary(args, threads) -> int:
     return _finish_experiment(args, report, started=started)
 
 
-def _exp_region(args, threads) -> int:
+def _exp_region(args) -> int:
     started = time.time()
     if args.inequalities:
         lines = Path(args.inequalities).read_text().splitlines()
@@ -341,7 +347,7 @@ def _exp_region(args, threads) -> int:
         result = combined_max_alpha()
     else:
         result = region_max_alpha(BUILTIN_SYSTEMS[args.system])
-    report = timed_report(
+    report = ExperimentReport(
         "region", {"system": args.system, "inequalities": args.inequalities}
     )
     attained = "attained" if result.attained else "sup, not attained"
@@ -363,7 +369,7 @@ def _exp_region(args, threads) -> int:
     return _finish_experiment(args, report, extra_outputs=[poly], started=started)
 
 
-def _exp_equivalence(args, threads) -> int:
+def _exp_equivalence(args) -> int:
     started = time.time()
     rng = {v: replicate_rng(args.seed, i) for i, v in
            enumerate(("sequential", "urn", "pairing"))}
@@ -373,7 +379,7 @@ def _exp_equivalence(args, threads) -> int:
         )
         for v in rng
     }
-    report = timed_report(
+    report = ExperimentReport(
         "equivalence",
         {"n": args.n, "m": args.m, "samples": args.samples, "seed": args.seed},
     )
@@ -398,8 +404,7 @@ _EXPERIMENTS = {
 
 def cmd_experiment(args) -> int:
     _resolve_seed(args)
-    threads = _resolve_threads(args)
-    return _EXPERIMENTS[args.experiment_name](args, threads)
+    return _EXPERIMENTS[args.experiment_name](args)
 
 
 def cmd_replay(args) -> int:
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--dlo", type=int, default=5)
     e.add_argument("--dhi", type=int, default=50)
-    _add_common(e, threads=True)
+    _add_common(e)
 
     e = exp.add_parser("concentration")
     e.add_argument("--n", type=int, required=True)
@@ -519,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--beta", type=float, required=True)
     e.add_argument("--alpha", type=float, default=None)
-    _add_common(e, threads=True)
+    _add_common(e)
 
     e = exp.add_parser("corollary")
     e.add_argument("--n-grid", default="10000,100000,1000000")
@@ -533,13 +538,13 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(BUILTIN_SYSTEMS) + ("combined",))
     e.add_argument("--inequalities", default=None,
                    help="file with one 'a b cmp c' inequality per line")
-    _add_common(e, threads=True)
+    _add_common(e)
 
     e = exp.add_parser("equivalence")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--samples", type=int, default=10**6)
-    _add_common(e, threads=True)
+    _add_common(e)
 
     p.set_defaults(func=cmd_experiment)
 

@@ -5,8 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .lcd import LcdGraph
 
 
@@ -24,14 +22,3 @@ def write_graph(g: LcdGraph, path: str | Path) -> Path:
         fh.write("\n")
     return path
 
-
-def read_graph(path: str | Path) -> LcdGraph:
-    """Inverse of write_graph; the header sidecar is optional."""
-    path = Path(path)
-    data = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
-    header_path = path.with_name(path.name + ".header.json")
-    meta: dict = {}
-    if header_path.exists():
-        meta = json.loads(header_path.read_text())
-    n = meta.get("n", int(data.max()) if data.size else 1)
-    return LcdGraph(n, data[:, 0], data[:, 1], meta)

@@ -62,30 +62,35 @@ class Pairing:
 
 
 def enumerate_pairings(n: int, cap: int = ENUMERATION_CAP):
-    """All pairings of {1,..,2n}, exactly once each, in a fixed order.
+    """All pairings of {1,..,2n}, exactly once each, in a fixed order: an
+    iterator of blocks of int8 partner rows, shape (rows, 2n+1), column 0
+    unused.  ``n`` is checked at the call, before any block is built.
 
     Order is lexicographic in the partner of the smallest unpaired point.
-    Yields ``pairing_count(n)`` pairings.
+    The rows of one block share their first two pairs, so a block holds at
+    most (2n-5)!! of the ``pairing_count(n)`` rows.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > cap:
         raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
+    heads = _pair_smallest(np.zeros((1, 2 * n + 1), dtype=np.int8), min(2, n))
+    return (_pair_smallest(heads[i : i + 1], n - 2) for i in range(len(heads)))
 
-    partner = [0] * (2 * n + 1)
 
-    def rec(unpaired):
-        if not unpaired:
-            yield Pairing(n, tuple(partner))
-            return
-        a = unpaired[0]
-        for i in range(1, len(unpaired)):
-            b = unpaired[i]
-            partner[a], partner[b] = b, a
-            yield from rec(unpaired[1:i] + unpaired[i + 1 :])
-            partner[a] = partner[b] = 0
-
-    yield from rec(list(range(1, 2 * n + 1)))
+def _pair_smallest(partner: np.ndarray, levels: int) -> np.ndarray:
+    """Expand partner rows by ``levels`` pairs: in every row the smallest
+    unpaired point takes each other unpaired point in turn, and a row's
+    children replace it in that order."""
+    for _ in range(levels):
+        free = np.nonzero(partner[:, 1:] == 0)[1].reshape(len(partner), -1) + 1
+        r = free.shape[1]
+        a, b = np.repeat(free[:, 0], r - 1), free[:, 1:].ravel()
+        partner = np.repeat(partner, r - 1, axis=0)
+        at = np.arange(len(partner))
+        partner[at, a] = b
+        partner[at, b] = a
+    return partner
 
 
 def sample_pairing(n: int, rng: np.random.Generator) -> Pairing:
@@ -126,6 +131,22 @@ def point_vertices(is_right: np.ndarray) -> np.ndarray:
     right endpoints (``partner[i] < i``): 1 + the number of right endpoints
     strictly before it."""
     return np.cumsum(is_right, axis=-1) - is_right + 1
+
+
+def block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Per-row counts of primed vertex ids (1..mn) in each block of m."""
+    samples = primed.shape[0]
+    code = (primed - 1) // m + n * np.arange(samples, dtype=np.int64)[:, None]
+    return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
+
+
+def partner_degree_rows(partner: np.ndarray, m: int = 1) -> np.ndarray:
+    """Total-degree rows of the graphs of many pairings, one partner row each
+    (shape (rows, 2mn+1), column 0 unused), with primed vertices identified
+    in blocks of m: every point counts once for the vertex that holds it."""
+    two_n = partner.shape[1] - 1
+    is_right = partner[:, 1:] < np.arange(1, two_n + 1)
+    return block_counts(point_vertices(is_right), two_n // (2 * m), m)
 
 
 @dataclass

@@ -183,9 +183,10 @@ def cond_prob_degree(n: int, k: int, s: int, d: int) -> ExactProb:
 
         2^d (s+d)! (n-k-s)! (2n-2k-s-d-1)! / ((n-k-s-d)! (2n-2k-s)!)
 
-    Evaluated verbatim and NOT renormalized.  For d = 0 cells at small n it
-    disagrees with exhaustive enumeration (and the sum over d can exceed 1);
-    the comparison table lives in the analysis layer.
+    Evaluated verbatim and NOT renormalized.  It disagrees with exhaustive
+    enumeration on d = 0 and d >= 1 cells alike (for n <= 6, on 35 of the 70
+    d >= 1 cells with enumerated mass), and the sum over d can exceed 1; the
+    comparison table lives in the analysis layer.
     """
     if not (1 <= k <= n and 0 <= s <= n - k):
         raise DomainError(f"invalid (n, k, s) = ({n}, {k}, {s})")

@@ -26,8 +26,9 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .lcd import (
     LcdGraph,
+    block_counts,
     graph_from_partner_array,
-    point_vertices,
+    partner_degree_rows,
     sample_partner_array,
     sample_partner_rows,
 )
@@ -231,18 +232,10 @@ def batch_total_degrees(
     if variant == "sequential":
         tgt = sequential_targets(sequential_choices(big_n, samples, rng))
         # every primed vertex is the source of one edge: out-degree m per block
-        return _block_counts(tgt, n, m) + m
+        return block_counts(tgt, n, m) + m
     if variant == "pairing":
-        partner = sample_partner_rows(big_n, samples, rng)
-        return _block_counts(point_vertices(partner[:, 1:] < np.arange(1, 2 * big_n + 1)), n, m)
+        return partner_degree_rows(sample_partner_rows(big_n, samples, rng), m)
     return _batch_urn(n, m, samples, rng)
-
-
-def _block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per-row counts of primed vertex ids (1..mn) in each block of m."""
-    samples = primed.shape[0]
-    code = (primed - 1) // m + n * np.arange(samples, dtype=np.int64)[:, None]
-    return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
 
 
 def _batch_urn(n, m, samples, rng):

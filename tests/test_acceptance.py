@@ -6,6 +6,7 @@ does not meet; they fail honestly rather than being weakened.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -24,7 +25,7 @@ from lcdgraph.analysis import (
     sum_s2_bound,
     tv_distance,
 )
-from lcdgraph.lcd import enumerate_pairings, pairing_count, pairing_to_graph
+from lcdgraph.lcd import enumerate_pairings, pairing_count, partner_degree_rows
 from lcdgraph.oracles import DkQuery, expected_count, mode_s01, prob_dk, tail_bound
 from lcdgraph.processes import (
     ProcessParams,
@@ -61,13 +62,12 @@ def test_criterion_2_oracle_correctness():
     failures = []
     # (a) prob_dk matches enumeration exactly for n <= 6
     for n in range(2, 7):
-        counts: dict = {}
-        for p in enumerate_pairings(n):
-            g = pairing_to_graph(p)
-            partial = 0
-            for k in range(1, n + 1):
-                partial += int(g.total_degrees[k - 1])
-                counts[(k, partial - 2 * k)] = counts.get((k, partial - 2 * k), 0) + 1
+        counts: Counter = Counter()
+        for block in enumerate_pairings(n):
+            # s = D_k - 2k for k = 1..n, one row per pairing
+            s = np.cumsum(partner_degree_rows(block), axis=1) - 2 * np.arange(1, n + 1)
+            for row in s.tolist():
+                counts.update(enumerate(row, 1))
         for k in range(1, n + 1):
             for s in range(n - k + 1):
                 lhs = prob_dk(DkQuery(n, k, s)).value

@@ -219,7 +219,6 @@ def test_experiment_report_roundtrip(tmp_path):
     assert rep.all_passed
     payload = json.loads(rep.to_json())
     assert "wall_clock_seconds" not in payload  # deterministic by default
-    assert json.loads(rep.to_json(include_timing=True))["wall_clock_seconds"] == 1.23
     csv_path = rep.write_csv(tmp_path / "demo.csv")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "replicate,x"

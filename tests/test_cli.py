@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -86,11 +87,19 @@ def test_enumerate_rows(capsys, tmp_path):
     code, _, _ = run(capsys, "enumerate", "--n", "3", "--out", str(out))
     assert len(out.read_text().splitlines()) == 1 + 15
 
+    # the 945 rows of n = 5, byte for byte as the per-pairing writer made them
+    code, _, _ = run(capsys, "enumerate", "--n", "5", "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "523ce16fcb8b64df667f0bc2493fc2bc5ea117f4cda652fc0db9ddc9348b8995"
+    )
+
 
 def test_enumerate_capacity_error(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--out", str(tmp_path / "x"))
     assert code == 2
     assert "cap" in err
+    assert not (tmp_path / "x").exists()  # n is checked before the file is opened
 
 
 def test_experiment_region_theorem1(capsys, tmp_path):
@@ -152,6 +161,14 @@ def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
     # the asymptotic [2.8, 3.2] band (acceptance criterion 4)
     assert code == 1
     assert "FAIL" in stdout
+
+
+def test_threads_rejected_where_unused(tmp_path):
+    # gamma runs one graph; --threads is taken only by replicate experiments
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "gamma", "--n", "1000", "--threads", "2",
+              "--out", str(tmp_path / "gamma.json")])
+    assert exc.value.code == 2
 
 
 def test_replay_reproduces_generate(capsys, tmp_path):

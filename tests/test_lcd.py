@@ -14,11 +14,39 @@ from lcdgraph.lcd import (
     graph_from_partner_array,
     pairing_count,
     pairing_to_graph,
+    partner_degree_rows,
     sample_pairing,
     sample_partner_array,
     sample_partner_rows,
 )
 from lcdgraph.processes import replicate_rng
+
+
+def reference_pairings(n):
+    """The recursive enumerator, one partner tuple per pairing: the smallest
+    unpaired point takes each remaining point in turn."""
+    partner = [0] * (2 * n + 1)
+
+    def rec(unpaired):
+        if not unpaired:
+            yield tuple(partner)
+            return
+        a = unpaired[0]
+        for i in range(1, len(unpaired)):
+            b = unpaired[i]
+            partner[a], partner[b] = b, a
+            yield from rec(unpaired[1:i] + unpaired[i + 1 :])
+            partner[a] = partner[b] = 0
+
+    yield from rec(list(range(1, 2 * n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumeration_blocks_match_reference(n):
+    blocks = list(enumerate_pairings(n))
+    assert all(b.dtype == np.int8 for b in blocks)
+    assert max(len(b) for b in blocks) == pairing_count(max(n - 2, 1))
+    assert np.concatenate(blocks).tolist() == [list(p) for p in reference_pairings(n)]
 
 
 def test_pairing_count_small_values():
@@ -27,26 +55,27 @@ def test_pairing_count_small_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_count_matches_double_factorial(n):
-    assert sum(1 for _ in enumerate_pairings(n)) == pairing_count(n)
+    assert sum(len(block) for block in enumerate_pairings(n)) == pairing_count(n)
 
 
 def test_enumeration_n1_single_pairing():
-    (p,) = list(enumerate_pairings(1))
-    assert p.pairs() == [(1, 2)]
+    (block,) = list(enumerate_pairings(1))
+    assert block.tolist() == [[0, 2, 1]]
 
 
 def test_enumeration_distinct_and_deterministic():
-    first = [p.partner for p in enumerate_pairings(4)]
-    second = [p.partner for p in enumerate_pairings(4)]
-    assert first == second
-    assert len(set(first)) == len(first)
+    first = np.concatenate(list(enumerate_pairings(4)))
+    second = np.concatenate(list(enumerate_pairings(4)))
+    assert (first == second).all()
+    assert len(np.unique(first, axis=0)) == len(first)
 
 
 def test_enumeration_errors():
+    # checked at the call, before any block is built
     with pytest.raises(DomainError):
-        list(enumerate_pairings(0))
+        enumerate_pairings(0)
     with pytest.raises(CapacityError):
-        list(enumerate_pairings(9))
+        enumerate_pairings(9)
 
 
 def test_pairing_rejects_non_involution():
@@ -58,12 +87,16 @@ def test_pairing_rejects_non_involution():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graph_has_n_vertices_and_n_edges(n):
-    for p in enumerate_pairings(n):
-        g = pairing_to_graph(p)
-        assert g.n_vertices == n
-        assert g.n_edges == n
-        assert int(g.total_degrees.sum()) == 2 * n
-        assert (g.total_degrees == g.in_degrees + g.out_degrees).all()
+    for block in enumerate_pairings(n):
+        degs = partner_degree_rows(block)
+        assert degs.shape == (len(block), n)
+        assert (degs.sum(axis=1) == 2 * n).all()
+        for partner, row in zip(block, degs):
+            g = graph_from_partner_array(partner)
+            assert g.n_vertices == n
+            assert g.n_edges == n
+            assert (g.total_degrees == g.in_degrees + g.out_degrees).all()
+            assert (g.total_degrees == row).all()
 
 
 def test_merge_rule_hand_traces():
@@ -123,7 +156,7 @@ def test_sampling_uniform_chi_square(n):
     samples = 10**6
     # each partner array as a base-(2n+1) code, looked up among all pairings
     weights = (2 * n + 1) ** np.arange(2 * n + 1)
-    codes = np.array([p.partner for p in enumerate_pairings(n)]) @ weights
+    codes = np.concatenate(list(enumerate_pairings(n))).astype(np.int64) @ weights
     order = np.argsort(codes)
     drawn = sample_partner_rows(n, samples, replicate_rng(2024, n)) @ weights
     slot = np.searchsorted(codes[order], drawn)

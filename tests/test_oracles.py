@@ -1,12 +1,14 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.lcd import enumerate_pairings, pairing_count, pairing_to_graph
+from lcdgraph.lcd import enumerate_pairings, pairing_count, partner_degree_rows
 from lcdgraph.oracles import (
     EXACT_CAP,
     DkQuery,
@@ -79,14 +81,12 @@ def test_prob_count_consistency(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_prob_dk_matches_enumeration(n):
-    counts: dict = {}
-    for p in enumerate_pairings(n):
-        g = pairing_to_graph(p)
-        partial = 0
-        for k in range(1, n + 1):
-            partial += int(g.total_degrees[k - 1])
-            s = partial - 2 * k
-            counts[(k, s)] = counts.get((k, s), 0) + 1
+    counts: Counter = Counter()
+    for block in enumerate_pairings(n):
+        # s = D_k - 2k for k = 1..n, one row per pairing
+        s = np.cumsum(partner_degree_rows(block), axis=1) - 2 * np.arange(1, n + 1)
+        for row in s.tolist():
+            counts.update(enumerate(row, 1))
     for k in range(1, n + 1):
         for s in range(n - k + 1):
             expected = Fraction(counts.get((k, s), 0), pairing_count(n))
