@@ -1,6 +1,6 @@
 """Preferential-attachment random graphs via chord diagrams.
 
-Three generators that are equal in law at every n (sequential attachment,
+Three constructions that are equal in law at every n (sequential attachment,
 uniform chord-diagram pairings, Polya-urn stick breaking), exact
 combinatorial oracles for the m = 1 degree law, and a desk-scale
 experiment harness.
@@ -40,14 +40,8 @@ from .oracles import (
 )
 from .processes import (
     ProcessParams,
-    UrnWeights,
     batch_total_degrees,
-    build_urn_weights,
     generate,
-    generate_sequential,
-    generate_urn,
-    generate_via_pairing,
-    kappa,
     replicate_rng,
 )
 from .regions import (
@@ -92,14 +86,8 @@ __all__ = [
     "ratio_f",
     "tail_bound",
     "ProcessParams",
-    "UrnWeights",
     "batch_total_degrees",
-    "build_urn_weights",
     "generate",
-    "generate_sequential",
-    "generate_urn",
-    "generate_via_pairing",
-    "kappa",
     "replicate_rng",
     "BUILTIN_SYSTEMS",
     "Inequality",

@@ -54,6 +54,7 @@ from .oracles import (
     tail_bound,
 )
 from .processes import (
+    VARIANTS,
     ProcessParams,
     batch_total_degrees,
     generate,
@@ -92,10 +93,13 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    if args.threads:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else 1
+    """Worker threads from --threads, else $LCDGRAPH_THREADS, else 1."""
+    source, raw = "--threads", args.threads
+    if raw is None:
+        source, raw = THREADS_ENV, os.environ.get(THREADS_ENV) or "1"
+    if not str(raw).isdecimal() or int(raw) < 1:
+        raise DomainError(f"{source} must be an integer >= 1, got {raw!r}")
+    return int(raw)
 
 
 def _write_manifest(args, out_path: Path, outputs, started: float) -> Path:
@@ -371,8 +375,7 @@ def _exp_region(args) -> int:
 
 def _exp_equivalence(args) -> int:
     started = time.time()
-    rng = {v: replicate_rng(args.seed, i) for i, v in
-           enumerate(("sequential", "urn", "pairing"))}
+    rng = {v: replicate_rng(args.seed, i) for i, v in enumerate(VARIANTS)}
     dists = {
         v: degree_rows_to_distribution(
             batch_total_degrees(v, args.n, args.m, args.samples, rng[v])
@@ -383,7 +386,8 @@ def _exp_equivalence(args) -> int:
         "equivalence",
         {"n": args.n, "m": args.m, "samples": args.samples, "seed": args.seed},
     )
-    pairs = [("sequential", "pairing"), ("sequential", "urn"), ("urn", "pairing")]
+    seq, urn, pairing = VARIANTS
+    pairs = [(seq, pairing), (seq, urn), (urn, pairing)]
     for a, b in pairs:
         tv = tv_distance(dists[a], dists[b])
         report.aggregates[f"tv_{a}_{b}"] = tv
@@ -410,7 +414,10 @@ def cmd_experiment(args) -> int:
 def cmd_replay(args) -> int:
     """Re-run a manifest's command into a scratch directory and verify the
     recorded output digests byte-for-byte."""
-    manifest = json.loads(Path(args.manifest).read_text())
+    try:
+        manifest = json.loads(Path(args.manifest).read_text())
+    except ValueError:  # not JSON, or not text
+        manifest = None
     if not (
         isinstance(manifest, dict)
         and isinstance(manifest.get("argv"), list)
@@ -475,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate one graph")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--variant", choices=("sequential", "urn", "pairing"),
-                   default="sequential")
+    p.add_argument("--variant", choices=VARIANTS, default="sequential")
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--format", choices=("csv",), default="csv")
     _add_common(p)

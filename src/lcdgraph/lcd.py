@@ -212,10 +212,8 @@ def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> L
     # scan must close exactly n vertices; assert rather than assume
     if vertex[two_n] != n or not is_right[-1]:
         raise DomainError("scan did not close the final vertex at point 2n")
-    left = idx[~is_right]
-    right = partner[left]
-    order = np.argsort(right)  # edges in right-endpoint (creation) order
-    left, right = left[order], right[order]
+    right = idx[is_right]  # edges in right-endpoint (creation) order
+    left = partner[right]
     return LcdGraph(n, vertex[right], vertex[left], meta or {})
 
 

@@ -33,8 +33,6 @@ from .lcd import (
     sample_partner_rows,
 )
 
-VARIANTS = ("sequential", "urn", "pairing")
-
 # Most endpoints, 2 * samples * n * m, that one call may materialize; checked
 # before anything is allocated, for every variant.
 POINT_CAP = 50_000_000
@@ -67,14 +65,9 @@ class ProcessParams:
 
 def replicate_rng(master_seed: int, replicate: int = 0) -> np.random.Generator:
     """Independent stream keyed by (master_seed, replicate); order-free."""
+    if master_seed < 0 or replicate < 0:
+        raise DomainError(f"--seed and --replicate must be >= 0, got {master_seed}, {replicate}")
     return np.random.default_rng(np.random.SeedSequence([master_seed, replicate]))
-
-
-def _collapse(primed_src, primed_tgt, n: int, m: int, meta: dict) -> LcdGraph:
-    """Identify primed vertices (1..mn) in consecutive blocks of m."""
-    if m == 1:
-        return LcdGraph(n, primed_src, primed_tgt, meta)
-    return LcdGraph(n, (primed_src - 1) // m + 1, (primed_tgt - 1) // m + 1, meta)
 
 
 def _check_points(n: int, m: int, samples: int = 1) -> None:
@@ -117,33 +110,6 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     return (-ptr).reshape(samples, big_n)
 
 
-def generate_sequential(params: ProcessParams, rng: np.random.Generator) -> LcdGraph:
-    """The sequential process: the one-sample case of ``sequential_targets``."""
-    big_n = params.n * params.m
-    tgt = sequential_targets(sequential_choices(big_n, 1, rng))[0]
-    src = np.arange(1, big_n + 1, dtype=np.int64)
-    return _collapse(src, tgt, params.n, params.m, params.meta())
-
-
-@dataclass
-class UrnWeights:
-    """Stick-breaking weights of the N = m*n primed vertices.
-
-    ``alpha[k-1]`` is psi_k: ``alpha[0] = 1`` and ``alpha[k-1] ~ Beta(1, 2k-2)``
-    for k >= 2.  ``l[k-1] = prod_{j>k}(1 - psi_j)`` is the cumulative stick
-    length up to vertex k, so ``l[-1] = 1``, and ``phi[k-1] = psi_k * l[k-1]``
-    is vertex k's own segment.
-    """
-
-    alpha: np.ndarray
-    phi: np.ndarray
-    l: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.alpha.size)
-
-
 def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
     """Stick lengths of ``samples`` independent urns on big_n primed vertices.
 
@@ -160,58 +126,47 @@ def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
     return log1m, l
 
 
-def build_urn_weights(n: int, m: int, rng: np.random.Generator) -> UrnWeights:
-    if n < 1 or m < 1:
-        raise DomainError("n and m must be >= 1")
-    log1m, l = _stick_lengths(n * m, 1, rng)
-    alpha = np.concatenate([[1.0], -np.expm1(log1m[:, 0])])
-    return UrnWeights(alpha, np.diff(l[:, 0], prepend=0.0), l[:, 0])
-
-
-def kappa(w: UrnWeights, a: float) -> int:
-    """Smallest vertex index k with l_k >= a (binary search, 1-indexed)."""
-    if a < 0.0 or a > w.l[-1]:
-        raise DomainError(f"a={a} outside [0, {w.l[-1]}]")
-    return int(np.searchsorted(w.l, a, side="left")) + 1
-
-
-def generate_urn(params: ProcessParams, rng: np.random.Generator) -> LcdGraph:
-    big_n = params.n * params.m
-    w = build_urn_weights(params.n, params.m, rng)
-    # primed vertex k attaches to kappa(U_k) with U_k uniform on [0, l_k];
-    # the range includes k's own segment, so k self-loops w.p. psi_k
-    a = rng.random(big_n) * w.l
+def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Urn edge targets: key ``a[k]`` in [0, l_N] goes to the smallest
+    vertex i (1-indexed) with l_i >= a[k].  Primed vertex k's key is uniform
+    on [0, l_k], its own segment included, so k self-loops w.p. psi_k."""
     # searching the keys in sorted order keeps the bisections in cache:
     # 3x faster at N = 3e6 on a 2-core Xeon
     order = np.argsort(a)
-    tgt = np.empty(big_n, dtype=np.int64)
-    tgt[order] = np.searchsorted(w.l, a[order], side="left") + 1
-    src = np.arange(1, big_n + 1, dtype=np.int64)
-    return _collapse(src, tgt, params.n, params.m, params.meta())
+    tgt = np.empty(a.size, dtype=np.int64)
+    tgt[order] = np.searchsorted(l, a[order], side="left") + 1
+    return tgt
 
 
-def generate_via_pairing(params: ProcessParams, rng: np.random.Generator) -> LcdGraph:
-    big_n = params.n * params.m
-    partner = sample_partner_array(big_n, rng)
-    g1 = graph_from_partner_array(partner)
-    return _collapse(g1.src, g1.tgt, params.n, params.m, params.meta())
+def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
+    l = _stick_lengths(big_n, 1, rng)[1][:, 0]
+    return urn_targets(l, rng.random(big_n) * l)
 
 
-_GENERATORS = {
-    "sequential": generate_sequential,
-    "urn": generate_urn,
-    "pairing": generate_via_pairing,
+# variant -> (N, rng) -> int64 targets of the N primed edges, where edge t
+# leaves primed vertex t.  The kernels look up the lcd samplers and
+# _stick_lengths by their module names at call time.
+_KERNELS = {
+    "sequential": lambda big_n, rng: sequential_targets(sequential_choices(big_n, 1, rng))[0],
+    "urn": _urn_kernel,
+    "pairing": lambda big_n, rng: graph_from_partner_array(sample_partner_array(big_n, rng)).tgt,
 }
+
+VARIANTS = tuple(_KERNELS)
 
 
 def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
     """Generate one graph; replicates with distinct indices are independent.
-    Raises CapacityError, before allocating, when 2mn exceeds POINT_CAP."""
-    _check_points(params.n, params.m)
+    Raises CapacityError, before allocating, when 2mn exceeds POINT_CAP.
+    The kernel draws primed edges t -> tgt[t-1], identified in blocks of m."""
+    n, m = params.n, params.m
+    _check_points(n, m)
     rng = replicate_rng(params.master_seed, replicate)
-    g = _GENERATORS[params.variant](params, rng)
-    g.meta = dict(params.meta(), replicate=replicate)
-    return g
+    tgt = _KERNELS[params.variant](n * m, rng)
+    src = np.arange(1, n * m + 1, dtype=np.int64)
+    if m > 1:
+        src, tgt = (src - 1) // m + 1, (tgt - 1) // m + 1
+    return LcdGraph(n, src, tgt, dict(params.meta(), replicate=replicate))
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +182,8 @@ def batch_total_degrees(
     2 * samples * n * m may not exceed POINT_CAP."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
+    if min(n, m, samples) < 1:
+        raise DomainError(f"n, m and samples must be >= 1, got {n}, {m}, {samples}")
     _check_points(n, m, samples)
     big_n = n * m
     if variant == "sequential":
@@ -239,7 +196,7 @@ def batch_total_degrees(
 
 
 def _batch_urn(n, m, samples, rng):
-    # The urn keeps two searches: generate_urn bisects the sorted keys of one
+    # The urn keeps two searches: urn_targets bisects the sorted keys of one
     # large graph, and this path counts, per block boundary, the keys beyond
     # it, for many tiny graphs.  Both single-path alternatives were slower on
     # both shapes (2-core Xeon; one graph at N = 3e5 / the (3, 2) batch of
@@ -248,7 +205,7 @@ def _batch_urn(n, m, samples, rng):
     big_n = n * m
     l = _stick_lengths(big_n, samples, rng)[1]
     a = rng.random((big_n, samples)) * l
-    # primed vertex k's edge goes to kappa(a_k) = #{i: l_i < a_k} + 1, which
+    # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
     # above[:, v] counts the a_k beyond l_{vm}, all of them for v = 0
     above = np.zeros((samples, n + 1), dtype=np.int64)

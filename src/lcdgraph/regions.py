@@ -103,7 +103,7 @@ class RegionResult:
     label: str
     sup_alpha: Fraction
     attained: bool
-    beta_interval: tuple  # (lo, hi) of feasible beta at alpha = sup (closure)
+    beta_interval: tuple  # closed (lo, hi) of beta at alpha = sup, None if unbounded
     witness_beta: Fraction
     vertices: tuple  # corner points of the closed region, CCW
 
@@ -182,33 +182,30 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
     if lo is not None and lo > sup:  # pragma: no cover - caught in _interval_1d
         raise InfeasibleSystemError("empty alpha interval")
     b_lo, _, b_hi, _ = _beta_interval_at(closed, sup)
-    # pick a witnessing beta inside the closed interval at the supremum
-    if b_lo is None and b_hi is None:
-        witness = Fraction(0)
-        interval = (None, None)
+    # the original system, strictness kept, reaches alpha = sup iff its beta
+    # interval there is non-empty
+    try:
+        _beta_interval_at(sys.inequalities, sup)
+        attained = True
+    except InfeasibleSystemError:
+        attained = False
+    # a witnessing beta strictly inside the interval when it has interior
+    if b_lo is not None and b_hi is not None:
+        witness = (b_lo + b_hi) / 2
+    elif b_lo is not None:
+        witness = b_lo + 1
+    elif b_hi is not None:
+        witness = b_hi - 1
     else:
-        lo_v = b_lo if b_lo is not None else b_hi
-        hi_v = b_hi if b_hi is not None else b_lo
-        witness = (lo_v + hi_v) / 2
-        interval = (lo_v, hi_v)
-    attained = sys.holds(sup, witness) or any(
-        sys.holds(sup, b) for b in _candidate_betas(interval)
-    )
+        witness = Fraction(0)
     return RegionResult(
         label=sys.label,
         sup_alpha=sup,
         attained=attained,
-        beta_interval=interval,
+        beta_interval=(b_lo, b_hi),
         witness_beta=witness,
         vertices=region_vertices(sys),
     )
-
-
-def _candidate_betas(interval):
-    lo, hi = interval
-    if lo is None or hi is None:
-        return []
-    return [lo, hi, lo + (hi - lo) / 4, hi - (hi - lo) / 4]
 
 
 def region_vertices(sys: RegionSystem) -> tuple:

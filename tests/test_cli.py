@@ -208,6 +208,51 @@ def test_replay_rejects_malformed_manifest(capsys, tmp_path, manifest):
     assert stdout == ""  # rejected before anything was re-run
 
 
+def test_replay_rejects_raw_text(capsys, tmp_path):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text("this is not json\n")
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 2
+    assert "not a run manifest" in err
+    assert stdout == ""
+
+
+def test_equivalence_rejects_nonpositive_samples(capsys, tmp_path):
+    for samples in ("0", "-5"):
+        code, _, err = run(capsys, "experiment", "equivalence", "--n", "3", "--samples", samples,
+                           "--seed", "0", "--out", str(tmp_path / "eq.json"))
+        assert code == 2
+        assert "samples" in err
+
+
+def test_generate_rejects_negative_seed_or_replicate(capsys, tmp_path):
+    for flag in ("--seed", "--replicate"):
+        code, _, err = run(capsys, "generate", "--n", "5", flag, "-1",
+                           "--out", str(tmp_path / "g.csv"))
+        assert code == 2
+        assert flag in err
+        assert not (tmp_path / "g.csv").exists()
+
+
+def test_threads_flag_rejects_nonpositive(capsys, tmp_path):
+    for threads in ("0", "-2"):
+        code, _, err = run(capsys, "experiment", "fraction", "--n", "100", "--d", "1",
+                           "--replicates", "2", "--threads", threads, "--seed", "3",
+                           "--out", str(tmp_path / "frac.json"))
+        assert code == 2
+        assert "--threads" in err
+
+
+def test_threads_env_rejects_non_integer(capsys, tmp_path, monkeypatch):
+    for value in ("abc", "0"):
+        monkeypatch.setenv("LCDGRAPH_THREADS", value)
+        code, _, err = run(capsys, "experiment", "fraction", "--n", "100", "--d", "1",
+                           "--replicates", "2", "--seed", "3",
+                           "--out", str(tmp_path / "frac.json"))
+        assert code == 2
+        assert "LCDGRAPH_THREADS" in err
+
+
 def test_threads_env_override(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LCDGRAPH_THREADS", "2")
     out = tmp_path / "frac.json"

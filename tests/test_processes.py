@@ -9,13 +9,12 @@ from lcdgraph.processes import (
     POINT_CAP,
     VARIANTS,
     ProcessParams,
-    UrnWeights,
+    _stick_lengths,
     batch_total_degrees,
-    build_urn_weights,
     generate,
-    kappa,
     replicate_rng,
     sequential_targets,
+    urn_targets,
 )
 
 
@@ -102,37 +101,30 @@ def test_replicates_differ():
 
 
 def test_urn_weights_n1():
-    w = build_urn_weights(1, 1, replicate_rng(0))
-    assert w.alpha.tolist() == [1.0]
-    assert w.phi.tolist() == [1.0]
-    assert w.l.tolist() == [1.0]
+    # one primed vertex: psi_1 = 1 and its stick is the whole of [0, 1]
+    log1m, l = _stick_lengths(1, 1, replicate_rng(0))
+    assert log1m.shape == (0, 1)
+    assert l.tolist() == [[1.0]]
 
 
 def test_urn_alpha2_mean_is_half():
-    # alpha_2 = psi_2 ~ Beta(1, 2) has mean 1/3: the probability that vertex 2
+    # psi_2 ~ Beta(1, 2) has mean 1/3: the probability that vertex 2
     # self-loops in the sequential process (see test_n2_attachment_probabilities)
-    draws = [build_urn_weights(2, 1, replicate_rng(8, r)).alpha[1] for r in range(10**4)]
+    draws = [-np.expm1(_stick_lengths(2, 1, replicate_rng(8, r))[0][0, 0]) for r in range(10**4)]
     assert abs(float(np.mean(draws)) - 1 / 3) < 0.01
 
 
 def test_urn_l_non_decreasing_and_normalized():
-    w = build_urn_weights(10**4, 2, replicate_rng(9))
-    assert (np.diff(w.l) >= 0).all()
-    assert w.l[-1] == pytest.approx(1.0)
+    l = _stick_lengths(2 * 10**4, 1, replicate_rng(9))[1][:, 0]
+    assert (np.diff(l) >= 0).all()
+    assert l[-1] == 1.0
 
 
-def test_kappa_boundaries():
-    w = build_urn_weights(50, 1, replicate_rng(3))
-    assert kappa(w, 0.0) == 1
-    assert kappa(w, float(w.l[-1])) == 50
-
-
-def test_kappa_hand_example():
+def test_urn_targets_hand_example():
+    # a key goes to the first vertex whose cumulative length reaches it; the
+    # ends of [0, l_N] go to vertices 1 and N
     l = np.array([0.2, 0.5, 1.0])
-    w = UrnWeights(alpha=np.ones(3), phi=np.diff(np.concatenate([[0.0], l])), l=l)
-    assert kappa(w, 0.4) == 2
-    with pytest.raises(DomainError):
-        kappa(w, 1.5)
+    assert urn_targets(l, np.array([0.0, 0.4, 0.5, 1.0])).tolist() == [1, 2, 2, 3]
 
 
 def test_urn_n1_loop():
@@ -197,6 +189,21 @@ def test_urn_matches_sequential_at_n3():
     rows = batch_total_degrees("urn", 3, 1, 10**5, replicate_rng(2, 0))
     tv = tv_distance(degree_rows_to_distribution(rows), exact)
     assert tv <= 0.01
+
+
+def test_batch_rejects_nonpositive_sizes():
+    for variant in VARIANTS:
+        for n, m, samples in ((3, 1, 0), (3, 1, -5), (0, 1, 10), (3, 0, 10), (3, -1, 10)):
+            with pytest.raises(DomainError, match="samples"):
+                batch_total_degrees(variant, n, m, samples, replicate_rng(0))
+
+
+def test_negative_seed_or_replicate_rejected():
+    for seed, replicate in ((-1, 0), (0, -1)):
+        with pytest.raises(DomainError, match="--seed"):
+            replicate_rng(seed, replicate)
+        with pytest.raises(DomainError, match="--replicate"):
+            generate(ProcessParams(5, 1, "sequential", seed), replicate)
 
 
 def test_batch_handshake_all_variants():

@@ -85,6 +85,22 @@ def test_strict_alpha_bound_not_attained():
     assert not res.attained
 
 
+@pytest.mark.parametrize(
+    "lines, interval",
+    [
+        (["1 0 <= 1", "0 1 > 0"], (Fraction(0), None)),  # beta > 0 only
+        (["1 0 <= 1", "0 1 < 0"], (None, Fraction(0))),  # beta < 0 only
+    ],
+)
+def test_beta_bounded_on_one_side(lines, interval):
+    sys = RegionSystem.from_lines(lines, "one-sided")
+    res = region_max_alpha(sys)
+    assert res.sup_alpha == 1
+    assert res.attained
+    assert res.beta_interval == interval
+    assert sys.holds(res.sup_alpha, res.witness_beta)
+
+
 def test_infeasible_system():
     sys = RegionSystem.from_lines(["1 0 >= 1", "1 0 <= 0"], "empty")
     with pytest.raises(InfeasibleSystemError):
