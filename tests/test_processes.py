@@ -120,11 +120,19 @@ def test_urn_l_non_decreasing_and_normalized():
     assert l[-1] == 1.0
 
 
-def test_urn_targets_hand_example():
-    # a key goes to the first vertex whose cumulative length reaches it; the
-    # ends of [0, l_N] go to vertices 1 and N
+def test_kappa_boundaries():
+    # kappa, the key -> vertex map of the urn (urn_targets), sends the ends
+    # of [0, l_N] to vertices 1 and N
+    l = _stick_lengths(50, 1, replicate_rng(3))[1][:, 0]
+    assert urn_targets(l, np.array([0.0, l[-1]])).tolist() == [1, 50]
+
+
+def test_kappa_hand_example():
+    # a key goes to the first vertex whose cumulative length reaches it
     l = np.array([0.2, 0.5, 1.0])
     assert urn_targets(l, np.array([0.0, 0.4, 0.5, 1.0])).tolist() == [1, 2, 2, 3]
+    with pytest.raises(DomainError):
+        urn_targets(l, np.array([0.4, 1.5]))
 
 
 def test_urn_n1_loop():
