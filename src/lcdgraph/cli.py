@@ -319,7 +319,10 @@ def _exp_sums(args) -> int:
 
 def _exp_corollary(args) -> int:
     started = time.time()
-    n_grid = [int(x) for x in args.n_grid.split(",")]
+    parts = args.n_grid.split(",")
+    if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
+        raise DomainError(f"--n-grid must be comma-separated integers >= 1, got {args.n_grid!r}")
+    n_grid = [int(x) for x in parts]
     res = corollary_experiment(
         n_grid, args.m, args.exponent, args.replicates, args.seed, threads=_resolve_threads(args)
     )
@@ -562,6 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact oracle values reach thousands of digits (count-ns at 2n = 4096);
+    # lift the int-to-str limit for the process, where the interpreter has one
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -199,21 +199,21 @@ class LcdGraph:
 
 def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> LcdGraph:
     """Build the merged directed graph from a partner array (1-indexed,
-    index 0 unused).  Vectorized; used for large sampled pairings too."""
+    index 0 unused).  Vectorized; used for large sampled pairings too.
+    Raises DomainError unless the array is a pairing of 1..2n, n >= 1."""
     two_n = partner.size - 1
-    n = two_n // 2
     idx = np.arange(1, two_n + 1)
     is_right = partner[1:] < idx
-    if int(is_right.sum()) != n:
-        raise DomainError("partner array is not a valid pairing")
-    vertex = np.empty(two_n + 1, dtype=np.int64)  # index 0 unused
-    vertex[1:] = point_vertices(is_right)
-    # by involution, every left endpoint's partner lies to its right, so the
-    # scan must close exactly n vertices; assert rather than assume
-    if vertex[two_n] != n or not is_right[-1]:
-        raise DomainError("scan did not close the final vertex at point 2n")
     right = idx[is_right]  # edges in right-endpoint (creation) order
     left = partner[right]
+    n = right.size
+    # If each of the n right endpoints r has a partner l in 1..r-1 with
+    # partner[l] == r, the l are n distinct left endpoints, so they are all
+    # of them: no point is fixed and every partner lies in 1..2n.
+    if not (two_n >= 2 and 2 * n == two_n and left.min() >= 1 and (partner[left] == right).all()):
+        raise DomainError("partner array is not a fixed-point-free involution on 1..2n")
+    vertex = np.empty(two_n + 1, dtype=np.int64)  # index 0 unused
+    vertex[1:] = point_vertices(is_right)
     return LcdGraph(n, vertex[right], vertex[left], meta or {})
 
 

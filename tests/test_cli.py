@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from lcdgraph.cli import main
+from lcdgraph.oracles import DkQuery, count_ns
 
 
 def run(capsys, *argv):
@@ -32,6 +33,14 @@ def test_oracle_mode_s01(capsys):
     assert out.strip() == "50"
 
 
+def test_oracle_count_ns_prints_thousands_of_digits(capsys):
+    # 2n = 4096 is the top of the exact regime; the count has over 6,000 digits,
+    # past the interpreter's default int-to-str limit of 4,300
+    code, out, _ = run(capsys, "oracle", "count-ns", "--n", "2048", "--k", "3", "--s", "500")
+    assert code == 0
+    assert out.strip() == str(count_ns(DkQuery(2048, 3, 500)))
+
+
 def test_oracle_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "oracle", "prob-dk", "--n", "2", "--k", "1", "--s", "5")
     assert code == 2
@@ -48,18 +57,27 @@ def test_generate_n1_single_loop_line(capsys, tmp_path):
     assert header == {"n": 1, "m": 1, "variant": "sequential", "seed": 0}
 
 
+# sha256 of the edge-list CSV of `generate --n 200 --m 2 --seed 42`, as the
+# per-edge f-string writer made it
+GENERATE_PINS = {
+    "sequential": "15ca1cf79a42ffbfeaa1c469738cd2a8b332049556c58d987ffaa9690bd2ca48",
+    "pairing": "d2dba5d5df2113d4970a1d249dc0b517434ab578dea8e22fc0b33b9c7cef730c",
+    "urn": "19e6d3624f9c154d0b6bb4c78bc59fda059cf6e6d89acfbb779f9c773117cc18",
+}
+
+
 def test_generate_deterministic_digests(capsys, tmp_path):
-    digests = []
-    for name in ("a.csv", "b.csv"):
-        out = tmp_path / name
-        code, _, _ = run(capsys, "generate", "--n", "200", "--m", "2", "--seed", "42",
-                         "--out", str(out))
-        assert code == 0
-        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
-        digests.append(manifest["outputs"][name])
-        assert manifest["seed"] == 42
-        assert "version" in manifest
-    assert digests[0] == digests[1]
+    for variant, pin in GENERATE_PINS.items():
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / f"{variant}-{name}"
+            code, _, _ = run(capsys, "generate", "--n", "200", "--m", "2", "--seed", "42",
+                             "--variant", variant, "--out", str(out))
+            assert code == 0
+            manifest = json.loads((tmp_path / f"{out.name}.manifest.json").read_text())
+            assert manifest["outputs"][out.name] == pin
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == pin
+            assert manifest["seed"] == 42
+            assert "version" in manifest
 
 
 def test_generate_edge_count(capsys, tmp_path):
@@ -161,6 +179,16 @@ def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
     # the asymptotic [2.8, 3.2] band (acceptance criterion 4)
     assert code == 1
     assert "FAIL" in stdout
+
+
+def test_corollary_n_grid_names_flag(capsys, tmp_path):
+    for grid in ("10,x", ","):
+        code, stdout, err = run(capsys, "experiment", "corollary", "--n-grid", grid,
+                                "--seed", "0", "--out", str(tmp_path / "cor.json"))
+        assert code == 2
+        assert "--n-grid" in err
+        assert "comma-separated integers >= 1" in err
+        assert stdout == ""
 
 
 def test_threads_rejected_where_unused(tmp_path):

@@ -83,6 +83,10 @@ def test_pairing_rejects_non_involution():
         Pairing(2, (0, 2, 1, 3, 4))  # 3 and 4 map to themselves
     with pytest.raises(DomainError):
         Pairing(1, (0, 1, 2))  # fixed points
+    # the first two have n = 2 right endpoints, so counting them passes
+    for partner in ([0, 3, 4, 1, 1], [0, 4, 4, 1, 2], [0, 1, 2], [0, 2, 1, 3], [0]):
+        with pytest.raises(DomainError):
+            graph_from_partner_array(np.array(partner))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
