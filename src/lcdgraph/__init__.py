@@ -15,13 +15,9 @@ from .errors import (
 from .lcd import (
     ENUMERATION_CAP,
     LcdGraph,
-    Pairing,
-    degree_prefix_sum,
     enumerate_pairings,
     graph_from_partner_array,
     pairing_count,
-    pairing_to_graph,
-    sample_pairing,
     sample_partner_array,
 )
 from .oracles import (
@@ -65,13 +61,9 @@ __all__ = [
     "InsufficientDataError",
     "ENUMERATION_CAP",
     "LcdGraph",
-    "Pairing",
-    "degree_prefix_sum",
     "enumerate_pairings",
     "graph_from_partner_array",
     "pairing_count",
-    "pairing_to_graph",
-    "sample_pairing",
     "sample_partner_array",
     "DkQuery",
     "ExactProb",

@@ -11,6 +11,7 @@ command and verifies byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -102,13 +103,14 @@ def _resolve_threads(args) -> int:
     return int(raw)
 
 
-def _write_manifest(args, out_path: Path, outputs, started: float) -> Path:
-    """Record the resolved invocation next to its outputs."""
+def _write_manifest(args, out_path: Path, outputs) -> Path:
+    """Record the resolved invocation next to its outputs, and the seconds
+    since ``main`` parsed it."""
     argv = [args.subcommand]
     if getattr(args, "experiment_name", None):
         argv.append(args.experiment_name)
     for key, val in sorted(vars(args).items()):
-        if key in ("subcommand", "func", "experiment_name", "manifest") or val is None:
+        if key in ("subcommand", "func", "experiment_name", "manifest", "started") or val is None:
             continue
         argv.extend([f"--{key.replace('_', '-')}", str(val)])
     manifest = {
@@ -116,12 +118,12 @@ def _write_manifest(args, out_path: Path, outputs, started: float) -> Path:
         "parameters": {
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("func", "manifest") and v is not None
+            if k not in ("func", "manifest", "started") and v is not None
         },
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "wall_clock_seconds": time.time() - started,
+        "wall_clock_seconds": time.time() - args.started,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     path = out_path.with_name(out_path.name + ".manifest.json")
@@ -134,29 +136,43 @@ def _write_manifest(args, out_path: Path, outputs, started: float) -> Path:
 
 
 def cmd_enumerate(args) -> int:
-    started = time.time()
     blocks = enumerate_pairings(args.n)  # checks n before the file is opened
     out = Path(args.out)
     width = 2 * args.n + 1
-    pair_text = np.array([f"{a}-{b}" for a in range(width) for b in range(width)], dtype=object)
+    digits = len(str(width - 1))
+    # zero-padded row bytes of every "a-b" pair (code a * width + b) and of
+    # every degree 0..2n, each followed by its separator
+    pair_bytes = _text_table([f"{a}-{b}" for a in range(width) for b in range(width)],
+                             2 * digits + 1)
+    degree_bytes = _text_table([str(d) for d in range(width)], digits)
     rows = 0
-    with open(out, "w") as fh:
-        fh.write("pairing,total_degrees\n")
+    with open(out, "wb") as fh:
+        fh.write(b"pairing,total_degrees\n")
         for partner in blocks:
             # every row has n left points; nonzero lists them row by row, in order
             is_left = partner[:, 1:] > np.arange(1, width)
             left = np.nonzero(is_left)[1].reshape(len(partner), -1) + 1
-            pairs = pair_text[left * width + np.take_along_axis(partner, left, axis=1)]
-            for ps, ds in zip(pairs.tolist(), partner_degree_rows(partner).tolist()):
-                fh.write(f"{';'.join(ps)},{';'.join(map(str, ds))}\n")
+            code = left * width + np.take_along_axis(partner, left, axis=1)
+            pairs = pair_bytes[code].reshape(len(partner), -1)
+            degrees = degree_bytes[partner_degree_rows(partner)].reshape(len(partner), -1)
+            buf = np.concatenate([pairs, degrees], axis=1)
+            buf[:, pairs.shape[1] - 1] = ord(",")
+            buf[:, -1] = ord("\n")
+            fh.write(buf[buf != 0].tobytes())  # drop the padding
             rows += len(partner)
-    _write_manifest(args, out, [out], started)
+    _write_manifest(args, out, [out])
     print(f"wrote {rows} pairings to {out}")
     return 0
 
 
+def _text_table(texts, size: int) -> np.ndarray:
+    """One uint8 row per ASCII text: the text, 0 bytes up to ``size``, then
+    a ";" separator."""
+    padded = b"".join(t.encode().ljust(size, b"\0") + b";" for t in texts)
+    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), size + 1)
+
+
 def cmd_generate(args) -> int:
-    started = time.time()
     _resolve_seed(args)
     params = ProcessParams(
         n=args.n, m=args.m, variant=args.variant, master_seed=args.seed
@@ -165,7 +181,7 @@ def cmd_generate(args) -> int:
     out = Path(args.out)
     write_graph(g, out)
     header = out.with_name(out.name + ".header.json")
-    _write_manifest(args, out, [out, header], started)
+    _write_manifest(args, out, [out, header])
     print(f"wrote {g.n_edges} edges to {out} (seed {args.seed})")
     return 0
 
@@ -195,12 +211,12 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _finish_experiment(args, report, extra_outputs=(), started=0.0) -> int:
+def _finish_experiment(args, report, extra_outputs=()) -> int:
     out = Path(args.out)
     json_path = report.write_json(out)
     csv_path = report.write_csv(out.with_suffix(".csv"))
     outputs = [json_path, csv_path, *extra_outputs]
-    _write_manifest(args, out, outputs, started)
+    _write_manifest(args, out, outputs)
     for v in report.verdicts:
         status = "PASS" if v["passed"] else "FAIL"
         print(f"{status} {v['name']}: {v['detail']}")
@@ -208,7 +224,6 @@ def _finish_experiment(args, report, extra_outputs=(), started=0.0) -> int:
 
 
 def _exp_fraction(args) -> int:
-    started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     degree = args.d + args.m  # total degree of an in-degree-d vertex
     res = empirical_fraction(
@@ -230,11 +245,10 @@ def _exp_fraction(args) -> int:
         rel <= 0.05,
         f"mean={res.mean:.6g} target={target:.6g} rel_err={rel:.3%}",
     )
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 def _exp_gamma(args) -> int:
-    started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     g = generate(params)
     hist_in = degree_histogram(g, "in_degree")
@@ -259,11 +273,10 @@ def _exp_gamma(args) -> int:
         f"in-degree fit gamma={fit_in.gamma:.4f} (se {fit_in.stderr:.4f}); "
         f"total-degree fit gamma={fit_tot.gamma:.4f}; Hill {hill:.4f}",
     )
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 def _exp_concentration(args) -> int:
-    started = time.time()
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     res = concentration_experiment(
         params, args.d, args.replicates, threads=_resolve_threads(args)
@@ -285,11 +298,10 @@ def _exp_concentration(args) -> int:
         f"rate={res.exceedance_rate:.4f} threshold={res.threshold:.1f} "
         f"std={res.std_count:.1f}",
     )
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 def _exp_sums(args) -> int:
-    started = time.time()
     s1 = sum_s1(args.n, args.d, args.beta, alpha=args.alpha)
     s2 = sum_s2_bound(args.n, args.m, max(args.d, 1), args.beta)
     report = ExperimentReport(
@@ -314,11 +326,10 @@ def _exp_sums(args) -> int:
         s2.bound_primary <= s2.bound_final or s2.bound_final == 0.0,
         f"primary={s2.bound_primary:.4g} final={s2.bound_final:.4g}",
     )
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 def _exp_corollary(args) -> int:
-    started = time.time()
     parts = args.n_grid.split(",")
     if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
         raise DomainError(f"--n-grid must be comma-separated integers >= 1, got {args.n_grid!r}")
@@ -341,11 +352,10 @@ def _exp_corollary(args) -> int:
         res.decreasing,
         "fractions " + ", ".join(f"{f:.3e}" for f in res.fractions),
     )
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 def _exp_region(args) -> int:
-    started = time.time()
     if args.inequalities:
         lines = Path(args.inequalities).read_text().splitlines()
         system = RegionSystem.from_lines(lines, label="custom")
@@ -373,11 +383,10 @@ def _exp_region(args) -> int:
         f"witness beta = {_fmt(result.witness_beta)}",
     )
     print(f"sup alpha = {_fmt(result.sup_alpha)}")
-    return _finish_experiment(args, report, extra_outputs=[poly], started=started)
+    return _finish_experiment(args, report, extra_outputs=[poly])
 
 
 def _exp_equivalence(args) -> int:
-    started = time.time()
     rng = {v: replicate_rng(args.seed, i) for i, v in enumerate(VARIANTS)}
     dists = {
         v: degree_rows_to_distribution(
@@ -395,7 +404,7 @@ def _exp_equivalence(args) -> int:
         tv = tv_distance(dists[a], dists[b])
         report.aggregates[f"tv_{a}_{b}"] = tv
         report.add_verdict(f"tv_{a}_{b}_below_0.01", tv <= 0.01, f"tv={tv:.5f}")
-    return _finish_experiment(args, report, started=started)
+    return _finish_experiment(args, report)
 
 
 _EXPERIMENTS = {
@@ -468,7 +477,11 @@ def _add_common(p, seed=True, out=True, threads=False):
                        help=f"worker threads (default ${THREADS_ENV} or 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: every ``parse_args``
+    returns a fresh namespace, so calls of ``main`` share it, nested ones
+    (``replay``) included."""
     parser = argparse.ArgumentParser(
         prog="lcdgraph",
         description="Preferential-attachment graphs via chord diagrams: "
@@ -570,6 +583,7 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
+    args.started = time.time()
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

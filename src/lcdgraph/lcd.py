@@ -27,40 +27,6 @@ def pairing_count(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """A perfect matching on {1,..,2n}, stored as a partner lookup.
-
-    ``partner[i]`` is the point paired with i; index 0 is unused.
-    """
-
-    n: int
-    partner: tuple
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("pairing size must be >= 1")
-        if len(self.partner) != 2 * self.n + 1:
-            raise DomainError("partner table has wrong length")
-        for x in range(1, 2 * self.n + 1):
-            p = self.partner[x]
-            if not 1 <= p <= 2 * self.n or p == x or self.partner[p] != x:
-                raise DomainError("partner table is not a fixed-point-free involution")
-
-    def pairs(self):
-        """The n pairs as (left, right) tuples, sorted by left endpoint."""
-        return [(x, self.partner[x]) for x in range(1, 2 * self.n + 1) if x < self.partner[x]]
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "Pairing":
-        n = len(pairs)
-        partner = [0] * (2 * n + 1)
-        for a, b in pairs:
-            partner[a] = b
-            partner[b] = a
-        return cls(n, tuple(partner))
-
-
 def enumerate_pairings(n: int, cap: int = ENUMERATION_CAP):
     """All pairings of {1,..,2n}, exactly once each, in a fixed order: an
     iterator of blocks of int8 partner rows, shape (rows, 2n+1), column 0
@@ -91,14 +57,6 @@ def _pair_smallest(partner: np.ndarray, levels: int) -> np.ndarray:
         partner[at, a] = b
         partner[at, b] = a
     return partner
-
-
-def sample_pairing(n: int, rng: np.random.Generator) -> Pairing:
-    """Uniform random pairing of {1,..,2n}, built from ``sample_partner_array``:
-    every pairing has probability 1/(2n-1)!!.  Deterministic given the
-    generator state."""
-    partner = sample_partner_array(n, rng)
-    return Pairing(n, tuple(partner.tolist()))
 
 
 def sample_partner_array(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -215,15 +173,3 @@ def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> L
     vertex = np.empty(two_n + 1, dtype=np.int64)  # index 0 unused
     vertex[1:] = point_vertices(is_right)
     return LcdGraph(n, vertex[right], vertex[left], meta or {})
-
-
-def pairing_to_graph(p: Pairing) -> LcdGraph:
-    """The merged directed multigraph of a pairing: n vertices, n edges."""
-    return graph_from_partner_array(np.array(p.partner, dtype=np.int64))
-
-
-def degree_prefix_sum(g: LcdGraph, k: int) -> int:
-    """Sum of total degrees of vertices 1..k."""
-    if not 1 <= k <= g.n_vertices:
-        raise DomainError(f"k={k} outside 1..{g.n_vertices}")
-    return int(g.total_degrees[:k].sum())

@@ -2,10 +2,12 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lcdgraph.cli import main
-from lcdgraph.oracles import DkQuery, count_ns
+from lcdgraph.cli import build_parser, main
+from lcdgraph.lcd import enumerate_pairings, graph_from_partner_array
+from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
 
 
 def run(capsys, *argv):
@@ -39,6 +41,28 @@ def test_oracle_count_ns_prints_thousands_of_digits(capsys):
     code, out, _ = run(capsys, "oracle", "count-ns", "--n", "2048", "--k", "3", "--s", "500")
     assert code == 0
     assert out.strip() == str(count_ns(DkQuery(2048, 3, 500)))
+
+
+def test_cached_parser_is_reentrant(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    # the second call omits --s and --d: it must get their defaults (0 and 1),
+    # not the values the first call parsed
+    _, first, _ = run(capsys, "oracle", "cond-prob", "--n", "10", "--k", "2", "--s", "3",
+                      "--d", "2")
+    code, second, _ = run(capsys, "oracle", "cond-prob", "--n", "10", "--k", "2")
+    assert code == 0
+    assert first.strip() == cond_prob_degree(10, 2, 3, 2).format()
+    assert second.strip() == cond_prob_degree(10, 2, 0, 1).format() != first.strip()
+    # replay calls main again while its own call is still running
+    out = tmp_path / "g.csv"
+    run(capsys, "generate", "--n", "50", "--m", "2", "--seed", "4", "--out", str(out))
+    manifest = tmp_path / "g.csv.manifest.json"
+    recorded = json.loads(manifest.read_text())
+    assert recorded["wall_clock_seconds"] >= 0
+    assert "started" not in recorded["parameters"] and "--started" not in recorded["argv"]
+    code, stdout, _ = run(capsys, "replay", "--manifest", str(manifest))
+    assert code == 0
+    assert "replay PASS" in stdout
 
 
 def test_oracle_domain_error_exit_code(capsys):
@@ -94,6 +118,16 @@ def test_generate_entropy_seed_recorded(capsys, tmp_path):
     assert isinstance(manifest["seed"], int)
 
 
+def reference_enumerate(n) -> bytes:
+    """The per-row f-string writer: the byte contract of ``enumerate``."""
+    lines = ["pairing,total_degrees\n"]
+    for partner in np.concatenate(list(enumerate_pairings(n))).tolist():
+        pairs = [f"{a}-{b}" for a, b in enumerate(partner) if a < b]
+        degrees = graph_from_partner_array(np.array(partner)).total_degrees.tolist()
+        lines.append(f"{';'.join(pairs)},{';'.join(map(str, degrees))}\n")
+    return "".join(lines).encode()
+
+
 def test_enumerate_rows(capsys, tmp_path):
     out = tmp_path / "e.csv"
     code, _, _ = run(capsys, "enumerate", "--n", "2", "--out", str(out))
@@ -110,6 +144,23 @@ def test_enumerate_rows(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "523ce16fcb8b64df667f0bc2493fc2bc5ea117f4cda652fc0db9ddc9348b8995"
+    )
+
+    for n in range(1, 7):
+        code, _, _ = run(capsys, "enumerate", "--n", str(n), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == reference_enumerate(n)
+
+
+def test_enumerate_n7_digest(capsys, tmp_path):
+    out = tmp_path / "e.csv"
+    code, stdout, _ = run(capsys, "enumerate", "--n", "7", "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("wrote 135135 pairings")
+    data = out.read_bytes()
+    assert data.count(b"\n") == 1 + 135135
+    assert hashlib.sha256(data).hexdigest() == (
+        "265ab54f4802df2032c24f2c88bb7c1d9ee123c6cee01fc1c4bdcad2098dde5b"
     )
 
 

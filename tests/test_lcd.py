@@ -8,14 +8,10 @@ from hypothesis import strategies as st
 from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.lcd import (
     LcdGraph,
-    Pairing,
-    degree_prefix_sum,
     enumerate_pairings,
     graph_from_partner_array,
     pairing_count,
-    pairing_to_graph,
     partner_degree_rows,
-    sample_pairing,
     sample_partner_array,
     sample_partner_rows,
 )
@@ -79,12 +75,10 @@ def test_enumeration_errors():
 
 
 def test_pairing_rejects_non_involution():
-    with pytest.raises(DomainError):
-        Pairing(2, (0, 2, 1, 3, 4))  # 3 and 4 map to themselves
-    with pytest.raises(DomainError):
-        Pairing(1, (0, 1, 2))  # fixed points
-    # the first two have n = 2 right endpoints, so counting them passes
-    for partner in ([0, 3, 4, 1, 1], [0, 4, 4, 1, 2], [0, 1, 2], [0, 2, 1, 3], [0]):
+    # 3 and 4 map to themselves; 1 and 2 are fixed points; the next two have
+    # n = 2 right endpoints, so counting them passes
+    for partner in ([0, 2, 1, 3, 4], [0, 1, 2], [0, 3, 4, 1, 1], [0, 4, 4, 1, 2],
+                    [0, 2, 1, 3], [0]):
         with pytest.raises(DomainError):
             graph_from_partner_array(np.array(partner))
 
@@ -103,39 +97,40 @@ def test_graph_has_n_vertices_and_n_edges(n):
             assert (g.total_degrees == row).all()
 
 
+def graph_of(partner):
+    return graph_from_partner_array(np.array(partner, dtype=np.int64))
+
+
 def test_merge_rule_hand_traces():
-    g = pairing_to_graph(Pairing.from_pairs([(1, 2)]))
+    g = graph_of([0, 2, 1])  # chord 1-2
     assert g.edge_list() == [(1, 1)]
 
-    g = pairing_to_graph(Pairing.from_pairs([(1, 2), (3, 4)]))
+    g = graph_of([0, 2, 1, 4, 3])  # chords 1-2 and 3-4
     assert g.edge_list() == [(1, 1), (2, 2)]
-    assert degree_prefix_sum(g, 1) == 2
+    assert np.cumsum(g.total_degrees)[0] == 2
 
     # chords 1-3 and 2-4: points {1,2,3} merge into v1, {4} is v2
-    g = pairing_to_graph(Pairing.from_pairs([(1, 3), (2, 4)]))
+    g = graph_of([0, 3, 4, 1, 2])
     assert sorted(g.edge_list()) == [(1, 1), (2, 1)]
-    assert degree_prefix_sum(g, 1) == 3
+    assert np.cumsum(g.total_degrees)[0] == 3
 
 
-def test_degree_prefix_sum_full_range_and_errors():
-    g = pairing_to_graph(Pairing.from_pairs([(1, 3), (2, 4)]))
-    assert degree_prefix_sum(g, g.n_vertices) == 2 * g.n_edges
-    with pytest.raises(DomainError):
-        degree_prefix_sum(g, 0)
-    with pytest.raises(DomainError):
-        degree_prefix_sum(g, 3)
+def test_degree_prefix_sums_full_range():
+    g = graph_of([0, 3, 4, 1, 2])  # chords 1-3 and 2-4
+    prefix = np.cumsum(g.total_degrees)
+    assert prefix.tolist() == [3, 4]  # one sum per vertex 1..n
+    assert prefix[g.n_vertices - 1] == 2 * g.n_edges
 
 
 def test_sample_n1_deterministic():
     for seed in (0, 1, 12345):
-        p = sample_pairing(1, replicate_rng(seed))
-        assert p.pairs() == [(1, 2)]
+        assert sample_partner_array(1, replicate_rng(seed)).tolist() == [0, 2, 1]
 
 
 def test_sample_deterministic_given_seed():
-    a = sample_pairing(50, replicate_rng(7))
-    b = sample_pairing(50, replicate_rng(7))
-    assert a == b
+    a = sample_partner_array(50, replicate_rng(7))
+    b = sample_partner_array(50, replicate_rng(7))
+    assert (a == b).all()
 
 
 def test_sample_errors():
@@ -146,9 +141,10 @@ def test_sample_errors():
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_sampled_pairing_is_valid_involution(n, seed):
-    p = sample_pairing(n, replicate_rng(seed))
-    assert len(p.pairs()) == n  # Pairing.__post_init__ checked the involution
-    g = pairing_to_graph(p)
+    partner = sample_partner_array(n, replicate_rng(seed))
+    idx = np.arange(1, 2 * n + 1)
+    assert (partner[partner[1:]] == idx).all() and (partner[1:] != idx).all()
+    g = graph_from_partner_array(partner)  # checks the involution too
     assert g.n_vertices == n and g.n_edges == n
 
 
