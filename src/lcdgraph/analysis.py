@@ -22,35 +22,13 @@ from .processes import ProcessParams, generate
 DEGREE_MODES = ("in_degree", "out_degree", "total_degree")
 
 
-@dataclass
-class DegreeHistogram:
-    """Degree -> vertex count for one graph, with run provenance."""
-
-    mode: str
-    counts: dict
-    n: int
-    m: int
-    variant: str
-    seed: int
-
-    def total_vertices(self) -> int:
-        return sum(self.counts.values())
-
-
-def degree_histogram(g, mode: str) -> DegreeHistogram:
+def degree_histogram(g, mode: str) -> dict:
+    """Degree -> number of vertices of that degree in ``g``, in increasing
+    degree order."""
     if mode not in DEGREE_MODES:
         raise DomainError(f"unknown degree mode {mode!r}")
-    degs = g.degrees_of(mode)
-    values, counts = np.unique(degs, return_counts=True)
-    meta = g.meta
-    return DegreeHistogram(
-        mode=mode,
-        counts={int(v): int(c) for v, c in zip(values, counts)},
-        n=g.n_vertices,
-        m=meta.get("m", 0),
-        variant=meta.get("variant", ""),
-        seed=meta.get("seed", 0),
-    )
+    values, counts = np.unique(g.degrees_of(mode), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 @dataclass
@@ -112,14 +90,16 @@ class ExponentFit:
     window: tuple
 
 
-def power_law_exponent(h: DegreeHistogram, d_lo: int, d_hi: int) -> ExponentFit:
+def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
     """Least-squares slope of log(count) vs log(degree) over [d_lo, d_hi],
-    negated; zero-count bins are excluded."""
-    ds = [d for d in range(d_lo, d_hi + 1) if h.counts.get(d, 0) > 0]
+    negated, for a degree -> count histogram; zero-count bins are excluded."""
+    if not 1 <= d_lo <= d_hi:
+        raise DomainError(f"degree window [{d_lo}, {d_hi}] needs 1 <= d_lo <= d_hi")
+    ds = [d for d in range(d_lo, d_hi + 1) if hist.get(d, 0) > 0]
     if len(ds) < 5:
         raise InsufficientDataError(f"only {len(ds)} nonzero bins in [{d_lo}, {d_hi}]")
     x = np.log(np.array(ds, dtype=float))
-    y = np.log(np.array([h.counts[d] for d in ds], dtype=float))
+    y = np.log(np.array([hist[d] for d in ds], dtype=float))
     (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
     return ExponentFit(
         gamma=float(-slope),
@@ -129,12 +109,15 @@ def power_law_exponent(h: DegreeHistogram, d_lo: int, d_hi: int) -> ExponentFit:
     )
 
 
-def hill_exponent(h: DegreeHistogram, d_min: int) -> float:
-    """Hill-style maximum-likelihood tail exponent over degrees >= d_min,
-    using the discrete-data continuity correction d_min - 1/2."""
+def hill_exponent(hist: dict, d_min: int) -> float:
+    """Hill-style maximum-likelihood tail exponent of a degree -> count
+    histogram over degrees >= d_min, using the discrete-data continuity
+    correction d_min - 1/2."""
+    if d_min < 1:
+        raise DomainError(f"Hill window [{d_min}, inf) needs d_min >= 1")
     total = 0
     log_sum = 0.0
-    for d, c in h.counts.items():
+    for d, c in hist.items():
         if d >= d_min:
             total += c
             log_sum += c * math.log(d / (d_min - 0.5))

@@ -40,7 +40,7 @@ from .analysis import (
     write_region_csv,
 )
 from .errors import DomainError
-from .io import write_graph
+from .io import write_graph, write_rows
 from .lcd import enumerate_pairings, partner_degree_rows
 from .oracles import (
     DkQuery,
@@ -138,38 +138,25 @@ def _write_manifest(args, out_path: Path, outputs) -> Path:
 def cmd_enumerate(args) -> int:
     blocks = enumerate_pairings(args.n)  # checks n before the file is opened
     out = Path(args.out)
-    width = 2 * args.n + 1
-    digits = len(str(width - 1))
-    # zero-padded row bytes of every "a-b" pair (code a * width + b) and of
-    # every degree 0..2n, each followed by its separator
-    pair_bytes = _text_table([f"{a}-{b}" for a in range(width) for b in range(width)],
-                             2 * digits + 1)
-    degree_bytes = _text_table([str(d) for d in range(width)], digits)
+    n = args.n
+    # a row: its n pairs "a-b" joined by ";", a ",", its n degrees joined by ";"
+    seps = b"-;" * (n - 1) + b"-," + b";" * (n - 1) + b"\n"
     rows = 0
     with open(out, "wb") as fh:
         fh.write(b"pairing,total_degrees\n")
         for partner in blocks:
             # every row has n left points; nonzero lists them row by row, in order
-            is_left = partner[:, 1:] > np.arange(1, width)
+            is_left = partner[:, 1:] > np.arange(1, 2 * n + 1)
             left = np.nonzero(is_left)[1].reshape(len(partner), -1) + 1
-            code = left * width + np.take_along_axis(partner, left, axis=1)
-            pairs = pair_bytes[code].reshape(len(partner), -1)
-            degrees = degree_bytes[partner_degree_rows(partner)].reshape(len(partner), -1)
-            buf = np.concatenate([pairs, degrees], axis=1)
-            buf[:, pairs.shape[1] - 1] = ord(",")
-            buf[:, -1] = ord("\n")
-            fh.write(buf[buf != 0].tobytes())  # drop the padding
+            table = np.empty((len(partner), 3 * n), dtype=np.int64)
+            table[:, 0 : 2 * n : 2] = left
+            table[:, 1 : 2 * n : 2] = np.take_along_axis(partner, left, axis=1)
+            table[:, 2 * n :] = partner_degree_rows(partner)
+            write_rows(fh, table.T, seps)
             rows += len(partner)
     _write_manifest(args, out, [out])
     print(f"wrote {rows} pairings to {out}")
     return 0
-
-
-def _text_table(texts, size: int) -> np.ndarray:
-    """One uint8 row per ASCII text: the text, 0 bytes up to ``size``, then
-    a ";" separator."""
-    padded = b"".join(t.encode().ljust(size, b"\0") + b";" for t in texts)
-    return np.frombuffer(padded, dtype=np.uint8).reshape(len(texts), size + 1)
 
 
 def cmd_generate(args) -> int:
@@ -186,28 +173,23 @@ def cmd_generate(args) -> int:
     return 0
 
 
+# formula name -> printer of its value; the oracles are looked up when a
+# printer runs, so wrappers swapped onto this module's names apply
+_ORACLES = {
+    "prob-dk": lambda a: prob_dk(DkQuery(a.n, a.k, a.s)).format(),
+    "count-ns": lambda a: count_ns(DkQuery(a.n, a.k, a.s)),
+    "ratio-f": lambda a: _fmt(ratio_f(a.n, a.k, a.s)),
+    "mode-s01": lambda a: mode_s01(a.n, a.k),
+    "mode-s02": lambda a: mode_s02(a.n, a.k),
+    "tail-bound": lambda a: _fmt(tail_bound(a.n, a.l)),
+    "cond-prob": lambda a: cond_prob_degree(a.n, a.k, a.s, a.d).format(),
+    "expected-count": lambda a: _fmt(expected_count(a.n, a.m, a.d)),
+    "lemma2-approx": lambda a: _fmt(lemma2_approx(a.n, a.k, a.d)),
+}
+
+
 def cmd_oracle(args) -> int:
-    name = args.formula
-    if name == "prob-dk":
-        print(prob_dk(DkQuery(args.n, args.k, args.s)).format())
-    elif name == "count-ns":
-        print(count_ns(DkQuery(args.n, args.k, args.s)))
-    elif name == "ratio-f":
-        print(_fmt(ratio_f(args.n, args.k, args.s)))
-    elif name == "mode-s01":
-        print(mode_s01(args.n, args.k))
-    elif name == "mode-s02":
-        print(mode_s02(args.n, args.k))
-    elif name == "tail-bound":
-        print(_fmt(tail_bound(args.n, args.l)))
-    elif name == "cond-prob":
-        print(cond_prob_degree(args.n, args.k, args.s, args.d).format())
-    elif name == "expected-count":
-        print(_fmt(expected_count(args.n, args.m, args.d)))
-    elif name == "lemma2-approx":
-        print(_fmt(lemma2_approx(args.n, args.k, args.d)))
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown formula {name!r}")
+    print(_ORACLES[args.formula](args))
     return 0
 
 
@@ -505,9 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("oracle", help="evaluate one closed-form quantity")
-    p.add_argument("formula", choices=(
-        "prob-dk", "count-ns", "ratio-f", "mode-s01", "mode-s02",
-        "tail-bound", "cond-prob", "expected-count", "lemma2-approx"))
+    p.add_argument("formula", choices=tuple(_ORACLES))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--s", type=int, default=0)

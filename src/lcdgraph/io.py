@@ -1,4 +1,5 @@
-"""Persistence for generated graphs: edge-list CSV plus a JSON header."""
+"""Persistence for generated graphs: edge-list CSV plus a JSON header, and
+the numpy text writer behind it and behind ``lcdgraph enumerate``."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import numpy as np
 from .errors import DomainError
 from .lcd import LcdGraph
 
-CHUNK_EDGES = 1 << 16  # edges formatted per pass: bounds the writer's buffers
+CHUNK_EDGES = 1 << 16  # rows formatted per pass: bounds the writer's buffers
 
 
 def write_graph(g: LcdGraph, path: str | Path) -> Path:
@@ -18,17 +19,11 @@ def write_graph(g: LcdGraph, path: str | Path) -> Path:
     row) and the run parameters as `<path>.header.json`.
 
     The CSV holds exactly the bytes of ``f"{s},{t}\\n"`` for each edge in
-    order: decimal ids without padding or sign, `\\n` line ends on every
-    platform.  Ids must be >= 0.  The lines are formatted in numpy, a
-    chunk of ``CHUNK_EDGES`` edges at a time: each edge becomes one row
-    of a uint8 matrix holding the right-aligned ASCII digits of source and
-    target, the comma and the newline; a boolean mask drops the padding
-    to the left of each number, and the kept bytes are written in row
-    order.  Memory per chunk is fixed, whatever the graph size.
+    order, as written by ``write_rows``.  Ids must be >= 0.
     """
     path = Path(path)
     with open(path, "wb") as fh:
-        _write_edges(fh, g.src, g.tgt)
+        write_rows(fh, (g.src, g.tgt), b",\n")
     header = {k: g.meta[k] for k in ("n", "m", "variant", "seed") if k in g.meta}
     header_path = path.with_name(path.name + ".header.json")
     with open(header_path, "w") as fh:
@@ -37,33 +32,37 @@ def write_graph(g: LcdGraph, path: str | Path) -> Path:
     return path
 
 
-def _write_edges(fh, src: np.ndarray, tgt: np.ndarray) -> None:
-    if src.size == 0:
-        return
-    if min(src.min(), tgt.min()) < 0:
-        raise DomainError("edge-list ids must be >= 0")
-    top_s, top_t = int(src.max()), int(tgt.max())
-    ws, wt = len(str(top_s)), len(str(top_t))
-    dtype = np.min_scalar_type(max(top_s, top_t))  # narrow ints divide faster
-    # bytes x edges, so that each digit pass fills one contiguous row
-    rows = np.empty((ws + wt + 2, min(src.size, CHUNK_EDGES)), dtype=np.uint8)
-    rows[ws] = ord(",")
-    rows[-1] = ord("\n")
-    for lo in range(0, src.size, CHUNK_EDGES):
-        k = min(CHUNK_EDGES, src.size - lo)
-        _put_digits(rows[:ws, :k], src[lo : lo + k].astype(dtype))
-        _put_digits(rows[ws + 1 : -1, :k], tgt[lo : lo + k].astype(dtype))
-        buf = rows[:, :k].T.copy()
-        fh.write(buf[buf != 0].tobytes())
+def write_rows(fh, columns, seps: bytes) -> None:
+    """Write row i as, for each column j in turn, the decimal digits of
+    ``columns[j][i]`` followed by the byte ``seps[j]``: the bytes of
+    ``"".join(f"{c[i]}{chr(s)}" for c, s in zip(columns, seps))``.
 
-
-def _put_digits(out: np.ndarray, x: np.ndarray) -> None:
-    """Fill ``out`` (digits x ids) with the ASCII digits of ``x``, one id per
-    column, right-aligned, and 0 bytes for the padding left of the number."""
-    for j in range(len(out)):  # j-th digit from the right
-        q = x // 10
-        row = out[-1 - j]
-        row[:] = x - q * 10
-        # the last digit always prints, a higher one only if the id reaches it
-        np.add(row, ord("0"), out=row, where=x != 0 if j else True)
-        x = q
+    ``columns`` are equal-length int arrays, ``seps`` one nonzero byte per
+    column.  A negative value raises DomainError when its chunk is reached,
+    after the chunks before it were written.  Rows are
+    formatted in numpy, ``CHUNK_EDGES`` at a time: the chunk's columns are
+    copied into one buffer of the narrowest int type that holds them, and
+    every digit pass fills one contiguous row per column of a (columns x
+    bytes x rows) uint8 matrix with the right-aligned ASCII digits, 0 bytes
+    left of each number.  Dropping the 0 bytes in row order leaves the
+    text.  Memory per chunk is fixed, whatever the number of rows.
+    """
+    sep_bytes = np.frombuffer(seps, dtype=np.uint8)[:, None]
+    for lo in range(0, len(columns[0]), CHUNK_EDGES):
+        v = np.array([c[lo : lo + CHUNK_EDGES] for c in columns])
+        if v.min() < 0:
+            raise DomainError("values written as text must be >= 0")
+        top = int(v.max())
+        v = v.astype(np.min_scalar_type(top))  # narrow ints divide faster
+        width = len(str(top))
+        text = np.empty((len(columns), width + 1, v.shape[1]), dtype=np.uint8)
+        text[:, width] = sep_bytes
+        for j in range(width):  # j-th digit from the right
+            q = v // 10
+            digit = text[:, width - 1 - j]
+            np.subtract(v, q * 10, out=digit, casting="unsafe")
+            # the last digit always prints, a higher one only if the value reaches it
+            np.add(digit, ord("0"), out=digit, where=v != 0 if j else True)
+            v = q
+        buf = text.transpose(2, 0, 1).copy()
+        fh.write(buf[buf != 0].tobytes())  # drop the padding

@@ -15,19 +15,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DomainError
+from .oracles import double_factorial
 
 ENUMERATION_CAP = 8  # 15!! = 2,027,025 pairings at n=8
 
 
 def pairing_count(n: int) -> int:
     """Number of pairings of 2n points: (2n-1)!! = 1*3*...*(2n-1)."""
-    out = 1
-    for x in range(2 * n - 1, 0, -2):
-        out *= x
-    return out
+    return double_factorial(2 * n - 1)
 
 
-def enumerate_pairings(n: int, cap: int = ENUMERATION_CAP):
+def enumerate_pairings(n: int):
     """All pairings of {1,..,2n}, exactly once each, in a fixed order: an
     iterator of blocks of int8 partner rows, shape (rows, 2n+1), column 0
     unused.  ``n`` is checked at the call, before any block is built.
@@ -38,8 +36,8 @@ def enumerate_pairings(n: int, cap: int = ENUMERATION_CAP):
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > cap:
-        raise CapacityError(f"n={n} exceeds the enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
     heads = _pair_smallest(np.zeros((1, 2 * n + 1), dtype=np.int8), min(2, n))
     return (_pair_smallest(heads[i : i + 1], n - 2) for i in range(len(heads)))
 

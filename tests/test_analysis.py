@@ -21,7 +21,6 @@ from lcdgraph.analysis import (
     sum_s2_bound,
     tv_distance,
 )
-from lcdgraph.analysis import DegreeHistogram
 from lcdgraph.errors import DomainError, InsufficientDataError
 from lcdgraph.processes import ProcessParams, generate
 
@@ -32,15 +31,15 @@ def _loop_graph():
 
 def test_histogram_loop_graph():
     g = _loop_graph()
-    assert degree_histogram(g, "total_degree").counts == {2: 1}
-    assert degree_histogram(g, "in_degree").counts == {1: 1}
+    assert degree_histogram(g, "total_degree") == {2: 1}
+    assert degree_histogram(g, "in_degree") == {1: 1}
 
 
 def test_histogram_totals_and_handshake():
     g = generate(ProcessParams(2000, 3, "sequential", 4))
     h = degree_histogram(g, "total_degree")
-    assert h.total_vertices() == 2000
-    assert sum(d * c for d, c in h.counts.items()) == 2 * 3 * 2000
+    assert sum(h.values()) == 2000
+    assert sum(d * c for d, c in h.items()) == 2 * 3 * 2000
     assert int(g.in_degrees.sum()) == int(g.out_degrees.sum()) == 3 * 2000
 
 
@@ -70,10 +69,8 @@ def test_empirical_fraction_threaded_matches_serial():
     assert serial.fractions == threaded.fractions  # replicate streams are keyed
 
 
-def _synthetic_histogram(gamma: float, c: float = 10**9) -> DegreeHistogram:
-    counts = {d: int(c * d**-gamma) for d in range(5, 51)}
-    return DegreeHistogram("in_degree", counts, n=sum(counts.values()), m=1,
-                          variant="synthetic", seed=0)
+def _synthetic_histogram(gamma: float, c: float = 10**9) -> dict:
+    return {d: int(c * d**-gamma) for d in range(5, 51)}
 
 
 def test_power_law_recovers_synthetic_exponents():
@@ -83,14 +80,25 @@ def test_power_law_recovers_synthetic_exponents():
 
 
 def test_power_law_too_few_bins():
-    h = DegreeHistogram("in_degree", {5: 10, 6: 8}, 18, 1, "synthetic", 0)
     with pytest.raises(InsufficientDataError):
-        power_law_exponent(h, 5, 50)
+        power_law_exponent({5: 10, 6: 8}, 5, 50)
 
 
 def test_hill_exponent_on_synthetic():
     gamma = hill_exponent(_synthetic_histogram(3.0), 5)
     assert 2.6 <= gamma <= 3.4
+
+
+def test_fit_windows_must_start_at_degree_1():
+    h = _synthetic_histogram(3.0)
+    for lo, hi in ((0, 50), (-3, 50), (20, 10)):
+        with pytest.raises(DomainError, match=rf"\[{lo}, {hi}\]"):
+            power_law_exponent(h, lo, hi)
+    for d_min in (0, -1):
+        with pytest.raises(DomainError, match=rf"\[{d_min}, inf\)"):
+            hill_exponent(h, d_min)
+    assert power_law_exponent({d: 10 for d in range(1, 6)}, 1, 5).n_bins == 5
+    assert hill_exponent({1: 4, 2: 1}, 1) > 1.0
 
 
 def test_concentration_degenerate_n1():

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcdgraph.cli import build_parser, main
+from lcdgraph.cli import _ORACLES, build_parser, main
 from lcdgraph.lcd import enumerate_pairings, graph_from_partner_array
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
 
@@ -33,6 +33,16 @@ def test_oracle_mode_s01(capsys):
     code, out, _ = run(capsys, "oracle", "mode-s01", "--n", "100", "--k", "25")
     assert code == 0
     assert out.strip() == "50"
+
+
+def test_oracle_choices_are_the_printer_table(capsys):
+    for name in _ORACLES:
+        code, out, _ = run(capsys, "oracle", name, "--n", "12", "--k", "2", "--s", "1")
+        assert code == 0 and out.count("\n") == 1 and out.strip()
+    with pytest.raises(SystemExit):
+        main(["oracle", "no-such-formula", "--n", "4"])
+    code, out, _ = run(capsys, "oracle", "count-ns", "--n", "4", "--k", "2", "--s", "1")
+    assert out == f"{count_ns(DkQuery(4, 2, 1))}\n"
 
 
 def test_oracle_count_ns_prints_thousands_of_digits(capsys):
@@ -240,6 +250,17 @@ def test_corollary_n_grid_names_flag(capsys, tmp_path):
         assert "--n-grid" in err
         assert "comma-separated integers >= 1" in err
         assert stdout == ""
+
+
+def test_gamma_degree_window_must_start_at_1(capfd, tmp_path):
+    # capfd also holds what LAPACK writes to the process's file descriptors
+    code = main(["experiment", "gamma", "--n", "2000", "--dlo", "0", "--seed", "1",
+                 "--out", str(tmp_path / "g.json")])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert "[0, 50]" in err
+    assert "DLASCL" not in out + err
+    assert "SVD" not in err
 
 
 def test_threads_rejected_where_unused(tmp_path):

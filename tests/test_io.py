@@ -4,13 +4,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.io import CHUNK_EDGES, write_graph
+from lcdgraph.io import CHUNK_EDGES, write_graph, write_rows
 from lcdgraph.lcd import LcdGraph
 
 
 def reference_csv(src, tgt) -> bytes:
     """The per-edge f-string writer: the byte contract of ``write_graph``."""
     return "".join(f"{s},{t}\n" for s, t in zip(src, tgt)).encode()
+
+
+def reference_rows(columns, seps: bytes) -> bytes:
+    """The per-row f-string writer: the byte contract of ``write_rows``."""
+    return "".join(
+        f"{v}{chr(sep)}" for row in zip(*columns) for v, sep in zip(row, seps)
+    ).encode("latin-1")
+
+
+def rows_written(tmp_path, columns, seps: bytes) -> bytes:
+    path = tmp_path / "rows.txt"
+    with open(path, "wb") as fh:
+        write_rows(fh, [np.asarray(c, dtype=np.int64) for c in columns], seps)
+    return path.read_bytes()
 
 
 def written(tmp_path, src, tgt, n_vertices=1) -> bytes:
@@ -57,6 +71,37 @@ def test_chunk_edges(tmp_path, size):
 def test_matches_reference_writer(tmp_path_factory, edges):
     src, tgt = zip(*edges)
     assert written(tmp_path_factory.mktemp("io"), src, tgt) == reference_csv(src, tgt)
+
+
+def test_rows_of_1_to_19_digits_across_a_chunk(tmp_path):
+    rng = np.random.default_rng(7)
+    size = CHUNK_EDGES + 5
+    # 19-digit ids cut by 10**0..10**18: every width from 19 digits down to 1
+    columns = [
+        rng.integers(0, 2**63 - 1, size) // 10 ** rng.integers(0, 19, size) for _ in range(4)
+    ]
+    widths = {len(str(v)) for c in columns for v in c.tolist()}
+    assert widths == set(range(1, 20))
+    seps = b" ;|\n"
+    expected = reference_rows([c.tolist() for c in columns], seps)
+    assert rows_written(tmp_path, columns, seps) == expected
+
+
+@st.composite
+def tables(draw):
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(0, 30))
+    column = st.lists(st.integers(0, 2**63 - 1), min_size=rows, max_size=rows)
+    seps = draw(st.binary(min_size=cols, max_size=cols).filter(lambda b: 0 not in b))
+    return [draw(column) for _ in range(cols)], seps
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_rows_match_reference_writer(tmp_path_factory, table):
+    columns, seps = table
+    got = rows_written(tmp_path_factory.mktemp("rows"), columns, seps)
+    assert got == reference_rows(columns, seps)
 
 
 def test_empty_graph(tmp_path):
