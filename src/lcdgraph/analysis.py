@@ -109,6 +109,16 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
     )
 
 
+def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
+    """The exponent ``power_law_exponent`` fits over in-degrees [d_lo, d_hi]
+    to the limiting in-degree law P(k) = 2m(m+1)/((k+m)(k+m+1)(k+m+2)): what
+    a finite-window in-degree fit should be judged against.  It tends to 3
+    only as the window moves out (2.430 at m = 3 over [5, 50])."""
+    law = {k: 2 * m * (m + 1) / ((k + m) * (k + m + 1) * (k + m + 2))
+           for k in range(d_lo, d_hi + 1)}
+    return power_law_exponent(law, d_lo, d_hi).gamma
+
+
 def hill_exponent(hist: dict, d_min: int) -> float:
     """Hill-style maximum-likelihood tail exponent of a degree -> count
     histogram over degrees >= d_min, using the discrete-data continuity

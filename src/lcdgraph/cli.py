@@ -15,6 +15,8 @@ import functools
 import hashlib
 import json
 import os
+import platform
+import resource
 import secrets
 import sys
 import tempfile
@@ -33,6 +35,7 @@ from .analysis import (
     degree_rows_to_distribution,
     empirical_fraction,
     hill_exponent,
+    limiting_in_degree_gamma,
     power_law_exponent,
     sum_s1,
     sum_s2_bound,
@@ -104,8 +107,9 @@ def _resolve_threads(args) -> int:
 
 
 def _write_manifest(args, out_path: Path, outputs) -> Path:
-    """Record the resolved invocation next to its outputs, and the seconds
-    since ``main`` parsed it."""
+    """Record the resolved invocation next to its outputs, the seconds since
+    ``main`` parsed it, the process's peak resident memory and the Python
+    and numpy versions.  ``replay`` compares only the output digests."""
     argv = [args.subcommand]
     if getattr(args, "experiment_name", None):
         argv.append(args.experiment_name)
@@ -124,6 +128,10 @@ def _write_manifest(args, out_path: Path, outputs) -> Path:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_clock_seconds": time.time() - args.started,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     path = out_path.with_name(out_path.name + ".manifest.json")
@@ -238,6 +246,7 @@ def _exp_gamma(args) -> int:
     fit_in = power_law_exponent(hist_in, args.dlo, args.dhi)
     fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
     hill = hill_exponent(hist_in, args.dlo)
+    predicted = limiting_in_degree_gamma(args.m, args.dlo, args.dhi)
     report = ExperimentReport(
         "gamma",
         {"n": args.n, "m": args.m, "dlo": args.dlo, "dhi": args.dhi, "seed": args.seed},
@@ -248,11 +257,13 @@ def _exp_gamma(args) -> int:
         "gamma_total": fit_tot.gamma,
         "stderr_total": fit_tot.stderr,
         "gamma_hill_in": hill,
+        "predicted_gamma_in": predicted,
     }
     report.add_verdict(
         "gamma_in_band",
         2.8 <= fit_in.gamma <= 3.2,
-        f"in-degree fit gamma={fit_in.gamma:.4f} (se {fit_in.stderr:.4f}); "
+        f"in-degree fit gamma={fit_in.gamma:.4f} (se {fit_in.stderr:.4f}), "
+        f"limiting law over the window {predicted:.4f}; "
         f"total-degree fit gamma={fit_tot.gamma:.4f}; Hill {hill:.4f}",
     )
     return _finish_experiment(args, report)

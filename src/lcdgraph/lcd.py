@@ -72,9 +72,7 @@ def sample_partner_rows(n: int, samples: int, rng: np.random.Generator) -> np.nd
     any order, each either way round), so each has probability
     2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    perm = rng.permuted(np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1)), axis=1)
+    perm = _shuffled_points(n, samples, rng)
     rows = np.arange(samples)[:, None]
     partner = np.zeros((samples, 2 * n + 1), dtype=np.int64)
     partner[rows, perm[:, 0::2]] = perm[:, 1::2]
@@ -82,27 +80,50 @@ def sample_partner_rows(n: int, samples: int, rng: np.random.Generator) -> np.nd
     return partner
 
 
-def point_vertices(is_right: np.ndarray) -> np.ndarray:
-    """Vertex of each point along the last axis, given which points are
-    right endpoints (``partner[i] < i``): 1 + the number of right endpoints
-    strictly before it."""
-    return np.cumsum(is_right, axis=-1) - is_right + 1
+def sample_right_endpoints(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted right endpoints, shape (samples, n), of the pairings that
+    ``sample_partner_rows`` draws from the same generator state: the larger
+    point of each consecutive pair of the shuffle."""
+    perm = _shuffled_points(n, samples, rng)
+    return np.sort(np.maximum(perm[:, 0::2], perm[:, 1::2]), axis=1)
 
 
-def block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per-row counts of primed vertex ids (1..mn) in each block of m."""
-    samples = primed.shape[0]
-    code = (primed - 1) // m + n * np.arange(samples, dtype=np.int64)[:, None]
-    return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
+def _shuffled_points(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row an independent uniform order of the points 1..2n."""
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    return rng.permuted(np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1)), axis=1)
+
+
+def right_end_degree_rows(right: np.ndarray, m: int = 1) -> np.ndarray:
+    """Total-degree rows from the sorted right endpoints R_1 < .. < R_mn of
+    pairings, one row each, with primed vertices identified in blocks of m.
+    Primed vertex j closes at R_j and holds the points R_{j-1}+1..R_j (each
+    point counts once for the vertex that holds it), so block v has total
+    degree R_{vm} - R_{(v-1)m}, with R_0 = 0."""
+    return np.diff(right[:, m - 1 :: m], axis=1, prepend=0)
 
 
 def partner_degree_rows(partner: np.ndarray, m: int = 1) -> np.ndarray:
     """Total-degree rows of the graphs of many pairings, one partner row each
     (shape (rows, 2mn+1), column 0 unused), with primed vertices identified
-    in blocks of m: every point counts once for the vertex that holds it."""
+    in blocks of m (``right_end_degree_rows``)."""
     two_n = partner.shape[1] - 1
+    # every row has mn right endpoints (partner[i] < i); nonzero lists them in order
     is_right = partner[:, 1:] < np.arange(1, two_n + 1)
-    return block_counts(point_vertices(is_right), two_n // (2 * m), m)
+    right = np.nonzero(is_right)[1].reshape(len(partner), two_n // 2) + 1
+    return right_end_degree_rows(right, m)
+
+
+def pairing_targets(partner: np.ndarray) -> np.ndarray:
+    """Edge targets of the graph of one pairing (partner array, index 0
+    unused, not checked), in right-endpoint (creation) order: the vertex of
+    each right endpoint's partner, 1 + the number of right endpoints before
+    that left endpoint."""
+    is_right = partner[1:] < np.arange(1, partner.size)
+    closed = np.cumsum(is_right)  # right endpoints up to and including each point
+    closed += 1
+    return closed[partner[1:][is_right] - 1]
 
 
 @dataclass
@@ -156,11 +177,11 @@ class LcdGraph:
 def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> LcdGraph:
     """Build the merged directed graph from a partner array (1-indexed,
     index 0 unused).  Vectorized; used for large sampled pairings too.
-    Raises DomainError unless the array is a pairing of 1..2n, n >= 1."""
+    Raises DomainError unless the array is a pairing of 1..2n, n >= 1.
+    Edge k leaves vertex k, which closes at the k-th right endpoint."""
     two_n = partner.size - 1
     idx = np.arange(1, two_n + 1)
-    is_right = partner[1:] < idx
-    right = idx[is_right]  # edges in right-endpoint (creation) order
+    right = idx[partner[1:] < idx]
     left = partner[right]
     n = right.size
     # If each of the n right endpoints r has a partner l in 1..r-1 with
@@ -168,6 +189,4 @@ def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> L
     # of them: no point is fixed and every partner lies in 1..2n.
     if not (two_n >= 2 and 2 * n == two_n and left.min() >= 1 and (partner[left] == right).all()):
         raise DomainError("partner array is not a fixed-point-free involution on 1..2n")
-    vertex = np.empty(two_n + 1, dtype=np.int64)  # index 0 unused
-    vertex[1:] = point_vertices(is_right)
-    return LcdGraph(n, vertex[right], vertex[left], meta or {})
+    return LcdGraph(n, np.arange(1, n + 1), pairing_targets(partner), meta or {})

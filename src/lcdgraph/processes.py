@@ -26,11 +26,10 @@ import numpy as np
 from .errors import CapacityError, DomainError
 from .lcd import (
     LcdGraph,
-    block_counts,
-    graph_from_partner_array,
-    partner_degree_rows,
+    pairing_targets,
+    right_end_degree_rows,
     sample_partner_array,
-    sample_partner_rows,
+    sample_right_endpoints,
 )
 
 # Most endpoints, 2 * samples * n * m, that one call may materialize; checked
@@ -97,17 +96,23 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     the shape of ``choices``.
     """
     samples, big_n = choices.shape
-    half = choices >> 1
-    # pending: flat index of odd slot 2u-1 (u = half + 1) in the same row;
-    # resolved: vertex s stored as -s (~half, since half = s - 1)
+    # ptr holds one entry per primed vertex, row after row.  Pending: the
+    # flat entry base + u - 1 of the vertex u = choices // 2 + 1 whose odd
+    # slot is copied; resolved: ~(base + s - 1) for vertex s.  Integer ops,
+    # not np.where, since a branch on random parity mispredicts.
     base = big_n * np.arange(samples, dtype=np.int64)[:, None]
-    ptr = np.where(choices & 1, half + base, ~half).ravel()
+    ptr = (choices >> 1) + base
+    ptr ^= (choices & 1) - 1  # even choice: x ^ -1 = ~x
+    ptr = ptr.ravel()
     pending = np.flatnonzero(ptr >= 0)
     while pending.size:
         nxt = ptr[ptr[pending]]
         ptr[pending] = nxt
         pending = pending[nxt >= 0]
-    return (-ptr).reshape(samples, big_n)
+    ptr = ptr.reshape(samples, big_n)
+    np.invert(ptr, out=ptr)
+    ptr -= base - 1
+    return ptr
 
 
 def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
@@ -145,12 +150,12 @@ def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # variant -> (N, rng) -> int64 targets of the N primed edges, where edge t
-# leaves primed vertex t.  The kernels look up the lcd samplers and
+# leaves primed vertex t.  The kernels look up the lcd functions and
 # _stick_lengths by their module names at call time.
 _KERNELS = {
     "sequential": lambda big_n, rng: sequential_targets(sequential_choices(big_n, 1, rng))[0],
     "urn": _urn_kernel,
-    "pairing": lambda big_n, rng: graph_from_partner_array(sample_partner_array(big_n, rng)).tgt,
+    "pairing": lambda big_n, rng: pairing_targets(sample_partner_array(big_n, rng)),
 }
 
 VARIANTS = tuple(_KERNELS)
@@ -192,8 +197,15 @@ def batch_total_degrees(
         # every primed vertex is the source of one edge: out-degree m per block
         return block_counts(tgt, n, m) + m
     if variant == "pairing":
-        return partner_degree_rows(sample_partner_rows(big_n, samples, rng), m)
+        return right_end_degree_rows(sample_right_endpoints(big_n, samples, rng), m)
     return _batch_urn(n, m, samples, rng)
+
+
+def block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Per-row counts of primed vertex ids (1..mn) in each block of m."""
+    samples = primed.shape[0]
+    code = (primed - 1) // m + n * np.arange(samples, dtype=np.int64)[:, None]
+    return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
 
 
 def _batch_urn(n, m, samples, rng):

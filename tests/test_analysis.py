@@ -16,6 +16,7 @@ from lcdgraph.analysis import (
     exact_pairing_law,
     exact_sequential_law,
     hill_exponent,
+    limiting_in_degree_gamma,
     power_law_exponent,
     sum_s1,
     sum_s2_bound,
@@ -87,6 +88,15 @@ def test_power_law_too_few_bins():
 def test_hill_exponent_on_synthetic():
     gamma = hill_exponent(_synthetic_histogram(3.0), 5)
     assert 2.6 <= gamma <= 3.4
+
+
+def test_limiting_in_degree_gamma_values():
+    # the finite-window slope of the exact limiting law, not the asymptotic 3
+    assert round(limiting_in_degree_gamma(3, 5, 50), 4) == 2.4303
+    assert round(limiting_in_degree_gamma(1, 5, 50), 4) == 2.6817
+    assert 2.9 < limiting_in_degree_gamma(3, 50, 500) < 3.0
+    with pytest.raises(DomainError):
+        limiting_in_degree_gamma(3, 0, 50)
 
 
 def test_fit_windows_must_start_at_degree_1():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -237,9 +238,13 @@ def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
     code, stdout, _ = run(capsys, "experiment", "gamma", "--n", "100000", "--m", "3",
                           "--seed", "0", "--out", str(out))
     # the in-degree fit over [5, 50] gives gamma ~ 2.45 at finite n, outside
-    # the asymptotic [2.8, 3.2] band (acceptance criterion 4)
+    # the asymptotic [2.8, 3.2] band (acceptance criterion 4); the verdict
+    # shows the slope of the limiting law over the same window beside it
     assert code == 1
-    assert "FAIL" in stdout
+    assert "FAIL gamma_in_band" in stdout
+    assert "limiting law over the window 2.4303" in stdout
+    payload = json.loads(out.read_text())
+    assert round(payload["aggregates"]["predicted_gamma_in"], 4) == 2.4303
 
 
 def test_corollary_n_grid_names_flag(capsys, tmp_path):
@@ -276,6 +281,23 @@ def test_replay_reproduces_generate(capsys, tmp_path):
     run(capsys, "generate", "--n", "100", "--m", "1", "--seed", "9", "--out", str(out))
     manifest = tmp_path / "g.csv.manifest.json"
     code, stdout, _ = run(capsys, "replay", "--manifest", str(manifest))
+    assert code == 0
+    assert "replay PASS" in stdout
+
+
+def test_manifest_records_peak_memory_and_versions(capsys, tmp_path):
+    out = tmp_path / "eq.json"
+    run(capsys, "experiment", "equivalence", "--n", "3", "--m", "2", "--samples", "2000",
+        "--seed", "5", "--out", str(out))
+    manifest_path = tmp_path / "eq.json.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    assert isinstance(manifest["peak_rss_bytes"], int)
+    assert manifest["peak_rss_bytes"] > 1 << 20  # an interpreter with numpy
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert set(manifest["outputs"]) == {"eq.json", "eq.csv"}
+    # the new fields are not outputs: a fresh manifest replays byte for byte
+    code, stdout, _ = run(capsys, "replay", "--manifest", str(manifest_path))
     assert code == 0
     assert "replay PASS" in stdout
 

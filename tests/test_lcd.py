@@ -11,9 +11,11 @@ from lcdgraph.lcd import (
     enumerate_pairings,
     graph_from_partner_array,
     pairing_count,
+    pairing_targets,
     partner_degree_rows,
     sample_partner_array,
     sample_partner_rows,
+    sample_right_endpoints,
 )
 from lcdgraph.processes import replicate_rng
 
@@ -136,6 +138,46 @@ def test_sample_deterministic_given_seed():
 def test_sample_errors():
     with pytest.raises(DomainError):
         sample_partner_array(0, replicate_rng(0))
+    with pytest.raises(DomainError):
+        sample_right_endpoints(0, 3, replicate_rng(0))
+
+
+def reference_degree_rows(partner, m):
+    """Each point's primed vertex by a running count of the right endpoints
+    before it, then the points of each block of m counted."""
+    rows, two_n = partner.shape[0], partner.shape[1] - 1
+    n = two_n // (2 * m)
+    is_right = partner[:, 1:] < np.arange(1, two_n + 1)
+    primed = np.cumsum(is_right, axis=1) - is_right  # primed vertex - 1
+    code = primed // m + n * np.arange(rows)[:, None]
+    return np.bincount(code.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+@pytest.mark.parametrize("big_n", range(1, 7))
+def test_partner_degree_rows_every_pairing_and_block(big_n):
+    # every pairing of 2N <= 12 points, every block size m dividing N
+    partner = np.concatenate(list(enumerate_pairings(big_n)))
+    for m in (d for d in range(1, big_n + 1) if big_n % d == 0):
+        rows = partner_degree_rows(partner, m)
+        assert rows.shape == (len(partner), big_n // m)
+        assert (rows == reference_degree_rows(partner, m)).all()
+
+
+@pytest.mark.parametrize("n, samples", [(1, 4), (3, 500), (10, 200)])
+def test_right_endpoints_are_those_of_the_partner_rows(n, samples):
+    # one seed, one shuffle: the batch degree path and the partner rows agree
+    partner = sample_partner_rows(n, samples, replicate_rng(31, n))
+    right = sample_right_endpoints(n, samples, replicate_rng(31, n))
+    is_right = partner[:, 1:] < np.arange(1, 2 * n + 1)
+    assert right.tolist() == (np.nonzero(is_right)[1].reshape(samples, n) + 1).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 1000])
+def test_pairing_targets_match_the_vertex_scan(n):
+    partner = sample_partner_array(n, replicate_rng(8, n))
+    is_right = partner[1:] < np.arange(1, 2 * n + 1)
+    vertex = np.concatenate([[0], np.cumsum(is_right) - is_right + 1])
+    assert pairing_targets(partner).tolist() == vertex[partner[1:][is_right]].tolist()
 
 
 @settings(max_examples=30, deadline=None)

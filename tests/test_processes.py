@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import time
 
@@ -212,6 +213,31 @@ def test_negative_seed_or_replicate_rejected():
             replicate_rng(seed, replicate)
         with pytest.raises(DomainError, match="--replicate"):
             generate(ProcessParams(5, 1, "sequential", seed), replicate)
+
+
+# sha256 of the little-endian int64 rows of batch_total_degrees(variant, n,
+# m, samples, replicate_rng(17, 10 * n + m)), recorded before the pairing
+# rows came from right-endpoint gaps and the sequential pointer setup lost
+# its np.where: the seed-to-bytes contract of the batch path
+BATCH_DIGESTS = {
+    ("sequential", 3, 2, 2000): "ce17acb93ea9db3e3f4f849147c059d0be6db0cc9b7f5bb753a820881d6ef153",
+    ("sequential", 4, 1, 1500): "df6b728570827947ad50122fad919688f712c327987168766d2c23b6e304f332",
+    ("sequential", 2, 3, 1000): "c821d0fdbe5d6de119c77664b82dce6e9d3ca383bddc5606e4e953e300def45b",
+    ("pairing", 3, 2, 2000): "ab89e8f2aed1f7fcf7d75b034f246cd089ba401cd5d943b2cd640ae6b228813d",
+    ("pairing", 4, 1, 1500): "713628b1bcba326dbcb5cde374542bc9af2dcb215bf7a013e3323fcd1e783640",
+    ("pairing", 2, 3, 1000): "e1c8c97ce473e20aa62ca4efddf17e2850c68a0cae2381a72ca8d87d0134b82c",
+    ("urn", 3, 2, 2000): "32f7f5666128ab2d31833328258ce254ed1512920ad94da097c85d4b6caafd45",
+    ("urn", 4, 1, 1500): "1b800b703f80180b2d6ee4756eec6f3fe5c2368ae724eef5059e0d5c2443a01c",
+    ("urn", 2, 3, 1000): "cb8e77ee8ee3b4cb57e60a168eb394fe9500cf40821c094d72c22675ddfee5d6",
+}
+
+
+@pytest.mark.parametrize("variant, n, m, samples", sorted(BATCH_DIGESTS))
+def test_batch_rows_keep_their_bytes(variant, n, m, samples):
+    rows = batch_total_degrees(variant, n, m, samples, replicate_rng(17, 10 * n + m))
+    assert rows.dtype == np.int64 and rows.shape == (samples, n)
+    digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+    assert digest == BATCH_DIGESTS[variant, n, m, samples]
 
 
 def test_batch_handshake_all_variants():
