@@ -19,14 +19,10 @@ from .lcd import enumerate_pairings, pairing_count, partner_degree_rows
 from .oracles import cond_prob_degree
 from .processes import ProcessParams, generate
 
-DEGREE_MODES = ("in_degree", "out_degree", "total_degree")
-
 
 def degree_histogram(g, mode: str) -> dict:
     """Degree -> number of vertices of that degree in ``g``, in increasing
     degree order."""
-    if mode not in DEGREE_MODES:
-        raise DomainError(f"unknown degree mode {mode!r}")
     values, counts = np.unique(g.degrees_of(mode), return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
@@ -35,9 +31,6 @@ def degree_histogram(g, mode: str) -> dict:
 class FractionResult:
     """Replicate-level fractions of vertices at one exact degree."""
 
-    params: ProcessParams
-    degree: int
-    mode: str
     fractions: list
     mean: float
     std: float
@@ -68,14 +61,9 @@ def empirical_fraction(
     """Mean and std over independent replicates of N(degree)/n."""
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
-    if mode not in DEGREE_MODES:
-        raise DomainError(f"unknown degree mode {mode!r}")
     fracs = [c / params.n for c in replicate_counts(params, degree, mode, replicates, threads)]
     arr = np.array(fracs)
     return FractionResult(
-        params=params,
-        degree=degree,
-        mode=mode,
         fractions=fracs,
         mean=float(arr.mean()),
         std=float(arr.std(ddof=1)),
@@ -87,7 +75,6 @@ class ExponentFit:
     gamma: float
     stderr: float
     n_bins: int
-    window: tuple
 
 
 def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
@@ -105,7 +92,6 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
         gamma=float(-slope),
         stderr=float(math.sqrt(cov[0, 0])),
         n_bins=len(ds),
-        window=(d_lo, d_hi),
     )
 
 
@@ -138,10 +124,6 @@ def hill_exponent(hist: dict, d_min: int) -> float:
 
 @dataclass
 class ConcentrationResult:
-    params: ProcessParams
-    degree: int
-    mode: str
-    replicates: int
     threshold: float
     mean_count: float
     std_count: float
@@ -168,10 +150,6 @@ def concentration_experiment(
     mean = counts.mean()
     exceed = float(np.mean(np.abs(counts - mean) >= threshold)) if params.n > 1 else 0.0
     return ConcentrationResult(
-        params=params,
-        degree=d,
-        mode=mode,
-        replicates=replicates,
         threshold=threshold,
         mean_count=float(mean),
         std_count=float(counts.std(ddof=1)),
@@ -185,9 +163,6 @@ class SumS1Result:
     case: int
     claimed_order: float
     ratio: float
-    k_lo: int
-    k_hi: int
-    alpha_eff: float
 
 
 def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Result:
@@ -225,9 +200,6 @@ def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Resu
         case=case,
         claimed_order=claimed,
         ratio=value / claimed,
-        k_lo=k_lo,
-        k_hi=k_hi,
-        alpha_eff=alpha_eff,
     )
 
 
@@ -252,8 +224,6 @@ def sum_s2_bound(n: int, m: int, d: int, beta: float) -> SumS2Result:
 
 @dataclass
 class CorollaryResult:
-    exponent: float
-    m: int
     n_grid: list
     d_values: list
     fractions: list
@@ -274,6 +244,8 @@ def corollary_experiment(
     n_grid = list(n_grid)
     if any(n < 10**3 for n in n_grid):
         raise DomainError("every n in the grid must be >= 10^3")
+    if replicates < 1:
+        raise DomainError(f"need at least 1 replicate, got {replicates}")
     d_values, fracs = [], []
     for n in n_grid:
         d = math.ceil(n**exponent)
@@ -286,8 +258,6 @@ def corollary_experiment(
         fracs.append(float(np.mean(per)))
     decreasing = all(a > b for a, b in zip(fracs, fracs[1:]))
     return CorollaryResult(
-        exponent=exponent,
-        m=m,
         n_grid=n_grid,
         d_values=d_values,
         fractions=fracs,

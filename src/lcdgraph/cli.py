@@ -14,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import platform
 import resource
 import secrets
@@ -71,8 +70,6 @@ from .regions import (
     region_max_alpha,
 )
 
-THREADS_ENV = "LCDGRAPH_THREADS"
-
 
 def _fmt(x) -> str:
     """Numeric formatting for stdout: rationals as p/q, floats via the
@@ -97,13 +94,11 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    """Worker threads from --threads, else $LCDGRAPH_THREADS, else 1."""
-    source, raw = "--threads", args.threads
-    if raw is None:
-        source, raw = THREADS_ENV, os.environ.get(THREADS_ENV) or "1"
-    if not str(raw).isdecimal() or int(raw) < 1:
-        raise DomainError(f"{source} must be an integer >= 1, got {raw!r}")
-    return int(raw)
+    """Worker threads from --threads, else 1."""
+    threads = 1 if args.threads is None else args.threads
+    if threads < 1:
+        raise DomainError(f"--threads must be an integer >= 1, got {threads}")
+    return threads
 
 
 def _write_manifest(args, out_path: Path, outputs) -> Path:
@@ -351,7 +346,7 @@ def _exp_corollary(args) -> int:
 def _exp_region(args) -> int:
     if args.inequalities:
         lines = Path(args.inequalities).read_text().splitlines()
-        system = RegionSystem.from_lines(lines, label="custom")
+        system = RegionSystem.from_lines(lines)
         result = region_max_alpha(system)
     elif args.system == "combined":
         result = combined_max_alpha()
@@ -429,11 +424,12 @@ def cmd_replay(args) -> int:
         and all(isinstance(tok, str) for tok in manifest["argv"])
         and manifest["argv"][:1] != ["replay"]
         and isinstance(manifest.get("outputs"), dict)
+        and manifest["outputs"]
         and all(isinstance(d, str) for d in manifest["outputs"].values())
     ):
         raise DomainError(
-            f"{args.manifest} is not a run manifest: it needs an 'argv' list of "
-            "strings, not itself a replay, and an 'outputs' map of file names to digests"
+            f"{args.manifest} is not a run manifest: it needs an 'argv' list of strings, "
+            "not itself a replay, and a non-empty 'outputs' map of file names to digests"
         )
     argv = list(manifest["argv"])
     with tempfile.TemporaryDirectory() as tmp:
@@ -467,7 +463,7 @@ def _add_common(p, seed=True, out=True, threads=False):
         p.add_argument("--out", required=True, help="output file path")
     if threads:
         p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (default ${THREADS_ENV} or 1)")
+                       help="worker threads (default 1)")
 
 
 @functools.cache

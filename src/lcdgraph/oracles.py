@@ -18,6 +18,8 @@ from .errors import DomainError
 EXACT_CAP = 4096  # threshold on 2n for the exact-rational regime
 
 
+# memoised: a sweep of oracle calls in one process (the discrepancy table,
+# a benchmark round) asks for the same factorials of up to 4096 again and again
 @lru_cache(maxsize=None)
 def _fact(x: int) -> int:
     return math.factorial(x)
@@ -53,13 +55,10 @@ class ExactProb:
         if self.tag == "exact" and self.value < 0:
             raise DomainError("exact probability must be non-negative")
 
-    def as_float(self) -> float:
-        return float(self.value) if self.tag == "exact" else math.exp(self.value)
-
-    def format(self, digits: int = 15) -> str:
+    def format(self) -> str:
         if self.tag == "exact":
             return f"{self.value.numerator}/{self.value.denominator} (exact)"
-        return f"exp({self.value:.{digits}g}) (log)"
+        return f"exp({self.value:.15g}) (log)"
 
 
 @dataclass(frozen=True)

@@ -53,14 +53,6 @@ class ProcessParams:
         if self.variant not in VARIANTS:
             raise DomainError(f"variant must be one of {VARIANTS}")
 
-    def meta(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "variant": self.variant,
-            "seed": self.master_seed,
-        }
-
 
 def replicate_rng(master_seed: int, replicate: int = 0) -> np.random.Generator:
     """Independent stream keyed by (master_seed, replicate); order-free."""
@@ -172,7 +164,8 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
     src = np.arange(1, n * m + 1, dtype=np.int64)
     if m > 1:
         src, tgt = (src - 1) // m + 1, (tgt - 1) // m + 1
-    return LcdGraph(n, src, tgt, dict(params.meta(), replicate=replicate))
+    meta = {"n": n, "m": m, "variant": params.variant, "seed": params.master_seed}
+    return LcdGraph(n, src, tgt, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,6 @@ class Inequality:
         if self.op not in _OPS:
             raise DomainError(f"unknown comparison {self.op!r}")
 
-    @classmethod
-    def make(cls, a, b, op, c) -> "Inequality":
-        return cls(Fraction(a), Fraction(b), op, Fraction(c))
-
     def normalized(self) -> "Inequality":
         """Equivalent form with op in {<, <=}."""
         if self.op in ("<", "<="):
@@ -59,9 +55,6 @@ class Inequality:
             return lhs > self.c
         return lhs >= self.c
 
-    def __str__(self):
-        return f"{self.a}*alpha + {self.b}*beta {self.op} {self.c}"
-
 
 def parse_inequality(line: str) -> Inequality:
     """Parse "a b cmp c" meaning a*alpha + b*beta cmp c; a, b, c rational."""
@@ -69,7 +62,7 @@ def parse_inequality(line: str) -> Inequality:
     if len(parts) != 4:
         raise DomainError(f"expected 'a b cmp c', got {line!r}")
     a, b, op, c = parts
-    return Inequality.make(Fraction(a), Fraction(b), op, Fraction(c))
+    return Inequality(Fraction(a), Fraction(b), op, Fraction(c))
 
 
 @dataclass(frozen=True)
@@ -77,19 +70,14 @@ class RegionSystem:
     """A conjunction of linear inequalities over (alpha, beta)."""
 
     inequalities: tuple
-    label: str = ""
 
     def __post_init__(self):
         if not self.inequalities:
             raise DomainError("a region system needs at least one inequality")
 
     @classmethod
-    def from_lines(cls, lines, label: str = "") -> "RegionSystem":
-        ineqs = tuple(parse_inequality(ln) for ln in lines if ln.strip())
-        return cls(ineqs, label)
-
-    def closure(self) -> "RegionSystem":
-        return RegionSystem(tuple(q.closure() for q in self.inequalities), self.label)
+    def from_lines(cls, lines) -> "RegionSystem":
+        return cls(tuple(parse_inequality(ln) for ln in lines if ln.strip()))
 
     def holds(self, alpha, beta) -> bool:
         alpha, beta = Fraction(alpha), Fraction(beta)
@@ -100,7 +88,6 @@ class RegionSystem:
 class RegionResult:
     """Outcome of the sup-alpha computation for one system."""
 
-    label: str
     sup_alpha: Fraction
     attained: bool
     beta_interval: tuple  # closed (lo, hi) of beta at alpha = sup, None if unbounded
@@ -199,7 +186,6 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
     else:
         witness = Fraction(0)
     return RegionResult(
-        label=sys.label,
         sup_alpha=sup,
         attained=attained,
         beta_interval=(b_lo, b_hi),
@@ -263,17 +249,17 @@ _SHARED = [
 ]
 
 
-def _sys(label, extra):
-    return RegionSystem.from_lines(_SHARED + extra + _BOX + _AZUMA, label)
+def _sys(extra):
+    return RegionSystem.from_lines(_SHARED + extra + _BOX + _AZUMA)
 
 
 BUILTIN_SYSTEMS = {
     # first theorem: shared pair, 3*alpha + beta <= 1, box, concentration cut
-    "theorem1": _sys("theorem1", ["3 1 <= 1"]),
+    "theorem1": _sys(["3 1 <= 1"]),
     # second theorem, early-vertex sum case splits
-    "theorem2-case1": _sys("theorem2-case1", ["2 1 <= 1", "3 3/2 <= 3/2"]),
-    "theorem2-case2": _sys("theorem2-case2", ["2 1 > 1", "3 3/2 <= 3/2"]),
-    "theorem2-case3": _sys("theorem2-case3", ["2 1 > 1"]),
+    "theorem2-case1": _sys(["2 1 <= 1", "3 3/2 <= 3/2"]),
+    "theorem2-case2": _sys(["2 1 > 1", "3 3/2 <= 3/2"]),
+    "theorem2-case3": _sys(["2 1 > 1"]),
 }
 
 COMBINED_CASES = ("theorem2-case1", "theorem2-case2", "theorem2-case3")
@@ -296,12 +282,5 @@ def combined_max_alpha() -> RegionResult:
             best = res
     if best is None:
         raise InfeasibleSystemError("all case regions are empty")
-    return RegionResult(
-        label="combined",
-        sup_alpha=best.sup_alpha,
-        attained=best.attained,
-        beta_interval=best.beta_interval,
-        witness_beta=best.witness_beta,
-        vertices=best.vertices,
-    )
+    return best
 

@@ -185,6 +185,12 @@ def test_corollary_validation_and_impossible_degree():
     assert res.fractions == [0.0]
 
 
+def test_corollary_needs_a_replicate():
+    # no replicate would average to NaN, which the decreasing check passes
+    with pytest.raises(DomainError, match="got 0"):
+        corollary_experiment([1000, 4000], 1, 0.25, replicates=0)
+
+
 def test_corollary_small_grid_runs():
     res = corollary_experiment([1000, 4000], 1, 0.25, replicates=4)
     assert len(res.fractions) == 2

@@ -224,6 +224,32 @@ def test_experiment_sums_pass(capsys, tmp_path):
     assert len(csv_lines) == 2  # header + aggregate row
 
 
+# sha256 of every output file of three experiments whose reports hold no
+# unseeded draw; `gamma` is left out because its fit runs through LAPACK
+REPORT_PINS = {
+    ("sums", "--n", "10000", "--d", "3", "--beta", "0.8"): {
+        "sums.json": "6371af961eadb4d5fe6a91baae966ee9ff337353d35cd7a90dac443221f25fd6",
+        "sums.csv": "64a4a534dc7ef9002588b5088075befe9cb831ed9efae1eff0c882f5ba168941",
+    },
+    ("corollary", "--n-grid", "1000,4000", "--replicates", "3", "--seed", "3"): {
+        "corollary.json": "5da6395ac84278a3381d49f18d69bfbc293f2e985e1f33002048a6c3bfdc1b27",
+        "corollary.csv": "d8ed4e9f20a954401b51181de5d4b26f7bd9451e4ddf1563fd7531e43076e207",
+    },
+    ("region", "--system", "combined"): {
+        "region.json": "95e98639e1860c1ec9915e1dc8f38a8ef8be227ef6dfefac3c5bd786b836327b",
+        "region.csv": "dbecbf14c3b6558d96f55650c5de692e6a8b92bdb3d867530d550e0432886375",
+        "region.vertices.csv": "de745861903660c8b6ec6ebf04e5a0ddebba6aef2f5bd163abdc7bdd09defcdc",
+    },
+}
+
+
+@pytest.mark.parametrize("argv", REPORT_PINS, ids=lambda argv: argv[0])
+def test_experiment_report_digests(capsys, tmp_path, argv):
+    run(capsys, "experiment", *argv, "--out", str(tmp_path / f"{argv[0]}.json"))
+    for name, pin in REPORT_PINS[argv].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pin, name
+
+
 def test_experiment_fraction_small(capsys, tmp_path):
     out = tmp_path / "frac.json"
     code, stdout, _ = run(capsys, "experiment", "fraction", "--n", "20000", "--d", "1",
@@ -245,6 +271,15 @@ def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
     assert "limiting law over the window 2.4303" in stdout
     payload = json.loads(out.read_text())
     assert round(payload["aggregates"]["predicted_gamma_in"], 4) == 2.4303
+
+
+def test_corollary_rejects_zero_replicates(capsys, tmp_path):
+    code, stdout, err = run(capsys, "experiment", "corollary", "--n-grid", "1000",
+                            "--replicates", "0", "--seed", "0",
+                            "--out", str(tmp_path / "cor.json"))
+    assert code == 2
+    assert "at least 1 replicate, got 0" in err
+    assert stdout == ""
 
 
 def test_corollary_n_grid_names_flag(capsys, tmp_path):
@@ -319,6 +354,7 @@ def test_replay_reproduces_experiment(capsys, tmp_path):
         [1, 2],
         {"argv": ["generate", "--n", "5", "--seed", "0", "--out", "g.csv"]},
         {"argv": ["replay", "--manifest", "bad.manifest.json"], "outputs": {}},
+        {"argv": ["oracle", "prob-dk", "--n", "2"], "outputs": {}},  # checks nothing
     ],
 )
 def test_replay_rejects_malformed_manifest(capsys, tmp_path, manifest):
@@ -364,20 +400,3 @@ def test_threads_flag_rejects_nonpositive(capsys, tmp_path):
         assert code == 2
         assert "--threads" in err
 
-
-def test_threads_env_rejects_non_integer(capsys, tmp_path, monkeypatch):
-    for value in ("abc", "0"):
-        monkeypatch.setenv("LCDGRAPH_THREADS", value)
-        code, _, err = run(capsys, "experiment", "fraction", "--n", "100", "--d", "1",
-                           "--replicates", "2", "--seed", "3",
-                           "--out", str(tmp_path / "frac.json"))
-        assert code == 2
-        assert "LCDGRAPH_THREADS" in err
-
-
-def test_threads_env_override(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("LCDGRAPH_THREADS", "2")
-    out = tmp_path / "frac.json"
-    code, _, _ = run(capsys, "experiment", "fraction", "--n", "5000", "--d", "1",
-                     "--replicates", "4", "--seed", "3", "--out", str(out))
-    assert code == 0

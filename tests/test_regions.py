@@ -72,14 +72,14 @@ def test_case2_strict_system_has_no_interior():
 
 
 def test_alpha_box_alone():
-    sys = RegionSystem.from_lines(["1 0 >= 0", "1 0 <= 1/3"], "box")
+    sys = RegionSystem.from_lines(["1 0 >= 0", "1 0 <= 1/3"])
     res = region_max_alpha(sys)
     assert res.sup_alpha == Fraction(1, 3)
     assert res.attained  # non-strict bound, beta unconstrained
 
 
 def test_strict_alpha_bound_not_attained():
-    sys = RegionSystem.from_lines(["1 0 < 1/3", "1 0 >= 0"], "strict")
+    sys = RegionSystem.from_lines(["1 0 < 1/3", "1 0 >= 0"])
     res = region_max_alpha(sys)
     assert res.sup_alpha == Fraction(1, 3)
     assert not res.attained
@@ -93,7 +93,7 @@ def test_strict_alpha_bound_not_attained():
     ],
 )
 def test_beta_bounded_on_one_side(lines, interval):
-    sys = RegionSystem.from_lines(lines, "one-sided")
+    sys = RegionSystem.from_lines(lines)
     res = region_max_alpha(sys)
     assert res.sup_alpha == 1
     assert res.attained
@@ -102,21 +102,19 @@ def test_beta_bounded_on_one_side(lines, interval):
 
 
 def test_infeasible_system():
-    sys = RegionSystem.from_lines(["1 0 >= 1", "1 0 <= 0"], "empty")
+    sys = RegionSystem.from_lines(["1 0 >= 1", "1 0 <= 0"])
     with pytest.raises(InfeasibleSystemError):
         region_max_alpha(sys)
 
 
 def test_unbounded_alpha():
-    sys = RegionSystem.from_lines(["1 0 >= 0"], "open")
+    sys = RegionSystem.from_lines(["1 0 >= 0"])
     with pytest.raises(DomainError):
         region_max_alpha(sys)
 
 
 def test_unit_box_vertices():
-    sys = RegionSystem.from_lines(
-        ["1 0 >= 0", "1 0 <= 1", "0 1 >= 0", "0 1 <= 1"], "unit"
-    )
+    sys = RegionSystem.from_lines(["1 0 >= 0", "1 0 <= 1", "0 1 >= 0", "0 1 <= 1"])
     verts = region_vertices(sys)
     assert set(verts) == {
         (Fraction(0), Fraction(0)),
@@ -130,7 +128,7 @@ def test_unit_box_vertices():
 def test_beta_elimination_uses_cross_constraints():
     # beta >= alpha and beta <= 1 - alpha force alpha <= 1/2 even though no
     # single inequality bounds alpha above
-    sys = RegionSystem.from_lines(["-1 1 >= 0", "1 1 <= 1", "1 0 >= 0"], "wedge")
+    sys = RegionSystem.from_lines(["-1 1 >= 0", "1 1 <= 1", "1 0 >= 0"])
     res = region_max_alpha(sys)
     assert res.sup_alpha == Fraction(1, 2)
     assert res.witness_beta == Fraction(1, 2)
@@ -145,4 +143,4 @@ def test_feasible_along_negative_case():
 
 def test_empty_system_rejected():
     with pytest.raises(DomainError):
-        RegionSystem((), "nothing")
+        RegionSystem(())
