@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError
-from .lcd import enumerate_pairings, pairing_count, partner_degree_rows
+from .lcd import enumerate_pairings, pair_degree_rows, pairing_count
 from .oracles import cond_prob_degree
 from .processes import ProcessParams, generate
 
@@ -297,7 +297,7 @@ def exact_pairing_law(n: int) -> dict:
     counted over all (2n-1)!! of them."""
     counts: Counter = Counter()
     for block in enumerate_pairings(n):
-        counts.update(count_rows(partner_degree_rows(block)))
+        counts.update(count_rows(pair_degree_rows(block)))
     total = pairing_count(n)
     return {k: Fraction(c, total) for k, c in counts.items()}
 
@@ -350,7 +350,7 @@ def cond_prob_discrepancy_table(n_max: int = 6) -> list:
         by_cell: Counter = Counter()
         ks = np.arange(1, n)
         for block in enumerate_pairings(n):
-            degs = partner_degree_rows(block)
+            degs = pair_degree_rows(block)
             # cell (k, s, d) of vertex k+1 for k = 1..n-1: D_k = 2k + s
             s = np.cumsum(degs[:, :-1], axis=1) - 2 * ks
             cells = np.stack([np.broadcast_to(ks, s.shape), s, degs[:, 1:] - 1], axis=-1)

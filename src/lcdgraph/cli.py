@@ -43,7 +43,7 @@ from .analysis import (
 )
 from .errors import DomainError
 from .io import write_graph, write_rows
-from .lcd import enumerate_pairings, partner_degree_rows
+from .lcd import enumerate_pairings, pair_degree_rows
 from .oracles import (
     DkQuery,
     cond_prob_degree,
@@ -147,16 +147,11 @@ def cmd_enumerate(args) -> int:
     rows = 0
     with open(out, "wb") as fh:
         fh.write(b"pairing,total_degrees\n")
-        for partner in blocks:
-            # every row has n left points; nonzero lists them row by row, in order
-            is_left = partner[:, 1:] > np.arange(1, 2 * n + 1)
-            left = np.nonzero(is_left)[1].reshape(len(partner), -1) + 1
-            table = np.empty((len(partner), 3 * n), dtype=np.int64)
-            table[:, 0 : 2 * n : 2] = left
-            table[:, 1 : 2 * n : 2] = np.take_along_axis(partner, left, axis=1)
-            table[:, 2 * n :] = partner_degree_rows(partner)
+        for pairs in blocks:
+            pair_cols = pairs.reshape(len(pairs), 2 * n)
+            table = np.concatenate([pair_cols, pair_degree_rows(pairs)], axis=1)
             write_rows(fh, table.T, seps)
-            rows += len(partner)
+            rows += len(pairs)
     _write_manifest(args, out, [out])
     print(f"wrote {rows} pairings to {out}")
     return 0

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import DomainError
 from .lcd import LcdGraph
 
-CHUNK_EDGES = 1 << 16  # rows formatted per pass: bounds the writer's buffers
+CHUNK_CELLS = 1 << 17  # values formatted per pass: bounds the writer's buffers
 
 
 def write_graph(g: LcdGraph, path: str | Path) -> Path:
@@ -39,8 +39,8 @@ def write_rows(fh, columns, seps: bytes) -> None:
 
     ``columns`` are equal-length int arrays, ``seps`` one nonzero byte per
     column.  A negative value raises DomainError when its chunk is reached,
-    after the chunks before it were written.  Rows are
-    formatted in numpy, ``CHUNK_EDGES`` at a time: the chunk's columns are
+    after the chunks before it were written.  Rows are formatted in numpy,
+    as many at a time as fill ``CHUNK_CELLS`` values: the chunk's columns are
     copied into one buffer of the narrowest int type that holds them, and
     every digit pass fills one contiguous row per column of a (columns x
     bytes x rows) uint8 matrix with the right-aligned ASCII digits, 0 bytes
@@ -48,8 +48,9 @@ def write_rows(fh, columns, seps: bytes) -> None:
     text.  Memory per chunk is fixed, whatever the number of rows.
     """
     sep_bytes = np.frombuffer(seps, dtype=np.uint8)[:, None]
-    for lo in range(0, len(columns[0]), CHUNK_EDGES):
-        v = np.array([c[lo : lo + CHUNK_EDGES] for c in columns])
+    step = CHUNK_CELLS // len(columns)
+    for lo in range(0, len(columns[0]), step):
+        v = np.array([c[lo : lo + step] for c in columns])
         if v.min() < 0:
             raise DomainError("values written as text must be >= 0")
         top = int(v.max())

@@ -5,6 +5,10 @@ left to right and closing a vertex at every right endpoint merges the points
 into n vertex groups; every chord then becomes a directed edge from the
 vertex of its right endpoint to the vertex of its left endpoint.  Loops and
 multiple edges are kept.
+
+Enumerated pairings are pair tables, shape (rows, n, 2): each row's pairs
+(a, b) with a < b, in increasing a.  Sampled pairings are partner arrays,
+index 0 unused, ``partner[a] == b`` and ``partner[b] == a``.
 """
 
 from __future__ import annotations
@@ -27,34 +31,32 @@ def pairing_count(n: int) -> int:
 
 def enumerate_pairings(n: int):
     """All pairings of {1,..,2n}, exactly once each, in a fixed order: an
-    iterator of blocks of int8 partner rows, shape (rows, 2n+1), column 0
-    unused.  ``n`` is checked at the call, before any block is built.
+    iterator of int8 pair tables, one block of (2n-3)!! rows for each first
+    pair (1, j), j = 2..2n.  ``n`` is checked at the call, before any block
+    is built.
 
     Order is lexicographic in the partner of the smallest unpaired point.
-    The rows of one block share their first two pairs, so a block holds at
-    most (2n-5)!! of the ``pairing_count(n)`` rows.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     if n > ENUMERATION_CAP:
         raise CapacityError(f"n={n} exceeds the enumeration cap {ENUMERATION_CAP}")
-    heads = _pair_smallest(np.zeros((1, 2 * n + 1), dtype=np.int8), min(2, n))
-    return (_pair_smallest(heads[i : i + 1], n - 2) for i in range(len(heads)))
+    return _first_pair_blocks(n)
 
 
-def _pair_smallest(partner: np.ndarray, levels: int) -> np.ndarray:
-    """Expand partner rows by ``levels`` pairs: in every row the smallest
-    unpaired point takes each other unpaired point in turn, and a row's
-    children replace it in that order."""
-    for _ in range(levels):
-        free = np.nonzero(partner[:, 1:] == 0)[1].reshape(len(partner), -1) + 1
-        r = free.shape[1]
-        a, b = np.repeat(free[:, 0], r - 1), free[:, 1:].ravel()
-        partner = np.repeat(partner, r - 1, axis=0)
-        at = np.arange(len(partner))
-        partner[at, a] = b
-        partner[at, b] = a
-    return partner
+def _first_pair_blocks(n: int):
+    """The blocks of ``enumerate_pairings(n)``: after the pair (1, j), the
+    other 2n-2 points in increasing order relabel 1..2n-2 in every pairing
+    of n-1, which keeps the order and the a < b of every pair."""
+    rest = np.zeros((1, 0, 2), np.int8)  # the one pairing of no points
+    if n > 1:
+        rest = np.concatenate(list(_first_pair_blocks(n - 1)))
+    points = np.arange(2, 2 * n + 1, dtype=np.int8)
+    for i in range(2 * n - 1):
+        block = np.empty((len(rest), n, 2), dtype=np.int8)
+        block[:, 0] = 1, points[i]
+        block[:, 1:] = np.delete(points, i)[rest - 1]
+        yield block
 
 
 def sample_partner_array(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,18 +103,14 @@ def right_end_degree_rows(right: np.ndarray, m: int = 1) -> np.ndarray:
     Primed vertex j closes at R_j and holds the points R_{j-1}+1..R_j (each
     point counts once for the vertex that holds it), so block v has total
     degree R_{vm} - R_{(v-1)m}, with R_0 = 0."""
-    return np.diff(right[:, m - 1 :: m], axis=1, prepend=0)
+    return np.diff(right[:, m - 1 :: m], axis=1, prepend=right.dtype.type(0))
 
 
-def partner_degree_rows(partner: np.ndarray, m: int = 1) -> np.ndarray:
-    """Total-degree rows of the graphs of many pairings, one partner row each
-    (shape (rows, 2mn+1), column 0 unused), with primed vertices identified
-    in blocks of m (``right_end_degree_rows``)."""
-    two_n = partner.shape[1] - 1
-    # every row has mn right endpoints (partner[i] < i); nonzero lists them in order
-    is_right = partner[:, 1:] < np.arange(1, two_n + 1)
-    right = np.nonzero(is_right)[1].reshape(len(partner), two_n // 2) + 1
-    return right_end_degree_rows(right, m)
+def pair_degree_rows(pairs: np.ndarray, m: int = 1) -> np.ndarray:
+    """Total-degree rows, in the pair tables' dtype, of the graphs of the
+    pairings of a pair table (shape (rows, mn, 2)), with primed vertices
+    identified in blocks of m: the b of the pairs are the right endpoints."""
+    return right_end_degree_rows(np.sort(pairs[..., 1], axis=1), m)
 
 
 def pairing_targets(partner: np.ndarray) -> np.ndarray:

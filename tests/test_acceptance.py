@@ -25,7 +25,7 @@ from lcdgraph.analysis import (
     sum_s2_bound,
     tv_distance,
 )
-from lcdgraph.lcd import enumerate_pairings, pairing_count, partner_degree_rows
+from lcdgraph.lcd import enumerate_pairings, pairing_count
 from lcdgraph.oracles import DkQuery, expected_count, mode_s01, prob_dk, tail_bound
 from lcdgraph.processes import (
     ProcessParams,
@@ -34,6 +34,7 @@ from lcdgraph.processes import (
     replicate_rng,
 )
 from lcdgraph.regions import BUILTIN_SYSTEMS, combined_max_alpha, feasible_along, region_max_alpha
+from pair_tables import partner_rows, reference_degree_rows
 
 
 def _report(criterion: int, passed: bool, detail: str):
@@ -65,7 +66,8 @@ def test_criterion_2_oracle_correctness():
         counts: Counter = Counter()
         for block in enumerate_pairings(n):
             # s = D_k - 2k for k = 1..n, one row per pairing
-            s = np.cumsum(partner_degree_rows(block), axis=1) - 2 * np.arange(1, n + 1)
+            degs = reference_degree_rows(partner_rows(block))
+            s = np.cumsum(degs, axis=1) - 2 * np.arange(1, n + 1)
             for row in s.tolist():
                 counts.update(enumerate(row, 1))
         for k in range(1, n + 1):

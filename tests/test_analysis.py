@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -205,6 +206,27 @@ def test_exact_laws_agree(n):
     assert sum(seq.values()) == 1
 
 
+# sha256 of repr(sorted(law.items())), pinned so that no change to the
+# enumeration moves an exact law
+EXACT_PAIRING_LAW_SHA256 = {
+    1: "edda94be1cf8a30cf788272fe0d8239cc66e4af8f2a3df018396ed78accadfa5",
+    2: "03ec2d0e6438a60a910f1edb9ef2cc4668040c7063d695549d9890a025d9afff",
+    3: "152e6ff7ed5c6730eac669369b7633091bdb23e2f94d495e3dbd5b1888ba2755",
+    4: "95643299899a2ed97e727e735873648ee594cc937e3ebf4005d59b5e02edbe4d",
+    5: "047e90543ca4f738c10f305b088264e04facf08c177e203a40d760e1631544d3",
+    6: "549c5e954a3b086a66a43bc6b3aa6cc1ef981bee206fed870fe386f948168277",
+}
+
+
+def sha256_of_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_pairing_law_digest(n):
+    assert sha256_of_repr(sorted(exact_pairing_law(n).items())) == EXACT_PAIRING_LAW_SHA256[n]
+
+
 def test_exact_sequential_law_n2_values():
     law = exact_sequential_law(2)
     assert law == {(2, 2): Fraction(1, 3), (3, 1): Fraction(2, 3)}
@@ -232,6 +254,10 @@ def test_cond_prob_discrepancy_table():
     # the agreeing n=2 cells from the closed form
     ok = next(r for r in rows if (r["n"], r["k"], r["s"], r["d"]) == (2, 1, 1, 0))
     assert ok["match"]
+    # every cell of n <= 6, pinned
+    assert sha256_of_repr(cond_prob_discrepancy_table(6)) == (
+        "ac31312907426ee30d6f5926867a1f328561a64db8af1f34e6be920515a9e774"
+    )
 
 
 def test_experiment_report_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from lcdgraph.cli import _ORACLES, build_parser, main
 from lcdgraph.lcd import enumerate_pairings, graph_from_partner_array
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
+from pair_tables import partner_rows
 
 
 def run(capsys, *argv):
@@ -132,7 +133,7 @@ def test_generate_entropy_seed_recorded(capsys, tmp_path):
 def reference_enumerate(n) -> bytes:
     """The per-row f-string writer: the byte contract of ``enumerate``."""
     lines = ["pairing,total_degrees\n"]
-    for partner in np.concatenate(list(enumerate_pairings(n))).tolist():
+    for partner in np.concatenate([partner_rows(b) for b in enumerate_pairings(n)]).tolist():
         pairs = [f"{a}-{b}" for a, b in enumerate(partner) if a < b]
         degrees = graph_from_partner_array(np.array(partner)).total_degrees.tolist()
         lines.append(f"{';'.join(pairs)},{';'.join(map(str, degrees))}\n")
@@ -175,11 +176,26 @@ def test_enumerate_n7_digest(capsys, tmp_path):
     )
 
 
+@pytest.mark.slow
+def test_enumerate_n8_digest(capsys, tmp_path):
+    out = tmp_path / "e.csv"
+    code, stdout, _ = run(capsys, "enumerate", "--n", "8", "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("wrote 2027025 pairings")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "838174bd62de298082cfab6e79d69dd41affee9a99d4c20827da963bb25f88c3"
+    )
+
+
 def test_enumerate_capacity_error(capsys, tmp_path):
     code, _, err = run(capsys, "enumerate", "--n", "9", "--out", str(tmp_path / "x"))
     assert code == 2
     assert "cap" in err
     assert not (tmp_path / "x").exists()  # n is checked before the file is opened
+    code, _, err = run(capsys, "enumerate", "--n", "0", "--out", str(tmp_path / "x"))
+    assert code == 2
+    assert "n must be >= 1" in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_experiment_region_theorem1(capsys, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.io import CHUNK_EDGES, write_graph, write_rows
+from lcdgraph.io import CHUNK_CELLS, write_graph, write_rows
 from lcdgraph.lcd import LcdGraph
 
 
@@ -56,6 +56,9 @@ def test_source_and_target_widths_differ(tmp_path):
     assert written(tmp_path, wide, narrow) == reference_csv(wide, narrow)
 
 
+CHUNK_EDGES = CHUNK_CELLS // 2  # rows per chunk of a 2-column edge list
+
+
 @pytest.mark.parametrize("size", [CHUNK_EDGES - 1, CHUNK_EDGES, CHUNK_EDGES + 1])
 def test_chunk_edges(tmp_path, size):
     src, tgt = mixed_widths(size, 0), mixed_widths(size, 1)
@@ -85,6 +88,23 @@ def test_rows_of_1_to_19_digits_across_a_chunk(tmp_path):
     seps = b" ;|\n"
     expected = reference_rows([c.tolist() for c in columns], seps)
     assert rows_written(tmp_path, columns, seps) == expected
+
+
+WIDE_CHUNK = CHUNK_CELLS // 21  # rows per chunk of an ``enumerate --n 7`` table
+
+
+@pytest.mark.parametrize("size", [WIDE_CHUNK - 1, WIDE_CHUNK, WIDE_CHUNK + 1])
+def test_chunk_of_a_wide_int8_table(tmp_path, size):
+    # 14 pair points and 7 degrees, int8 columns strided as enumerate passes them
+    rng = np.random.default_rng(size)
+    table = np.concatenate(
+        [rng.integers(1, 15, (size, 14)), rng.integers(0, 15, (size, 7))], axis=1
+    ).astype(np.int8)
+    seps = b"-;" * 6 + b"-," + b";" * 6 + b"\n"
+    path = tmp_path / "rows.txt"
+    with open(path, "wb") as fh:
+        write_rows(fh, table.T, seps)
+    assert path.read_bytes() == reference_rows(table.T.tolist(), seps)
 
 
 @st.composite

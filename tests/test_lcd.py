@@ -10,14 +10,15 @@ from lcdgraph.lcd import (
     LcdGraph,
     enumerate_pairings,
     graph_from_partner_array,
+    pair_degree_rows,
     pairing_count,
     pairing_targets,
-    partner_degree_rows,
     sample_partner_array,
     sample_partner_rows,
     sample_right_endpoints,
 )
 from lcdgraph.processes import replicate_rng
+from pair_tables import partner_rows, reference_degree_rows
 
 
 def reference_pairings(n):
@@ -42,9 +43,15 @@ def reference_pairings(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_enumeration_blocks_match_reference(n):
     blocks = list(enumerate_pairings(n))
-    assert all(b.dtype == np.int8 for b in blocks)
-    assert max(len(b) for b in blocks) == pairing_count(max(n - 2, 1))
-    assert np.concatenate(blocks).tolist() == [list(p) for p in reference_pairings(n)]
+    assert len(blocks) == 2 * n - 1
+    for j, block in enumerate(blocks):
+        assert block.dtype == np.int8
+        assert block.shape == (pairing_count(n - 1), n, 2)  # (2n-3)!! rows
+        assert (block[:, 0] == (1, j + 2)).all()
+    a, b = np.concatenate(blocks).transpose(2, 0, 1)
+    assert (a < b).all() and (np.diff(a, axis=1) > 0).all()
+    partner = np.concatenate([partner_rows(block) for block in blocks])
+    assert partner.tolist() == [list(p) for p in reference_pairings(n)]
 
 
 def test_pairing_count_small_values():
@@ -58,7 +65,7 @@ def test_enumeration_count_matches_double_factorial(n):
 
 def test_enumeration_n1_single_pairing():
     (block,) = list(enumerate_pairings(1))
-    assert block.tolist() == [[0, 2, 1]]
+    assert block.tolist() == [[[1, 2]]]
 
 
 def test_enumeration_distinct_and_deterministic():
@@ -88,10 +95,10 @@ def test_pairing_rejects_non_involution():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_graph_has_n_vertices_and_n_edges(n):
     for block in enumerate_pairings(n):
-        degs = partner_degree_rows(block)
+        degs = pair_degree_rows(block)
         assert degs.shape == (len(block), n)
         assert (degs.sum(axis=1) == 2 * n).all()
-        for partner, row in zip(block, degs):
+        for partner, row in zip(partner_rows(block), degs):
             g = graph_from_partner_array(partner)
             assert g.n_vertices == n
             assert g.n_edges == n
@@ -142,23 +149,14 @@ def test_sample_errors():
         sample_right_endpoints(0, 3, replicate_rng(0))
 
 
-def reference_degree_rows(partner, m):
-    """Each point's primed vertex by a running count of the right endpoints
-    before it, then the points of each block of m counted."""
-    rows, two_n = partner.shape[0], partner.shape[1] - 1
-    n = two_n // (2 * m)
-    is_right = partner[:, 1:] < np.arange(1, two_n + 1)
-    primed = np.cumsum(is_right, axis=1) - is_right  # primed vertex - 1
-    code = primed // m + n * np.arange(rows)[:, None]
-    return np.bincount(code.ravel(), minlength=rows * n).reshape(rows, n)
-
-
 @pytest.mark.parametrize("big_n", range(1, 7))
 def test_partner_degree_rows_every_pairing_and_block(big_n):
     # every pairing of 2N <= 12 points, every block size m dividing N
-    partner = np.concatenate(list(enumerate_pairings(big_n)))
+    pairs = np.concatenate(list(enumerate_pairings(big_n)))
+    partner = partner_rows(pairs)
     for m in (d for d in range(1, big_n + 1) if big_n % d == 0):
-        rows = partner_degree_rows(partner, m)
+        rows = pair_degree_rows(pairs, m)
+        assert rows.dtype == np.int8
         assert rows.shape == (len(partner), big_n // m)
         assert (rows == reference_degree_rows(partner, m)).all()
 
@@ -198,7 +196,8 @@ def test_sampling_uniform_chi_square(n):
     samples = 10**6
     # each partner array as a base-(2n+1) code, looked up among all pairings
     weights = (2 * n + 1) ** np.arange(2 * n + 1)
-    codes = np.concatenate(list(enumerate_pairings(n))).astype(np.int64) @ weights
+    partner = np.concatenate([partner_rows(b) for b in enumerate_pairings(n)])
+    codes = partner.astype(np.int64) @ weights
     order = np.argsort(codes)
     drawn = sample_partner_rows(n, samples, replicate_rng(2024, n)) @ weights
     slot = np.searchsorted(codes[order], drawn)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.lcd import enumerate_pairings, pairing_count, partner_degree_rows
+from lcdgraph.lcd import enumerate_pairings, pairing_count
 from lcdgraph.oracles import (
     EXACT_CAP,
     DkQuery,
@@ -24,6 +24,7 @@ from lcdgraph.oracles import (
     ratio_f,
     tail_bound,
 )
+from pair_tables import partner_rows, reference_degree_rows
 
 
 def test_double_factorial():
@@ -84,7 +85,8 @@ def test_prob_dk_matches_enumeration(n):
     counts: Counter = Counter()
     for block in enumerate_pairings(n):
         # s = D_k - 2k for k = 1..n, one row per pairing
-        s = np.cumsum(partner_degree_rows(block), axis=1) - 2 * np.arange(1, n + 1)
+        degs = reference_degree_rows(partner_rows(block))
+        s = np.cumsum(degs, axis=1) - 2 * np.arange(1, n + 1)
         for row in s.tolist():
             counts.update(enumerate(row, 1))
     for k in range(1, n + 1):
