@@ -70,6 +70,8 @@ from .regions import (
     region_max_alpha,
 )
 
+MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
+
 
 def _fmt(x) -> str:
     """Numeric formatting for stdout: rationals as p/q, floats via the
@@ -94,10 +96,10 @@ def _resolve_seed(args) -> int:
 
 
 def _resolve_threads(args) -> int:
-    """Worker threads from --threads, else 1."""
+    """Worker threads from --threads, else 1; checked before any pool exists."""
     threads = 1 if args.threads is None else args.threads
-    if threads < 1:
-        raise DomainError(f"--threads must be an integer >= 1, got {threads}")
+    if not 1 <= threads <= MAX_THREADS:
+        raise DomainError(f"--threads must be an integer in 1..{MAX_THREADS}, got {threads}")
     return threads
 
 
@@ -458,7 +460,7 @@ def _add_common(p, seed=True, out=True, threads=False):
         p.add_argument("--out", required=True, help="output file path")
     if threads:
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default 1)")
+                       help=f"worker threads, at most {MAX_THREADS} (default 1)")
 
 
 @functools.cache

@@ -6,9 +6,9 @@ into n vertex groups; every chord then becomes a directed edge from the
 vertex of its right endpoint to the vertex of its left endpoint.  Loops and
 multiple edges are kept.
 
-Enumerated pairings are pair tables, shape (rows, n, 2): each row's pairs
-(a, b) with a < b, in increasing a.  Sampled pairings are partner arrays,
-index 0 unused, ``partner[a] == b`` and ``partner[b] == a``.
+Every pairing is held as a pair table, shape (rows, n, 2), one row per
+pairing: its n pairs (a, b), each with a < b.  Enumerated tables list each
+row's pairs in increasing a; sampled tables keep the order of the draw.
 """
 
 from __future__ import annotations
@@ -59,69 +59,49 @@ def _first_pair_blocks(n: int):
         yield block
 
 
-def sample_partner_array(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform pairing as a partner array (index 0 unused): the one-sample
-    case of ``sample_partner_rows``."""
-    return sample_partner_rows(n, 1, rng)[0]
-
-
-def sample_partner_rows(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """``samples`` independent uniform pairings of {1,..,2n}, one partner
-    array per row, shape (samples, 2n+1) with column 0 unused.
+def sample_pairs(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
+    """``samples`` independent uniform pairings of {1,..,2n}, one int64 pair
+    table each, shape (samples, n, 2), pairs in the order of the draw.
 
     Each row shuffles the 2n points uniformly and pairs consecutive entries.
     A pairing arises from exactly 2^n n! of the (2n)! orders (its n pairs in
     any order, each either way round), so each has probability
     2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.
     """
-    perm = _shuffled_points(n, samples, rng)
-    rows = np.arange(samples)[:, None]
-    partner = np.zeros((samples, 2 * n + 1), dtype=np.int64)
-    partner[rows, perm[:, 0::2]] = perm[:, 1::2]
-    partner[rows, perm[:, 1::2]] = perm[:, 0::2]
-    return partner
-
-
-def sample_right_endpoints(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Sorted right endpoints, shape (samples, n), of the pairings that
-    ``sample_partner_rows`` draws from the same generator state: the larger
-    point of each consecutive pair of the shuffle."""
-    perm = _shuffled_points(n, samples, rng)
-    return np.sort(np.maximum(perm[:, 0::2], perm[:, 1::2]), axis=1)
-
-
-def _shuffled_points(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Each row an independent uniform order of the points 1..2n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    return rng.permuted(np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1)), axis=1)
-
-
-def right_end_degree_rows(right: np.ndarray, m: int = 1) -> np.ndarray:
-    """Total-degree rows from the sorted right endpoints R_1 < .. < R_mn of
-    pairings, one row each, with primed vertices identified in blocks of m.
-    Primed vertex j closes at R_j and holds the points R_{j-1}+1..R_j (each
-    point counts once for the vertex that holds it), so block v has total
-    degree R_{vm} - R_{(v-1)m}, with R_0 = 0."""
-    return np.diff(right[:, m - 1 :: m], axis=1, prepend=right.dtype.type(0))
+    points = np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1))
+    pairs = rng.permuted(points, axis=1, out=points).reshape(samples, n, 2)
+    a, b = pairs[..., 0], pairs[..., 1]  # made (min, max) in place
+    hi = np.maximum(a, b)
+    np.minimum(a, b, out=a)
+    b[...] = hi
+    return pairs
 
 
 def pair_degree_rows(pairs: np.ndarray, m: int = 1) -> np.ndarray:
     """Total-degree rows, in the pair tables' dtype, of the graphs of the
     pairings of a pair table (shape (rows, mn, 2)), with primed vertices
-    identified in blocks of m: the b of the pairs are the right endpoints."""
-    return right_end_degree_rows(np.sort(pairs[..., 1], axis=1), m)
+    identified in blocks of m.  The b of the pairs are the right endpoints
+    R_1 < .. < R_mn once sorted; primed vertex j closes at R_j and holds the
+    points R_{j-1}+1..R_j (each point counts once for the vertex that holds
+    it), so block v has total degree R_{vm} - R_{(v-1)m}, with R_0 = 0."""
+    right = np.sort(pairs[..., 1], axis=1)
+    return np.diff(right[:, m - 1 :: m], axis=1, prepend=right.dtype.type(0))
 
 
-def pairing_targets(partner: np.ndarray) -> np.ndarray:
-    """Edge targets of the graph of one pairing (partner array, index 0
-    unused, not checked), in right-endpoint (creation) order: the vertex of
+def pair_targets(pairs: np.ndarray) -> np.ndarray:
+    """Edge targets of the graph of one pairing (pair table of shape (n, 2),
+    a < b, not checked), in right-endpoint (creation) order: the vertex of
     each right endpoint's partner, 1 + the number of right endpoints before
     that left endpoint."""
-    is_right = partner[1:] < np.arange(1, partner.size)
+    left_of = np.zeros(2 * len(pairs) + 1, dtype=pairs.dtype)
+    left_of[pairs[:, 1]] = pairs[:, 0]
+    left_of = left_of[1:]  # left_of[b - 1] == a, 0 at left endpoints
+    is_right = left_of > 0
     closed = np.cumsum(is_right)  # right endpoints up to and including each point
     closed += 1
-    return closed[partner[1:][is_right] - 1]
+    return closed[left_of[is_right] - 1]
 
 
 @dataclass
@@ -172,19 +152,13 @@ class LcdGraph:
         return list(zip(self.src.tolist(), self.tgt.tolist()))
 
 
-def graph_from_partner_array(partner: np.ndarray, meta: dict | None = None) -> LcdGraph:
-    """Build the merged directed graph from a partner array (1-indexed,
-    index 0 unused).  Vectorized; used for large sampled pairings too.
-    Raises DomainError unless the array is a pairing of 1..2n, n >= 1.
+def graph_from_pairs(pairs: np.ndarray, meta: dict | None = None) -> LcdGraph:
+    """Build the merged directed graph of one pairing from its pair table
+    (shape (n, 2), any pair order).  Raises DomainError unless the table
+    holds each point 1..2n exactly once, n >= 1, and a < b in every pair.
     Edge k leaves vertex k, which closes at the k-th right endpoint."""
-    two_n = partner.size - 1
-    idx = np.arange(1, two_n + 1)
-    right = idx[partner[1:] < idx]
-    left = partner[right]
-    n = right.size
-    # If each of the n right endpoints r has a partner l in 1..r-1 with
-    # partner[l] == r, the l are n distinct left endpoints, so they are all
-    # of them: no point is fixed and every partner lies in 1..2n.
-    if not (two_n >= 2 and 2 * n == two_n and left.min() >= 1 and (partner[left] == right).all()):
-        raise DomainError("partner array is not a fixed-point-free involution on 1..2n")
-    return LcdGraph(n, np.arange(1, n + 1), pairing_targets(partner), meta or {})
+    n = len(pairs)
+    if not (n >= 1 and pairs.shape == (n, 2) and (pairs[:, 0] < pairs[:, 1]).all()
+            and np.array_equal(np.sort(pairs, axis=None), np.arange(1, 2 * n + 1))):
+        raise DomainError("pair table is not a pairing of 1..2n with a < b in every pair")
+    return LcdGraph(n, np.arange(1, n + 1), pair_targets(pairs), meta or {})

@@ -6,8 +6,8 @@ Three constructions of the same target family are provided:
   vertex s with probability deg(s)/(2t-1) and to itself with 1/(2t-1).
   For m > 1 the process runs on m*n primed vertices and consecutive blocks
   of m are identified.
-* ``pairing`` -- sample a uniform perfect matching on 2mn points, merge it
-  into a directed multigraph, identify blocks of m.
+* ``pairing`` -- sample a uniform perfect matching on 2mn points as a pair
+  table, merge it into a directed multigraph, identify blocks of m.
 * ``urn`` -- the stick-breaking representation of Bollobas & Riordan ("The
   diameter of a scale-free random graph", Combinatorica 24, 2004).  On the
   m*n primed vertices draw psi_1 = 1 and psi_k ~ Beta(1, 2k-2); given them,
@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .lcd import (
-    LcdGraph,
-    pairing_targets,
-    right_end_degree_rows,
-    sample_partner_array,
-    sample_right_endpoints,
-)
+from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 
 # Most endpoints, 2 * samples * n * m, that one call may materialize; checked
 # before anything is allocated, for every variant.
@@ -147,7 +141,7 @@ def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
 _KERNELS = {
     "sequential": lambda big_n, rng: sequential_targets(sequential_choices(big_n, 1, rng))[0],
     "urn": _urn_kernel,
-    "pairing": lambda big_n, rng: pairing_targets(sample_partner_array(big_n, rng)),
+    "pairing": lambda big_n, rng: pair_targets(sample_pairs(big_n, 1, rng)[0]),
 }
 
 VARIANTS = tuple(_KERNELS)
@@ -190,7 +184,7 @@ def batch_total_degrees(
         # every primed vertex is the source of one edge: out-degree m per block
         return block_counts(tgt, n, m) + m
     if variant == "pairing":
-        return right_end_degree_rows(sample_right_endpoints(big_n, samples, rng), m)
+        return pair_degree_rows(sample_pairs(big_n, samples, rng), m)
     return _batch_urn(n, m, samples, rng)
 
 

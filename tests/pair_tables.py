@@ -1,6 +1,6 @@
-"""Helpers for the tests that check enumerated pair tables against the
-partner-array references: the sampler, the graph merge and the per-point
-degree count all read partner rows."""
+"""Test references that read pairings as partner rows.  The package holds
+every pairing as a pair table; only these references, and the tests that
+code or check pairings through them, convert to partner rows."""
 
 import numpy as np
 

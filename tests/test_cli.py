@@ -1,15 +1,17 @@
 import hashlib
 import json
 import platform
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lcdgraph.cli import _ORACLES, build_parser, main
-from lcdgraph.lcd import enumerate_pairings, graph_from_partner_array
+from lcdgraph import cli
+from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
+from lcdgraph.lcd import enumerate_pairings, graph_from_pairs
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
-from pair_tables import partner_rows
+from lcdgraph.processes import VARIANTS
 
 
 def run(capsys, *argv):
@@ -116,6 +118,31 @@ def test_generate_deterministic_digests(capsys, tmp_path):
             assert "version" in manifest
 
 
+# sha256 of `generate --n 100000 --m 3 --variant pairing --seed <seed>`, the
+# size the benchmark's generate workload draws
+PAIRING_1E5_PINS = {
+    0: "1380c04a24f4d86608a2830b437e2b53b3fa1840b854ec746b40c55716e54b14",
+    1: "3dd8b75ee886b67a8e4523d39ba687b0395932a7cdc2a414d1abc6dd9381812c",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PAIRING_1E5_PINS))
+def test_generate_pairing_benchmark_size_digests(capsys, tmp_path, seed):
+    out = tmp_path / "p.csv"
+    code, _, _ = run(capsys, "generate", "--n", "100000", "--m", "3", "--variant", "pairing",
+                     "--seed", str(seed), "--out", str(out))
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAIRING_1E5_PINS[seed]
+
+
+def test_generate_pairing_n1_is_one_loop(capsys, tmp_path):
+    out = tmp_path / "p.csv"
+    code, _, _ = run(capsys, "generate", "--n", "1", "--m", "1", "--variant", "pairing",
+                     "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == b"1,1\n"
+
+
 def test_generate_edge_count(capsys, tmp_path):
     out = tmp_path / "g.csv"
     run(capsys, "generate", "--n", "1000", "--m", "2", "--seed", "1", "--out", str(out))
@@ -133,10 +160,10 @@ def test_generate_entropy_seed_recorded(capsys, tmp_path):
 def reference_enumerate(n) -> bytes:
     """The per-row f-string writer: the byte contract of ``enumerate``."""
     lines = ["pairing,total_degrees\n"]
-    for partner in np.concatenate([partner_rows(b) for b in enumerate_pairings(n)]).tolist():
-        pairs = [f"{a}-{b}" for a, b in enumerate(partner) if a < b]
-        degrees = graph_from_partner_array(np.array(partner)).total_degrees.tolist()
-        lines.append(f"{';'.join(pairs)},{';'.join(map(str, degrees))}\n")
+    for pairs in np.concatenate(list(enumerate_pairings(n))):
+        chords = [f"{a}-{b}" for a, b in pairs.tolist()]
+        degrees = graph_from_pairs(pairs).total_degrees.tolist()
+        lines.append(f"{';'.join(chords)},{';'.join(map(str, degrees))}\n")
     return "".join(lines).encode()
 
 
@@ -415,4 +442,38 @@ def test_threads_flag_rejects_nonpositive(capsys, tmp_path):
                            "--out", str(tmp_path / "frac.json"))
         assert code == 2
         assert "--threads" in err
+
+
+def test_threads_flag_rejects_more_than_the_cap(capsys, tmp_path, monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for experiment, extra in (("fraction", ["--d", "1"]), ("concentration", ["--d", "1"]),
+                              ("corollary", ["--n-grid", "100,200"])):
+        for threads in (str(MAX_THREADS + 1), "100000"):
+            code, _, err = run(capsys, "experiment", experiment, *extra, "--n", "100",
+                               "--replicates", "100000", "--threads", threads, "--seed", "3",
+                               "--out", str(tmp_path / f"{experiment}.json"))
+            assert code == 2
+            assert "--threads" in err and str(MAX_THREADS) in err
+            assert not (tmp_path / f"{experiment}.json").exists()
+
+
+def test_benchmark_hooks_stay_exposed(capsys, tmp_path, monkeypatch):
+    # perfbench/bench.py drives the CLI through main and build_parser and
+    # wraps cli.batch_total_degrees to keep the rows that equivalence samples
+    assert callable(cli.main) and callable(cli.build_parser)
+    calls = []
+    original = cli.batch_total_degrees
+
+    def capture(variant, *args):
+        calls.append((variant, *args[:3], type(args[3])))
+        return original(variant, *args)
+
+    monkeypatch.setattr(cli, "batch_total_degrees", capture)
+    code, _, _ = run(capsys, "experiment", "equivalence", "--n", "3", "--m", "2",
+                     "--samples", "500", "--seed", "1", "--out", str(tmp_path / "eq.json"))
+    assert code in (0, 1)
+    assert calls == [(v, 3, 2, 500, np.random.Generator) for v in VARIANTS]
 

@@ -9,15 +9,13 @@ from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.lcd import (
     LcdGraph,
     enumerate_pairings,
-    graph_from_partner_array,
+    graph_from_pairs,
     pair_degree_rows,
+    pair_targets,
     pairing_count,
-    pairing_targets,
-    sample_partner_array,
-    sample_partner_rows,
-    sample_right_endpoints,
+    sample_pairs,
 )
-from lcdgraph.processes import replicate_rng
+from lcdgraph.processes import batch_total_degrees, replicate_rng
 from pair_tables import partner_rows, reference_degree_rows
 
 
@@ -84,12 +82,12 @@ def test_enumeration_errors():
 
 
 def test_pairing_rejects_non_involution():
-    # 3 and 4 map to themselves; 1 and 2 are fixed points; the next two have
-    # n = 2 right endpoints, so counting them passes
-    for partner in ([0, 2, 1, 3, 4], [0, 1, 2], [0, 3, 4, 1, 1], [0, 4, 4, 1, 2],
-                    [0, 2, 1, 3], [0]):
+    # 3 and 4 paired to themselves; 1 paired to itself; 3 in two pairs and 4
+    # in none; 4 in two pairs and 3 in none; an odd point count; no points
+    for pairs in ([[1, 2], [3, 3], [4, 4]], [[1, 1]], [[1, 3], [2, 3]], [[1, 4], [2, 4]],
+                  [1, 2, 3], np.empty((0, 2), dtype=np.int64)):
         with pytest.raises(DomainError):
-            graph_from_partner_array(np.array(partner))
+            graph_from_pairs(np.array(pairs))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -98,34 +96,36 @@ def test_graph_has_n_vertices_and_n_edges(n):
         degs = pair_degree_rows(block)
         assert degs.shape == (len(block), n)
         assert (degs.sum(axis=1) == 2 * n).all()
-        for partner, row in zip(partner_rows(block), degs):
-            g = graph_from_partner_array(partner)
+        for pairs, row in zip(block, degs):
+            g = graph_from_pairs(pairs)
             assert g.n_vertices == n
             assert g.n_edges == n
             assert (g.total_degrees == g.in_degrees + g.out_degrees).all()
             assert (g.total_degrees == row).all()
 
 
-def graph_of(partner):
-    return graph_from_partner_array(np.array(partner, dtype=np.int64))
+def graph_of(pairs):
+    return graph_from_pairs(np.array(pairs, dtype=np.int64))
 
 
 def test_merge_rule_hand_traces():
-    g = graph_of([0, 2, 1])  # chord 1-2
+    g = graph_of([[1, 2]])  # chord 1-2
     assert g.edge_list() == [(1, 1)]
 
-    g = graph_of([0, 2, 1, 4, 3])  # chords 1-2 and 3-4
+    g = graph_of([[1, 2], [3, 4]])  # chords 1-2 and 3-4
     assert g.edge_list() == [(1, 1), (2, 2)]
     assert np.cumsum(g.total_degrees)[0] == 2
 
     # chords 1-3 and 2-4: points {1,2,3} merge into v1, {4} is v2
-    g = graph_of([0, 3, 4, 1, 2])
+    g = graph_of([[1, 3], [2, 4]])
     assert sorted(g.edge_list()) == [(1, 1), (2, 1)]
     assert np.cumsum(g.total_degrees)[0] == 3
+    # the pairs in draw order give the same graph
+    assert graph_of([[2, 4], [1, 3]]).edge_list() == g.edge_list()
 
 
 def test_degree_prefix_sums_full_range():
-    g = graph_of([0, 3, 4, 1, 2])  # chords 1-3 and 2-4
+    g = graph_of([[1, 3], [2, 4]])  # chords 1-3 and 2-4
     prefix = np.cumsum(g.total_degrees)
     assert prefix.tolist() == [3, 4]  # one sum per vertex 1..n
     assert prefix[g.n_vertices - 1] == 2 * g.n_edges
@@ -133,20 +133,20 @@ def test_degree_prefix_sums_full_range():
 
 def test_sample_n1_deterministic():
     for seed in (0, 1, 12345):
-        assert sample_partner_array(1, replicate_rng(seed)).tolist() == [0, 2, 1]
+        assert sample_pairs(1, 1, replicate_rng(seed)).tolist() == [[[1, 2]]]
 
 
 def test_sample_deterministic_given_seed():
-    a = sample_partner_array(50, replicate_rng(7))
-    b = sample_partner_array(50, replicate_rng(7))
+    a = sample_pairs(50, 1, replicate_rng(7))
+    b = sample_pairs(50, 1, replicate_rng(7))
     assert (a == b).all()
 
 
 def test_sample_errors():
     with pytest.raises(DomainError):
-        sample_partner_array(0, replicate_rng(0))
+        sample_pairs(0, 1, replicate_rng(0))
     with pytest.raises(DomainError):
-        sample_right_endpoints(0, 3, replicate_rng(0))
+        sample_pairs(0, 3, replicate_rng(0))
 
 
 @pytest.mark.parametrize("big_n", range(1, 7))
@@ -162,29 +162,35 @@ def test_partner_degree_rows_every_pairing_and_block(big_n):
 
 
 @pytest.mark.parametrize("n, samples", [(1, 4), (3, 500), (10, 200)])
-def test_right_endpoints_are_those_of_the_partner_rows(n, samples):
-    # one seed, one shuffle: the batch degree path and the partner rows agree
-    partner = sample_partner_rows(n, samples, replicate_rng(31, n))
-    right = sample_right_endpoints(n, samples, replicate_rng(31, n))
-    is_right = partner[:, 1:] < np.arange(1, 2 * n + 1)
-    assert right.tolist() == (np.nonzero(is_right)[1].reshape(samples, n) + 1).tolist()
+def test_batch_pairing_rows_match_the_reference(n, samples):
+    # one seed, one shuffle: the batch rows are the per-point count of the
+    # sampled tables, for every block size m dividing N = n
+    for m in (d for d in range(1, n + 1) if n % d == 0):
+        rows = batch_total_degrees("pairing", n // m, m, samples, replicate_rng(31, n))
+        partner = partner_rows(sample_pairs(n, samples, replicate_rng(31, n)))
+        assert rows.tolist() == reference_degree_rows(partner, m).tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 50, 1000])
 def test_pairing_targets_match_the_vertex_scan(n):
-    partner = sample_partner_array(n, replicate_rng(8, n))
+    pairs = sample_pairs(n, 1, replicate_rng(8, n))
+    partner = partner_rows(pairs)[0]
     is_right = partner[1:] < np.arange(1, 2 * n + 1)
     vertex = np.concatenate([[0], np.cumsum(is_right) - is_right + 1])
-    assert pairing_targets(partner).tolist() == vertex[partner[1:][is_right]].tolist()
+    assert pair_targets(pairs[0]).tolist() == vertex[partner[1:][is_right]].tolist()
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
 def test_sampled_pairing_is_valid_involution(n, seed):
-    partner = sample_partner_array(n, replicate_rng(seed))
+    pairs = sample_pairs(n, 1, replicate_rng(seed))
     idx = np.arange(1, 2 * n + 1)
+    assert pairs.shape == (1, n, 2)
+    assert np.sort(pairs, axis=None).tolist() == idx.tolist()  # every point once
+    assert (pairs[..., 0] < pairs[..., 1]).all()
+    partner = partner_rows(pairs)[0]
     assert (partner[partner[1:]] == idx).all() and (partner[1:] != idx).all()
-    g = graph_from_partner_array(partner)  # checks the involution too
+    g = graph_from_pairs(pairs[0])  # checks the pairing too
     assert g.n_vertices == n and g.n_edges == n
 
 
@@ -199,7 +205,7 @@ def test_sampling_uniform_chi_square(n):
     partner = np.concatenate([partner_rows(b) for b in enumerate_pairings(n)])
     codes = partner.astype(np.int64) @ weights
     order = np.argsort(codes)
-    drawn = sample_partner_rows(n, samples, replicate_rng(2024, n)) @ weights
+    drawn = partner_rows(sample_pairs(n, samples, replicate_rng(2024, n))) @ weights
     slot = np.searchsorted(codes[order], drawn)
     assert (codes[order][slot] == drawn).all()
     counts = np.bincount(order[slot], minlength=codes.size)
@@ -207,13 +213,20 @@ def test_sampling_uniform_chi_square(n):
     assert pvalue > 0.001
 
 
-def test_graph_from_partner_array_rejects_garbage():
-    bad = np.array([0, 1, 2, 3, 4], dtype=np.int64)  # fixed points
+def test_graph_from_pairs_rejects_garbage():
+    bad = np.array([[1, 1], [2, 2]], dtype=np.int64)  # points paired to themselves
     with pytest.raises(DomainError):
-        graph_from_partner_array(bad)
-    open_end = np.array([0, 2, 1, 1, 3], dtype=np.int64)  # 2n not a right endpoint
+        graph_from_pairs(bad)
+    open_end = np.array([[1, 2], [1, 3]], dtype=np.int64)  # 2n = 4 in no pair
     with pytest.raises(DomainError):
-        graph_from_partner_array(open_end)
+        graph_from_pairs(open_end)
+    for pairs in ([[1, 2], [1, 2]],  # a repeated point
+                  [[1, 3], [4, 2]],  # a > b, every point once
+                  [[1, 2], [3, 5]],  # 4 missing
+                  [[0, 1], [2, 3]],  # 4 missing, 0 not a point
+                  np.empty((0, 2), dtype=np.int64)):  # an empty table
+        with pytest.raises(DomainError):
+            graph_from_pairs(np.array(pairs, dtype=np.int64))
 
 
 def test_graph_degree_modes():
