@@ -20,10 +20,10 @@ from .oracles import cond_prob_degree
 from .processes import ProcessParams, generate
 
 
-def degree_histogram(g, mode: str) -> dict:
-    """Degree -> number of vertices of that degree in ``g``, in increasing
-    degree order."""
-    values, counts = np.unique(g.degrees_of(mode), return_counts=True)
+def degree_histogram(g) -> dict:
+    """In-degree -> number of vertices of that in-degree in ``g``, in
+    increasing order."""
+    values, counts = np.unique(g.in_degrees, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
@@ -36,14 +36,12 @@ class FractionResult:
     std: float
 
 
-def replicate_counts(
-    params: ProcessParams, degree: int, mode: str, replicates: int, threads: int
-) -> list:
-    """Number of vertices of the given degree in ``generate(params, r)`` for
+def replicate_counts(params: ProcessParams, degree: int, replicates: int, threads: int) -> list:
+    """Vertices of in-degree ``degree`` in ``generate(params, r)`` for
     r = 0..replicates-1, in replicate order, on ``threads`` worker threads."""
 
     def one(r: int) -> int:
-        return int(np.count_nonzero(generate(params, r).degrees_of(mode) == degree))
+        return int(np.count_nonzero(generate(params, r).in_degrees == degree))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -54,14 +52,14 @@ def replicate_counts(
 def empirical_fraction(
     params: ProcessParams,
     degree: int,
-    mode: str = "total_degree",
     replicates: int = 50,
     threads: int = 1,
 ) -> FractionResult:
-    """Mean and std over independent replicates of N(degree)/n."""
+    """Mean and std over independent replicates of N(degree)/n, N(d) the
+    number of vertices of in-degree d."""
     if replicates < 2:
         raise DomainError("need at least 2 replicates")
-    fracs = [c / params.n for c in replicate_counts(params, degree, mode, replicates, threads)]
+    fracs = [c / params.n for c in replicate_counts(params, degree, replicates, threads)]
     arr = np.array(fracs)
     return FractionResult(
         fractions=fracs,
@@ -134,10 +132,9 @@ def concentration_experiment(
     params: ProcessParams,
     d: int,
     replicates: int = 200,
-    mode: str = "in_degree",
     threads: int = 1,
 ) -> ConcentrationResult:
-    """Fraction of replicates whose vertex count at degree d deviates from
+    """Fraction of replicates whose vertex count at in-degree d deviates from
     the replicate grand mean by at least sqrt(n log n).
 
     The grand mean stands in for the unobservable expectation; documented
@@ -145,7 +142,7 @@ def concentration_experiment(
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
-    counts = np.array(replicate_counts(params, d, mode, replicates, threads), dtype=float)
+    counts = np.array(replicate_counts(params, d, replicates, threads), dtype=float)
     threshold = math.sqrt(params.n * math.log(params.n)) if params.n > 1 else 0.0
     mean = counts.mean()
     exceed = float(np.mean(np.abs(counts - mean) >= threshold)) if params.n > 1 else 0.0
@@ -236,10 +233,9 @@ def corollary_experiment(
     exponent: float,
     replicates: int = 8,
     master_seed: int = 0,
-    mode: str = "in_degree",
     threads: int = 1,
 ) -> CorollaryResult:
-    """Fraction of vertices at degree d = ceil(n^exponent) for each n in the
+    """Fraction of vertices at in-degree d = ceil(n^exponent) for each n in the
     grid, averaged over replicates; reports whether the sequence decreases."""
     n_grid = list(n_grid)
     if any(n < 10**3 for n in n_grid):
@@ -254,7 +250,7 @@ def corollary_experiment(
         if d >= 2 * m * n:
             fracs.append(0.0)
             continue
-        per = [c / n for c in replicate_counts(params, d, mode, replicates, threads)]
+        per = [c / n for c in replicate_counts(params, d, replicates, threads)]
         fracs.append(float(np.mean(per)))
     decreasing = all(a > b for a, b in zip(fracs, fracs[1:]))
     return CorollaryResult(
@@ -362,8 +358,6 @@ def cond_prob_discrepancy_table(n_max: int = 6) -> list:
             for s in range(0, n - k + 1):
                 denom = by_cond.get((k, s), 0)
                 for d in range(0, n - k - s + 1):
-                    if 2 * n - 2 * k - s - d - 1 < 0:
-                        continue
                     formula = cond_prob_degree(n, k, s, d).value
                     enum = Fraction(by_cell.get((k, s, d), 0), denom) if denom else None
                     rows.append(

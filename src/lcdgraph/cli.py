@@ -166,7 +166,7 @@ def cmd_generate(args) -> int:
     )
     g = generate(params, replicate=args.replicate)
     out = Path(args.out)
-    write_graph(g, out)
+    write_graph(g, out, {"n": args.n, "m": args.m, "variant": args.variant, "seed": args.seed})
     header = out.with_name(out.name + ".header.json")
     _write_manifest(args, out, [out, header])
     print(f"wrote {g.n_edges} edges to {out} (seed {args.seed})")
@@ -207,14 +207,11 @@ def _finish_experiment(args, report, extra_outputs=()) -> int:
 
 def _exp_fraction(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
-    degree = args.d + args.m  # total degree of an in-degree-d vertex
-    res = empirical_fraction(
-        params, degree, "total_degree", args.replicates, threads=_resolve_threads(args)
-    )
+    res = empirical_fraction(params, args.d, args.replicates, threads=_resolve_threads(args))
     target = expected_count(args.n, args.m, args.d) / args.n
     report = ExperimentReport(
         "fraction",
-        {"n": args.n, "m": args.m, "d": args.d, "degree": degree, "seed": args.seed,
+        {"n": args.n, "m": args.m, "d": args.d, "degree": args.d + args.m, "seed": args.seed,
          "replicates": args.replicates},
     )
     report.replicates = [
@@ -233,8 +230,8 @@ def _exp_fraction(args) -> int:
 def _exp_gamma(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     g = generate(params)
-    hist_in = degree_histogram(g, "in_degree")
-    hist_tot = degree_histogram(g, "total_degree")
+    hist_in = degree_histogram(g)
+    hist_tot = {d + args.m: c for d, c in hist_in.items()}
     fit_in = power_law_exponent(hist_in, args.dlo, args.dhi)
     fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
     hill = hill_exponent(hist_in, args.dlo)

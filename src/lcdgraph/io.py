@@ -14,9 +14,9 @@ from .lcd import LcdGraph
 CHUNK_CELLS = 1 << 17  # values formatted per pass: bounds the writer's buffers
 
 
-def write_graph(g: LcdGraph, path: str | Path) -> Path:
+def write_graph(g: LcdGraph, path: str | Path, header: dict) -> Path:
     """Write the edge list as `source,target` lines (1-indexed, no header
-    row) and the run parameters as `<path>.header.json`.
+    row) and ``header``, the run parameters, as `<path>.header.json`.
 
     The CSV holds exactly the bytes of ``f"{s},{t}\\n"`` for each edge in
     order, as written by ``write_rows``.  Ids must be >= 0.
@@ -24,7 +24,6 @@ def write_graph(g: LcdGraph, path: str | Path) -> Path:
     path = Path(path)
     with open(path, "wb") as fh:
         write_rows(fh, (g.src, g.tgt), b",\n")
-    header = {k: g.meta[k] for k in ("n", "m", "variant", "seed") if k in g.meta}
     header_path = path.with_name(path.name + ".header.json")
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)

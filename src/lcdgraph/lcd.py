@@ -13,7 +13,7 @@ row's pairs in increasing a; sampled tables keep the order of the draw.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -106,25 +106,32 @@ def pair_targets(pairs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class LcdGraph:
-    """Directed multigraph with loops on vertices 1..n_vertices.
+    """Directed multigraph with loops on vertices 1..n_vertices in which
+    every vertex sends m edges, as in the preferential-attachment process.
 
-    Edges are an ordered list so multiplicities survive; ``src[i] -> tgt[i]``.
+    Edge i (from 0) leaves vertex i // m + 1 for ``tgt[i]``; the ordered
+    targets keep loops and multiple edges.  Every out-degree is m, so the
+    total degree of a vertex is its in-degree + m.
     """
 
     n_vertices: int
-    src: np.ndarray
+    m: int
     tgt: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.src = np.asarray(self.src, dtype=np.int64)
         self.tgt = np.asarray(self.tgt, dtype=np.int64)
-        if self.src.shape != self.tgt.shape:
-            raise DomainError("edge arrays must have equal length")
+        if self.tgt.shape != (self.n_vertices * self.m,):
+            raise DomainError(f"need n * m targets, got shape {self.tgt.shape}")
 
     @property
     def n_edges(self) -> int:
-        return int(self.src.size)
+        return int(self.tgt.size)
+
+    @property
+    def src(self) -> np.ndarray:
+        src = np.arange(self.m, self.n_edges + self.m, dtype=np.int64)
+        src //= self.m  # (i + m) // m = i // m + 1, in place: one array of n*m ids
+        return src
 
     @cached_property
     def in_degrees(self) -> np.ndarray:
@@ -132,27 +139,14 @@ class LcdGraph:
         return np.bincount(self.tgt, minlength=self.n_vertices + 1)[1:]
 
     @cached_property
-    def out_degrees(self) -> np.ndarray:
-        return np.bincount(self.src, minlength=self.n_vertices + 1)[1:]
-
-    @cached_property
     def total_degrees(self) -> np.ndarray:
-        return self.in_degrees + self.out_degrees
-
-    def degrees_of(self, mode: str) -> np.ndarray:
-        if mode == "in_degree":
-            return self.in_degrees
-        if mode == "out_degree":
-            return self.out_degrees
-        if mode == "total_degree":
-            return self.total_degrees
-        raise DomainError(f"unknown degree mode {mode!r}")
+        return self.in_degrees + self.m
 
     def edge_list(self):
         return list(zip(self.src.tolist(), self.tgt.tolist()))
 
 
-def graph_from_pairs(pairs: np.ndarray, meta: dict | None = None) -> LcdGraph:
+def graph_from_pairs(pairs: np.ndarray) -> LcdGraph:
     """Build the merged directed graph of one pairing from its pair table
     (shape (n, 2), any pair order).  Raises DomainError unless the table
     holds each point 1..2n exactly once, n >= 1, and a < b in every pair.
@@ -161,4 +155,4 @@ def graph_from_pairs(pairs: np.ndarray, meta: dict | None = None) -> LcdGraph:
     if not (n >= 1 and pairs.shape == (n, 2) and (pairs[:, 0] < pairs[:, 1]).all()
             and np.array_equal(np.sort(pairs, axis=None), np.arange(1, 2 * n + 1))):
         raise DomainError("pair table is not a pairing of 1..2n with a < b in every pair")
-    return LcdGraph(n, np.arange(1, n + 1), pair_targets(pairs), meta or {})
+    return LcdGraph(n, 1, pair_targets(pairs))

@@ -134,11 +134,8 @@ def ratio_f(n: int, k: int, s: int) -> Fraction:
 
 
 def _root_terms(n: int, k: int):
-    disc4 = 16 * k * n - 8 * n + 1  # 4 * (4kn - 2n + 1/4)
-    if disc4 < 0:
-        raise DomainError("negative discriminant")
-    r = math.isqrt(disc4)
-    return disc4, r
+    disc4 = 16 * k * n - 8 * n + 1  # 4 * (4kn - 2n + 1/4) = 8n(2k-1) + 1 > 0 for k >= 1
+    return disc4, math.isqrt(disc4)
 
 
 def mode_s01(n: int, k: int) -> int:

@@ -15,6 +15,9 @@ Three constructions of the same target family are provided:
   where l_k = prod_{j>k}(1 - psi_j) and phi_i = l_i - l_{i-1}.  Blocks of m
   are identified as above.  The law is exactly that of the other two
   constructions at every n.
+
+Every vertex sends m edges, so ``generate`` returns only the edge targets,
+as ``LcdGraph(n, m, tgt)``; sources and degrees derive from them.
 """
 
 from __future__ import annotations
@@ -102,10 +105,10 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
 
 
 def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
-    """Stick lengths of ``samples`` independent urns on big_n primed vertices.
+    """The cumulative stick lengths ``l`` of ``samples`` independent urns on
+    big_n primed vertices, one column per urn.
 
-    Returns ``log(1 - psi_k)`` for k = 2..big_n and the cumulative lengths
-    ``l``, one column per urn.  psi_k ~ Beta(1, 2k-2) is drawn by inversion,
+    psi_k ~ Beta(1, 2k-2) is drawn by inversion,
     1 - psi_k = V**(1/(2k-2)) with V uniform on (0, 1].  ``l`` is a product
     of factors in (0, 1], so it is non-decreasing in k even after rounding,
     and its last row is exactly 1.
@@ -114,7 +117,7 @@ def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
     log1m = np.log1p(-rng.random((big_n - 1, samples))) / b
     l = np.ones((big_n, samples), dtype=np.float64)
     l[:-1] = np.cumprod(np.exp(log1m[::-1]), axis=0)[::-1]
-    return log1m, l
+    return l
 
 
 def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -131,7 +134,7 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
-    l = _stick_lengths(big_n, 1, rng)[1][:, 0]
+    l = _stick_lengths(big_n, 1, rng)[:, 0]
     return urn_targets(l, rng.random(big_n) * l)
 
 
@@ -155,11 +158,9 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
     _check_points(n, m)
     rng = replicate_rng(params.master_seed, replicate)
     tgt = _KERNELS[params.variant](n * m, rng)
-    src = np.arange(1, n * m + 1, dtype=np.int64)
     if m > 1:
-        src, tgt = (src - 1) // m + 1, (tgt - 1) // m + 1
-    meta = {"n": n, "m": m, "variant": params.variant, "seed": params.master_seed}
-    return LcdGraph(n, src, tgt, meta)
+        tgt = (tgt - 1) // m + 1
+    return LcdGraph(n, m, tgt)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +204,7 @@ def _batch_urn(n, m, samples, rng):
     # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms, a
     # stable per-row merge 65 / 166 ms.
     big_n = n * m
-    l = _stick_lengths(big_n, samples, rng)[1]
+    l = _stick_lengths(big_n, samples, rng)
     a = rng.random((big_n, samples)) * l
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};

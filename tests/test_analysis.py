@@ -11,6 +11,7 @@ from lcdgraph.analysis import (
     concentration_experiment,
     cond_prob_discrepancy_table,
     corollary_experiment,
+    count_rows,
     degree_histogram,
     degree_rows_to_distribution,
     empirical_fraction,
@@ -33,21 +34,17 @@ def _loop_graph():
 
 def test_histogram_loop_graph():
     g = _loop_graph()
-    assert degree_histogram(g, "total_degree") == {2: 1}
-    assert degree_histogram(g, "in_degree") == {1: 1}
+    assert {d + 1: c for d, c in degree_histogram(g).items()} == {2: 1}  # total degree
+    assert degree_histogram(g) == {1: 1}
 
 
 def test_histogram_totals_and_handshake():
     g = generate(ProcessParams(2000, 3, "sequential", 4))
-    h = degree_histogram(g, "total_degree")
+    h = {d + 3: c for d, c in degree_histogram(g).items()}  # total degree
     assert sum(h.values()) == 2000
     assert sum(d * c for d, c in h.items()) == 2 * 3 * 2000
-    assert int(g.in_degrees.sum()) == int(g.out_degrees.sum()) == 3 * 2000
-
-
-def test_histogram_mode_validation():
-    with pytest.raises(DomainError):
-        degree_histogram(_loop_graph(), "diagonal")
+    assert int(g.in_degrees.sum()) == 3 * 2000
+    assert (np.bincount(g.src)[1:] == 3).all()
 
 
 def test_empirical_fraction_impossible_degree_is_zero():
@@ -60,8 +57,6 @@ def test_empirical_fraction_validation():
     params = ProcessParams(10, 1, "sequential", 0)
     with pytest.raises(DomainError):
         empirical_fraction(params, 2, replicates=1)
-    with pytest.raises(DomainError):
-        empirical_fraction(params, 2, mode="nope", replicates=2)
 
 
 def test_empirical_fraction_threaded_matches_serial():
@@ -243,6 +238,13 @@ def test_degree_rows_to_distribution():
     dist = degree_rows_to_distribution(rows)
     assert dist[(1, 3)] == pytest.approx(0.75)
     assert dist[(2, 2)] == pytest.approx(0.25)
+
+
+def test_count_rows_rejects_rows_too_wide_for_a_code():
+    # 18 columns of values up to 17: 18**18 codes do not fit in an int64
+    with pytest.raises(DomainError, match="too wide"):
+        count_rows(np.full((2, 18), 17))
+    assert count_rows(np.full((2, 15), 17)) == {(17,) * 15: 2}  # 18**15 codes fit
 
 
 def test_cond_prob_discrepancy_table():

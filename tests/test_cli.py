@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from lcdgraph import cli
+from lcdgraph.analysis import power_law_exponent
 from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
 from lcdgraph.lcd import enumerate_pairings, graph_from_pairs
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
-from lcdgraph.processes import VARIANTS
+from lcdgraph.processes import VARIANTS, ProcessParams, generate
 
 
 def run(capsys, *argv):
@@ -283,6 +284,14 @@ REPORT_PINS = {
         "region.csv": "dbecbf14c3b6558d96f55650c5de692e6a8b92bdb3d867530d550e0432886375",
         "region.vertices.csv": "de745861903660c8b6ec6ebf04e5a0ddebba6aef2f5bd163abdc7bdd09defcdc",
     },
+    ("fraction", "--n", "5000", "--m", "3", "--d", "2", "--replicates", "10", "--seed", "4"): {
+        "fraction.json": "db099b30552842c35f027fa856afd25e4ee2db9f53432a239d6ae4bf1af9d1b8",
+        "fraction.csv": "2062d3f2f20082e797393db5cb8bcfb93bc6e610bed3070a93e655b2a6d984f2",
+    },
+    ("concentration", "--n", "2000", "--d", "1", "--replicates", "100", "--seed", "2"): {
+        "concentration.json": "5a430e5092f54a66a83991f361e5c6216bdab2cfe59345f226590731c646bc05",
+        "concentration.csv": "662f06663d6d7cb325a5cf6063abd9aaa6789acb56aeb828997d693456dc3b08",
+    },
 }
 
 
@@ -291,6 +300,21 @@ def test_experiment_report_digests(capsys, tmp_path, argv):
     run(capsys, "experiment", *argv, "--out", str(tmp_path / f"{argv[0]}.json"))
     for name, pin in REPORT_PINS[argv].items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pin, name
+
+
+def test_experiment_gamma_total_fits_the_total_degree_histogram(capsys, tmp_path):
+    # gamma's fit runs through LAPACK, so its report is not pinned; its
+    # total-degree fit must be the fit of the graph's total-degree histogram
+    out = tmp_path / "gamma.json"
+    run(capsys, "experiment", "gamma", "--n", "20000", "--m", "2", "--seed", "1",
+        "--out", str(out))
+    g = generate(ProcessParams(20000, 2, "sequential", 1))
+    values, counts = np.unique(g.total_degrees, return_counts=True)
+    hist = dict(zip(values.tolist(), counts.tolist()))
+    fit = power_law_exponent(hist, 5, 50)
+    aggregates = json.loads(out.read_text())["aggregates"]
+    assert aggregates["gamma_total"] == fit.gamma
+    assert aggregates["stderr_total"] == fit.stderr
 
 
 def test_experiment_fraction_small(capsys, tmp_path):

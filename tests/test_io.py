@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from lcdgraph.lcd import LcdGraph
 
 
 def reference_csv(src, tgt) -> bytes:
-    """The per-edge f-string writer: the byte contract of ``write_graph``."""
+    """The per-edge f-string writer: the byte contract of ``write_graph``,
+    and of ``write_rows`` with separators b",\\n"."""
     return "".join(f"{s},{t}\n" for s, t in zip(src, tgt)).encode()
 
 
@@ -27,9 +30,9 @@ def rows_written(tmp_path, columns, seps: bytes) -> bytes:
     return path.read_bytes()
 
 
-def written(tmp_path, src, tgt, n_vertices=1) -> bytes:
-    path = write_graph(LcdGraph(n_vertices, src, tgt), tmp_path / "g.csv")
-    return path.read_bytes()
+def written(tmp_path, src, tgt) -> bytes:
+    """The bytes ``write_graph`` writes for an edge list with any columns."""
+    return rows_written(tmp_path, [src, tgt], b",\n")
 
 
 def mixed_widths(size: int, seed: int) -> np.ndarray:
@@ -40,6 +43,16 @@ def mixed_widths(size: int, seed: int) -> np.ndarray:
 
 def test_single_edge(tmp_path):
     assert written(tmp_path, [1], [1]) == b"1,1\n"
+
+
+def test_write_graph_edges_and_header(tmp_path):
+    g = LcdGraph(3, 2, [1, 1, 1, 2, 2, 3])
+    header = {"n": 3, "m": 2, "variant": "urn", "seed": 7}
+    path = write_graph(g, tmp_path / "g.csv", header)
+    assert path.read_bytes() == b"1,1\n1,1\n2,1\n2,2\n3,2\n3,3\n"
+    assert path.read_bytes() == reference_csv(g.src.tolist(), g.tgt.tolist())
+    header_text = (tmp_path / "g.csv.header.json").read_text()
+    assert header_text == json.dumps(header, indent=2, sort_keys=True) + "\n"
 
 
 def test_digit_boundaries(tmp_path):
@@ -125,7 +138,9 @@ def test_rows_match_reference_writer(tmp_path_factory, table):
 
 
 def test_empty_graph(tmp_path):
-    assert written(tmp_path, [], [], n_vertices=0) == b""
+    assert written(tmp_path, [], []) == b""
+    path = write_graph(LcdGraph(0, 1, []), tmp_path / "g.csv", {})
+    assert path.read_bytes() == b""
 
 
 def test_negative_ids_rejected(tmp_path):

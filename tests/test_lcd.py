@@ -100,7 +100,9 @@ def test_graph_has_n_vertices_and_n_edges(n):
             g = graph_from_pairs(pairs)
             assert g.n_vertices == n
             assert g.n_edges == n
-            assert (g.total_degrees == g.in_degrees + g.out_degrees).all()
+            out_degrees = np.bincount(g.src)[1:]
+            assert (out_degrees == 1).all()
+            assert (g.total_degrees == g.in_degrees + out_degrees).all()
             assert (g.total_degrees == row).all()
 
 
@@ -230,9 +232,13 @@ def test_graph_from_pairs_rejects_garbage():
 
 
 def test_graph_degree_modes():
-    g = LcdGraph(2, np.array([1, 2]), np.array([1, 1]))
-    assert g.degrees_of("in_degree").tolist() == [2, 0]
-    assert g.degrees_of("out_degree").tolist() == [1, 1]
-    assert g.degrees_of("total_degree").tolist() == [3, 1]
-    with pytest.raises(DomainError):
-        g.degrees_of("sideways")
+    g = LcdGraph(2, 1, np.array([1, 1]))
+    assert g.in_degrees.tolist() == [2, 0]
+    assert np.bincount(g.src)[1:].tolist() == [1, 1]
+    assert g.total_degrees.tolist() == [3, 1]
+    g = LcdGraph(2, 2, np.array([1, 1, 1, 2]))
+    assert g.edge_list() == [(1, 1), (1, 1), (2, 1), (2, 2)]
+    assert g.total_degrees.tolist() == [5, 3]
+    for n, m, tgt in ((2, 1, [1]), (2, 2, [1, 1, 1]), (1, 1, [[1]])):
+        with pytest.raises(DomainError):
+            LcdGraph(n, m, np.array(tgt))  # n * m targets, one per edge

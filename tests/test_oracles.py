@@ -224,6 +224,23 @@ def test_log_regime_matches_exact_recomputation():
     assert rel <= 1e-10
 
 
+def test_cond_prob_log_regime_matches_exact_recomputation():
+    # n beyond the cap: rebuild the exact rational directly and compare
+    n, k, s, d = 3000, 700, 1, 3  # e^-5.26; near the mode the formula reaches e^9000
+    p = cond_prob_degree(n, k, s, d)
+    assert p.tag == "log"
+    num = (
+        2**d
+        * math.factorial(s + d)
+        * math.factorial(n - k - s)
+        * math.factorial(2 * n - 2 * k - s - d - 1)
+    )
+    den = math.factorial(n - k - s - d) * math.factorial(2 * n - 2 * k - s)
+    exact = Fraction(num, den)
+    rel = abs(math.exp(p.value) - float(exact)) / float(exact)
+    assert rel <= 1e-10
+
+
 def test_exact_prob_validation():
     with pytest.raises(DomainError):
         ExactProb(Fraction(-1, 2), "exact")

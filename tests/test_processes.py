@@ -81,7 +81,8 @@ def test_multi_m2_n1_two_loops():
 def test_handshake_identity(variant):
     g = generate(ProcessParams(10**3, 2, variant, 17))
     assert int(g.total_degrees.sum()) == 4 * 10**3
-    assert int(g.in_degrees.sum()) == int(g.out_degrees.sum()) == 2 * 10**3
+    assert int(g.in_degrees.sum()) == 2 * 10**3
+    assert (np.bincount(g.src)[1:] == 2).all()
 
 
 def test_multi_m2_large_handshake():
@@ -103,20 +104,20 @@ def test_replicates_differ():
 
 def test_urn_weights_n1():
     # one primed vertex: psi_1 = 1 and its stick is the whole of [0, 1]
-    log1m, l = _stick_lengths(1, 1, replicate_rng(0))
-    assert log1m.shape == (0, 1)
+    l = _stick_lengths(1, 1, replicate_rng(0))
     assert l.tolist() == [[1.0]]
 
 
 def test_urn_alpha2_mean_is_half():
     # psi_2 ~ Beta(1, 2) has mean 1/3: the probability that vertex 2
-    # self-loops in the sequential process (see test_n2_attachment_probabilities)
-    draws = [-np.expm1(_stick_lengths(2, 1, replicate_rng(8, r))[0][0, 0]) for r in range(10**4)]
+    # self-loops in the sequential process (see test_n2_attachment_probabilities);
+    # l_1 = 1 - psi_2
+    draws = [1 - _stick_lengths(2, 1, replicate_rng(8, r))[0, 0] for r in range(10**4)]
     assert abs(float(np.mean(draws)) - 1 / 3) < 0.01
 
 
 def test_urn_l_non_decreasing_and_normalized():
-    l = _stick_lengths(2 * 10**4, 1, replicate_rng(9))[1][:, 0]
+    l = _stick_lengths(2 * 10**4, 1, replicate_rng(9))[:, 0]
     assert (np.diff(l) >= 0).all()
     assert l[-1] == 1.0
 
@@ -124,7 +125,7 @@ def test_urn_l_non_decreasing_and_normalized():
 def test_kappa_boundaries():
     # kappa, the key -> vertex map of the urn (urn_targets), sends the ends
     # of [0, l_N] to vertices 1 and N
-    l = _stick_lengths(50, 1, replicate_rng(3))[1][:, 0]
+    l = _stick_lengths(50, 1, replicate_rng(3))[:, 0]
     assert urn_targets(l, np.array([0.0, l[-1]])).tolist() == [1, 50]
 
 
@@ -198,6 +199,11 @@ def test_urn_matches_sequential_at_n3():
     rows = batch_total_degrees("urn", 3, 1, 10**5, replicate_rng(2, 0))
     tv = tv_distance(degree_rows_to_distribution(rows), exact)
     assert tv <= 0.01
+
+
+def test_batch_rejects_unknown_variant():
+    with pytest.raises(DomainError, match="chord"):
+        batch_total_degrees("chord", 3, 1, 10, replicate_rng(0))
 
 
 def test_batch_rejects_nonpositive_sizes():

@@ -33,3 +33,48 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(source: str) -> list:
+    """The functions, classes and constants a module defines at top level."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return names
+
+
+def names_read(source: str) -> set:
+    """Every name a module reads, looks up as an attribute or imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_top_level_names_are_found():
+    source = "X = 1\nY: int = 2\ndef f():\n    return X\nclass C:\n    pass\n"
+    assert top_level_names(source) == ["X", "Y", "f", "C"]
+    assert {"X"} <= names_read(source) and not {"Y", "f", "C"} & names_read(source)
+
+
+def test_every_top_level_name_is_read():
+    # a definition that no module and no test names is dead code
+    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "tests").glob("*.py"))
+    read = set().union(*(names_read(p.read_text()) for p in files))
+    unread = [
+        f"{path.name}:{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in top_level_names(path.read_text())
+        if name not in read
+    ]
+    assert unread == []
