@@ -247,7 +247,7 @@ def corollary_experiment(
         d = math.ceil(n**exponent)
         d_values.append(d)
         params = ProcessParams(n=n, m=m, variant="sequential", master_seed=master_seed)
-        if d >= 2 * m * n:
+        if d > m * n:  # an in-degree never exceeds the m*n edges
             fracs.append(0.0)
             continue
         per = [c / n for c in replicate_counts(params, d, replicates, threads)]

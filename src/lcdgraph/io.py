@@ -42,9 +42,13 @@ def write_rows(fh, columns, seps: bytes) -> None:
     as many at a time as fill ``CHUNK_CELLS`` values: the chunk's columns are
     copied into one buffer of the narrowest int type that holds them, and
     every digit pass fills one contiguous row per column of a (columns x
-    bytes x rows) uint8 matrix with the right-aligned ASCII digits, 0 bytes
-    left of each number.  Dropping the 0 bytes in row order leaves the
-    text.  Memory per chunk is fixed, whatever the number of rows.
+    bytes x rows) uint8 matrix with the right-aligned decimal digits.  The
+    last digit gets ``'0'`` added unmasked, the j-th from the right gets
+    ``'0'`` times ``(value // 10**j != 0)``, so the cells left of each
+    number stay 0 bytes without a masked ufunc.  No separator or ASCII digit
+    is a 0 byte, so deleting the 0 bytes of the row-major copy with
+    ``bytes.translate`` leaves the text.  Memory per chunk is fixed,
+    whatever the number of rows.
     """
     sep_bytes = np.frombuffer(seps, dtype=np.uint8)[:, None]
     step = CHUNK_CELLS // len(columns)
@@ -62,7 +66,6 @@ def write_rows(fh, columns, seps: bytes) -> None:
             digit = text[:, width - 1 - j]
             np.subtract(v, q * 10, out=digit, casting="unsafe")
             # the last digit always prints, a higher one only if the value reaches it
-            np.add(digit, ord("0"), out=digit, where=v != 0 if j else True)
+            digit += (v != 0).view(np.uint8) * ord("0") if j else ord("0")
             v = q
-        buf = text.transpose(2, 0, 1).copy()
-        fh.write(buf[buf != 0].tobytes())  # drop the padding
+        fh.write(text.transpose(2, 0, 1).tobytes().translate(None, b"\0"))  # drop the padding

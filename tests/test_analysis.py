@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lcdgraph import analysis
 from lcdgraph.analysis import (
     ExperimentReport,
     concentration_experiment,
@@ -178,6 +179,17 @@ def test_corollary_validation_and_impossible_degree():
     with pytest.raises(DomainError):
         corollary_experiment([100], 1, 0.25)
     res = corollary_experiment([1000], 1, 1.2, replicates=2)  # d > 2mn
+    assert res.fractions == [0.0]
+
+
+def test_corollary_skips_an_in_degree_above_mn(monkeypatch):
+    # d = 1413 lies between m*n and 2mn: no in-degree reaches it, so no graph is drawn
+    def no_graphs(*args):
+        raise AssertionError("replicate_counts called for an unreachable in-degree")
+
+    monkeypatch.setattr(analysis, "replicate_counts", no_graphs)
+    res = corollary_experiment([1000], 1, 1.05, replicates=2)
+    assert res.d_values == [1413]
     assert res.fractions == [0.0]
 
 

@@ -146,3 +146,32 @@ def test_empty_graph(tmp_path):
 def test_negative_ids_rejected(tmp_path):
     with pytest.raises(DomainError):
         written(tmp_path, [1, -2], [1, 1])
+
+
+@pytest.mark.parametrize("top", [2**8 - 1, 2**8, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**63 - 1])
+def test_narrowing_boundaries_next_to_zeros(tmp_path, top):
+    # ``top`` is the chunk's largest value, so it picks the int type the chunk is cast to
+    column = [0, top, 0, top - 1, 0, 0, 1, top, 10, 0]
+    columns = [column, column[::-1], [0] * len(column)]
+    assert rows_written(tmp_path, columns, b",;\n") == reference_rows(columns, b",;\n")
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8])
+def test_small_int_columns(tmp_path, dtype):
+    top = np.iinfo(dtype).max
+    values = np.arange(top + 1, dtype=dtype)
+    columns = [values, values[::-1], np.zeros_like(values)]
+    path = tmp_path / "rows.txt"
+    with open(path, "wb") as fh:
+        write_rows(fh, columns, b"-,\n")
+    assert path.read_bytes() == reference_rows([c.tolist() for c in columns], b"-,\n")
+
+
+def test_negative_in_second_chunk_leaves_the_first_written(tmp_path):
+    src, tgt = mixed_widths(CHUNK_EDGES + 10, 2), mixed_widths(CHUNK_EDGES + 10, 3)
+    src[CHUNK_EDGES + 3] = -1
+    path = tmp_path / "rows.txt"
+    with open(path, "wb") as fh, pytest.raises(DomainError):
+        write_rows(fh, (src, tgt), b",\n")
+    first = reference_csv(src[:CHUNK_EDGES].tolist(), tgt[:CHUNK_EDGES].tolist())
+    assert path.read_bytes() == first
