@@ -1,11 +1,11 @@
 """Command-line front end: generate graphs, evaluate the closed-form
 oracles, and run the reproducible experiments.
 
-Every command accepts ``--seed``; when omitted one is drawn from OS entropy
-and recorded in the run manifest, so every run is replayable.  Commands that
-write files also write ``<out>.manifest.json`` with sha256 digests of the
-outputs; ``lcdgraph replay --manifest <file>`` re-executes the recorded
-command and verifies byte-identical outputs.
+``generate`` and every experiment accept ``--seed``; when omitted, ``main``
+draws one from OS entropy and the run manifest records it, so every run is
+replayable.  Commands that write files also write ``<out>.manifest.json``
+with sha256 digests of the outputs; ``lcdgraph replay --manifest <file>``
+re-executes the recorded command and verifies byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -89,20 +89,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is None:
-        args.seed = secrets.randbits(63)
-    return args.seed
-
-
-def _resolve_threads(args) -> int:
-    """Worker threads from --threads, else 1; checked before any pool exists."""
-    threads = 1 if args.threads is None else args.threads
-    if not 1 <= threads <= MAX_THREADS:
-        raise DomainError(f"--threads must be an integer in 1..{MAX_THREADS}, got {threads}")
-    return threads
-
-
 def _write_manifest(args, out_path: Path, outputs) -> Path:
     """Record the resolved invocation next to its outputs, the seconds since
     ``main`` parsed it, the process's peak resident memory and the Python
@@ -160,7 +146,6 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    _resolve_seed(args)
     params = ProcessParams(
         n=args.n, m=args.m, variant=args.variant, master_seed=args.seed
     )
@@ -207,8 +192,8 @@ def _finish_experiment(args, report, extra_outputs=()) -> int:
 
 def _exp_fraction(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
-    res = empirical_fraction(params, args.d, args.replicates, threads=_resolve_threads(args))
-    target = expected_count(args.n, args.m, args.d) / args.n
+    target = expected_count(args.n, args.m, args.d) / args.n  # checks d before any replicate
+    res = empirical_fraction(params, args.d, args.replicates, threads=args.threads)
     report = ExperimentReport(
         "fraction",
         {"n": args.n, "m": args.m, "d": args.d, "degree": args.d + args.m, "seed": args.seed,
@@ -218,7 +203,7 @@ def _exp_fraction(args) -> int:
         {"replicate": i, "fraction": f} for i, f in enumerate(res.fractions)
     ]
     report.aggregates = {"mean": res.mean, "std": res.std, "target": target}
-    rel = abs(res.mean - target) / target if target else float("inf")
+    rel = abs(res.mean - target) / target
     report.add_verdict(
         "fraction_within_5pct",
         rel <= 0.05,
@@ -260,9 +245,7 @@ def _exp_gamma(args) -> int:
 
 def _exp_concentration(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
-    res = concentration_experiment(
-        params, args.d, args.replicates, threads=_resolve_threads(args)
-    )
+    res = concentration_experiment(params, args.d, args.replicates, threads=args.threads)
     report = ExperimentReport(
         "concentration",
         {"n": args.n, "m": args.m, "d": args.d, "seed": args.seed,
@@ -317,7 +300,7 @@ def _exp_corollary(args) -> int:
         raise DomainError(f"--n-grid must be comma-separated integers >= 1, got {args.n_grid!r}")
     n_grid = [int(x) for x in parts]
     res = corollary_experiment(
-        n_grid, args.m, args.exponent, args.replicates, args.seed, threads=_resolve_threads(args)
+        n_grid, args.m, args.exponent, args.replicates, args.seed, threads=args.threads
     )
     report = ExperimentReport(
         "corollary",
@@ -389,22 +372,6 @@ def _exp_equivalence(args) -> int:
     return _finish_experiment(args, report)
 
 
-_EXPERIMENTS = {
-    "fraction": _exp_fraction,
-    "gamma": _exp_gamma,
-    "concentration": _exp_concentration,
-    "sums": _exp_sums,
-    "corollary": _exp_corollary,
-    "region": _exp_region,
-    "equivalence": _exp_equivalence,
-}
-
-
-def cmd_experiment(args) -> int:
-    _resolve_seed(args)
-    return _EXPERIMENTS[args.experiment_name](args)
-
-
 def cmd_replay(args) -> int:
     """Re-run a manifest's command into a scratch directory and verify the
     recorded output digests byte-for-byte."""
@@ -449,15 +416,16 @@ def cmd_replay(args) -> int:
 # argument parsing
 
 
-def _add_common(p, seed=True, out=True, threads=False):
+def _add_common(p, func, seed=True, threads=False):
+    """The flags that file-writing commands share, and the command's handler."""
     if seed:
         p.add_argument("--seed", type=int, default=None,
                        help="master seed; drawn from entropy when omitted")
-    if out:
-        p.add_argument("--out", required=True, help="output file path")
+    p.add_argument("--out", required=True, help="output file path")
     if threads:
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads, at most {MAX_THREADS} (default 1)")
+        p.add_argument("--threads", type=int, default=1,
+                       help=f"worker threads, 1..{MAX_THREADS} (default 1)")
+    p.set_defaults(func=func)
 
 
 @functools.cache
@@ -475,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all pairings of 2n points")
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, seed=False)
-    p.set_defaults(func=cmd_enumerate)
+    _add_common(p, cmd_enumerate, seed=False)
 
     p = sub.add_parser("generate", help="generate one graph")
     p.add_argument("--n", type=int, required=True)
@@ -484,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=VARIANTS, default="sequential")
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--format", choices=("csv",), default="csv")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
+    _add_common(p, cmd_generate)
 
     p = sub.add_parser("oracle", help="evaluate one closed-form quantity")
     p.add_argument("formula", choices=tuple(_ORACLES))
@@ -505,21 +471,21 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--replicates", type=int, default=50)
-    _add_common(e, threads=True)
+    _add_common(e, _exp_fraction, threads=True)
 
     e = exp.add_parser("gamma")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--dlo", type=int, default=5)
     e.add_argument("--dhi", type=int, default=50)
-    _add_common(e)
+    _add_common(e, _exp_gamma)
 
     e = exp.add_parser("concentration")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--replicates", type=int, default=200)
-    _add_common(e, threads=True)
+    _add_common(e, _exp_concentration, threads=True)
 
     e = exp.add_parser("sums")
     e.add_argument("--n", type=int, required=True)
@@ -527,29 +493,27 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--beta", type=float, required=True)
     e.add_argument("--alpha", type=float, default=None)
-    _add_common(e)
+    _add_common(e, _exp_sums)
 
     e = exp.add_parser("corollary")
     e.add_argument("--n-grid", default="10000,100000,1000000")
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--exponent", type=float, default=0.25)
     e.add_argument("--replicates", type=int, default=8)
-    _add_common(e, threads=True)
+    _add_common(e, _exp_corollary, threads=True)
 
     e = exp.add_parser("region")
     e.add_argument("--system", default="theorem1",
                    choices=tuple(BUILTIN_SYSTEMS) + ("combined",))
     e.add_argument("--inequalities", default=None,
                    help="file with one 'a b cmp c' inequality per line")
-    _add_common(e)
+    _add_common(e, _exp_region)
 
     e = exp.add_parser("equivalence")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--m", type=int, default=1)
     e.add_argument("--samples", type=int, default=10**6)
-    _add_common(e)
-
-    p.set_defaults(func=cmd_experiment)
+    _add_common(e, _exp_equivalence)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify digests")
     p.add_argument("--manifest", required=True)
@@ -565,7 +529,12 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.started = time.time()
+    if "seed" in vars(args) and args.seed is None:
+        args.seed = secrets.randbits(63)
     try:
+        threads = getattr(args, "threads", 1)
+        if not 1 <= threads <= MAX_THREADS:  # before any worker pool exists
+            raise DomainError(f"--threads must be an integer in 1..{MAX_THREADS}, got {threads}")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -77,6 +77,21 @@ class DkQuery:
             raise DomainError(f"need 0 <= s <= n-k = {self.n - self.k}, got s={self.s}")
 
 
+def _factorial_ratio(n: int, pow2: int, num: tuple, den: tuple) -> ExactProb:
+    """2^pow2 * prod(x! for x in num) / prod(y! for y in den), exactly when
+    2n <= EXACT_CAP and as a left-to-right sum of log-gamma terms above it."""
+    if 2 * n <= EXACT_CAP:
+        top = 2**pow2 * math.prod(map(_fact, num))
+        return ExactProb(Fraction(top, math.prod(map(_fact, den))), "exact")
+    logp = 0.0
+    for x in num:
+        logp += math.lgamma(x + 1)
+    logp += pow2 * math.log(2.0)
+    for y in den:
+        logp -= math.lgamma(y + 1)
+    return ExactProb(logp, "log")
+
+
 def prob_dk(q: DkQuery) -> ExactProb:
     """Pr[D_k = 2k+s] for the m = 1 process on n vertices.
 
@@ -84,22 +99,10 @@ def prob_dk(q: DkQuery) -> ExactProb:
     (s! (k-1)! (n-k-s)! (2n)!).
     """
     n, k, s = q.n, q.k, q.s
-    if 2 * n <= EXACT_CAP:
-        num = _fact(2 * k + s - 1) * _fact(2 * n - 2 * k - s) * _fact(n) * 2 ** (s + 1)
-        den = _fact(s) * _fact(k - 1) * _fact(n - k - s) * _fact(2 * n)
-        return ExactProb(Fraction(num, den), "exact")
-    lg = math.lgamma
-    logp = (
-        lg(2 * k + s)
-        + lg(2 * n - 2 * k - s + 1)
-        + lg(n + 1)
-        + (s + 1) * math.log(2.0)
-        - lg(s + 1)
-        - lg(k)
-        - lg(n - k - s + 1)
-        - lg(2 * n + 1)
+    p = _factorial_ratio(
+        n, s + 1, (2 * k + s - 1, 2 * n - 2 * k - s, n), (s, k - 1, n - k - s, 2 * n)
     )
-    return ExactProb(min(logp, 0.0), "log")
+    return p if p.tag == "exact" else ExactProb(min(p.value, 0.0), "log")
 
 
 def count_ns(q: DkQuery) -> int:
@@ -133,9 +136,15 @@ def ratio_f(n: int, k: int, s: int) -> Fraction:
     return Fraction(2 * (2 * k + s) * (n - k - s), (s + 1) * (2 * n - 2 * k - s))
 
 
-def _root_terms(n: int, k: int):
-    disc4 = 16 * k * n - 8 * n + 1  # 4 * (4kn - 2n + 1/4) = 8n(2k-1) + 1 > 0 for k >= 1
-    return disc4, math.isqrt(disc4)
+def _mode_root(n: int, k: int, sign: int) -> int:
+    """ceil((1 - 4k + sign * sqrt(16kn - 8n + 1)) / 2) in exact integers: the
+    root of f(s) = 1 for sign +1 (positive) or -1 (negative)."""
+    if not 1 <= k <= n:
+        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    disc = 16 * k * n - 8 * n + 1  # 8n(2k-1) + 1 >= 9
+    # isqrt floors: ceil(sqrt(disc)) = isqrt(disc - 1) + 1 for disc >= 1
+    root = math.isqrt(disc - 1) + 1 if sign > 0 else -math.isqrt(disc)
+    return -((4 * k - 1 - root) // 2)
 
 
 def mode_s01(n: int, k: int) -> int:
@@ -145,13 +154,7 @@ def mode_s01(n: int, k: int) -> int:
     Exact integer arithmetic (isqrt); the true argmax lies in
     {s01 - 1, s01} because of the ceiling.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    disc4, r = _root_terms(n, k)
-    c = 1 - 4 * k
-    # s01 = ceil((c + sqrt(disc4)) / 2) with sqrt irrational unless disc4 = r^2
-    raw = (c + r + 1) // 2 if r * r == disc4 else (c + r) // 2 + 1
-    return max(0, min(raw, n - k))
+    return max(0, min(_mode_root(n, k, 1), n - k))
 
 
 def mode_s02(n: int, k: int) -> int:
@@ -159,11 +162,7 @@ def mode_s02(n: int, k: int) -> int:
 
     Always indexes an infeasible s < 0 for valid inputs; returned unclamped.
     """
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
-    disc4, r = _root_terms(n, k)
-    c = 1 - 4 * k
-    return (c - r + 1) // 2 if r * r == disc4 else (c - r - 1) // 2 + 1
+    return _mode_root(n, k, -1)
 
 
 def tail_bound(n: int, l: int) -> float:
@@ -184,33 +183,22 @@ def cond_prob_degree(n: int, k: int, s: int, d: int) -> ExactProb:
     d >= 1 cells with enumerated mass), and the sum over d can exceed 1; the
     comparison table lives in the analysis layer.
     """
-    if not (1 <= k <= n and 0 <= s <= n - k):
-        raise DomainError(f"invalid (n, k, s) = ({n}, {k}, {s})")
+    DkQuery(n, k, s)
     if not 0 <= d <= n - k - s:
         raise DomainError(f"need 0 <= d <= n-k-s = {n - k - s}, got d={d}")
-    if 2 * n - 2 * k - s - d - 1 < 0:
-        raise DomainError("negative factorial argument")
-    if 2 * n <= EXACT_CAP:
-        num = 2**d * _fact(s + d) * _fact(n - k - s) * _fact(2 * n - 2 * k - s - d - 1)
-        den = _fact(n - k - s - d) * _fact(2 * n - 2 * k - s)
-        return ExactProb(Fraction(num, den), "exact")
-    lg = math.lgamma
-    logp = (
-        d * math.log(2.0)
-        + lg(s + d + 1)
-        + lg(n - k - s + 1)
-        + lg(2 * n - 2 * k - s - d)
-        - lg(n - k - s - d + 1)
-        - lg(2 * n - 2 * k - s + 1)
+    if k == n:
+        raise DomainError("negative factorial argument: (2n-2k-s-d-1)! at k = n")
+    return _factorial_ratio(
+        n, d, (s + d, n - k - s, 2 * n - 2 * k - s - d - 1), (n - k - s - d, 2 * n - 2 * k - s)
     )
-    return ExactProb(logp, "log")
 
 
 def expected_count(n: int, m: int, d: int) -> float:
     """Leading-term approximation to E[#vertices of total degree d+m]:
-    2m(m+1)n / ((d+m)(d+m+1)(d+m+2)).  At m=1 this is 4n/((d+1)(d+2)(d+3))."""
-    if n < 1 or m < 1 or d < 1:
-        raise DomainError("need n, m, d >= 1")
+    2m(m+1)n / ((d+m)(d+m+1)(d+m+2)) for in-degree d >= 0 (2n/(m+2) at d = 0).
+    At m=1 this is 4n/((d+1)(d+2)(d+3))."""
+    if n < 1 or m < 1 or d < 0:
+        raise DomainError(f"need n, m >= 1 and d >= 0, got n={n}, m={m}, d={d}")
     return 2.0 * m * (m + 1) * n / ((d + m) * (d + m + 1) * (d + m + 2))
 
 

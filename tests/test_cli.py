@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcdgraph import cli
+from lcdgraph import analysis, cli
 from lcdgraph.analysis import power_law_exponent
 from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
 from lcdgraph.lcd import enumerate_pairings, graph_from_pairs
@@ -32,6 +32,10 @@ def test_oracle_expected_count(capsys):
                        "--d", "1")
     assert code == 0
     assert out.strip() == "100.0"
+    # in-degree 0 is inside the law's domain: 2n/(m+2)
+    code, out, _ = run(capsys, "oracle", "expected-count", "--n", "600", "--d", "0")
+    assert code == 0
+    assert out.strip() == "400.0"
 
 
 def test_oracle_mode_s01(capsys):
@@ -150,12 +154,19 @@ def test_generate_edge_count(capsys, tmp_path):
     assert len(out.read_text().splitlines()) == 2000
 
 
-def test_generate_entropy_seed_recorded(capsys, tmp_path):
-    out = tmp_path / "g.csv"
-    code, _, _ = run(capsys, "generate", "--n", "5", "--m", "1", "--out", str(out))
+@pytest.mark.parametrize(
+    "argv",
+    [("generate", "--n", "5", "--m", "1"),
+     ("experiment", "sums", "--n", "1000000", "--d", "3", "--beta", "0.75")],
+    ids=["generate", "sums"],
+)
+def test_generate_entropy_seed_recorded(capsys, tmp_path, argv):
+    out = tmp_path / "out.json"
+    code, _, _ = run(capsys, *argv, "--out", str(out))
     assert code == 0
-    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
     assert isinstance(manifest["seed"], int)
+    assert manifest["argv"][manifest["argv"].index("--seed") + 1] == str(manifest["seed"])
 
 
 def reference_enumerate(n) -> bytes:
@@ -324,6 +335,32 @@ def test_experiment_fraction_small(capsys, tmp_path):
     assert code == 0, stdout
     payload = json.loads(out.read_text())
     assert len(payload["replicates"]) == 10
+
+
+def test_experiment_fraction_in_degree_zero(capsys, tmp_path):
+    # the limiting fraction at in-degree 0 is 2/(m+2) = 2/3 at m = 1
+    out = tmp_path / "frac.json"
+    code, stdout, _ = run(capsys, "experiment", "fraction", "--n", "20000", "--d", "0",
+                          "--replicates", "10", "--seed", "3", "--out", str(out))
+    assert code == 0, stdout
+    assert "PASS fraction_within_5pct" in stdout
+    assert json.loads(out.read_text())["aggregates"]["target"] == pytest.approx(2 / 3)
+    # --threads was omitted: the manifest records its default
+    argv = json.loads((tmp_path / "frac.json.manifest.json").read_text())["argv"]
+    assert argv[argv.index("--threads") + 1] == "1"
+
+
+def test_experiment_fraction_rejects_negative_d_before_replicates(capsys, tmp_path, monkeypatch):
+    def no_replicates(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(analysis, "replicate_counts", no_replicates)
+    code, stdout, err = run(capsys, "experiment", "fraction", "--n", "20000", "--d", "-1",
+                            "--replicates", "10", "--seed", "3",
+                            "--out", str(tmp_path / "frac.json"))
+    assert code == 2
+    assert "d >= 0" in err
+    assert stdout == ""
 
 
 def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
@@ -501,3 +538,24 @@ def test_benchmark_hooks_stay_exposed(capsys, tmp_path, monkeypatch):
     assert code in (0, 1)
     assert calls == [(v, 3, 2, 500, np.random.Generator) for v in VARIANTS]
 
+    # spans.py wraps these six oracle names on cli; each formula calls its own once
+    formulas = {"prob-dk": "prob_dk", "count-ns": "count_ns", "ratio-f": "ratio_f",
+                "mode-s01": "mode_s01", "mode-s02": "mode_s02", "cond-prob": "cond_prob_degree"}
+    counts = dict.fromkeys(formulas.values(), 0)
+
+    def counting(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cli, name, counting(name))
+    for formula, name in formulas.items():
+        before = dict(counts)
+        code, _, _ = run(capsys, "oracle", formula, "--n", "12", "--k", "2", "--s", "1")
+        assert code == 0
+        assert counts == {**before, name: before[name] + 1}, formula

@@ -136,6 +136,29 @@ def test_argmax_within_one_of_s01(n):
         assert argmax in (s01 - 1, s01)
 
 
+def ceil_root(n, k, sign):
+    """ceil((1 - 4k + sign * sqrt(16kn - 8n + 1)) / 2) by search: the least s
+    with 2s - (1 - 4k) >= sign * sqrt(disc), compared in integers."""
+    c, disc = 1 - 4 * k, 16 * k * n - 8 * n + 1
+
+    def reached(s):
+        x = 2 * s - c
+        return x >= 0 and x * x >= disc if sign > 0 else x >= 0 or x * x <= disc
+
+    guess = math.ceil((c + sign * math.sqrt(disc)) / 2)  # places the window only
+    window = range(guess - 3, guess + 4)
+    assert not reached(window[0]) and reached(window[-1])
+    return next(s for s in window if reached(s))
+
+
+def test_modes_are_the_exact_ceilings():
+    # (n, k) = (1, 1) and (3, 1) give the perfect-square discriminants 9 and 25
+    for n in range(1, 81):
+        for k in range(1, n + 1):
+            assert mode_s01(n, k) == max(0, min(ceil_root(n, k, 1), n - k)), (n, k)
+            assert mode_s02(n, k) == ceil_root(n, k, -1), (n, k)
+
+
 def test_mode_s02_always_negative():
     for n in (2, 10, 40):
         for k in range(1, n + 1):
@@ -186,6 +209,14 @@ def test_expected_count_examples():
     assert expected_count(10**6, 1, 10) == pytest.approx(4e6 / (11 * 12 * 13))
 
 
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_expected_count_in_degree_zero(m):
+    # in-degree 0 lies inside the limiting law: 2m(m+1)/(m(m+1)(m+2)) = 2/(m+2)
+    assert expected_count(3000, m, 0) == pytest.approx(2 * 3000 / (m + 2))
+    with pytest.raises(DomainError):
+        expected_count(3000, m, -1)
+
+
 def test_lemma2_approx_values():
     assert lemma2_approx(16, 4, 0) == pytest.approx(0.5)  # k/n = 1/4
     assert lemma2_approx(100, 99, 3) < 1e-5
@@ -201,10 +232,20 @@ def test_exact_prob_format():
     assert big.format().startswith("exp(")
 
 
-def test_log_regime_matches_exact_recomputation():
-    # n beyond the cap: rebuild the exact rational directly and compare
-    n, k = 3000, 700
-    s = mode_s01(n, k)  # near the mode the value is representable as a float
+def exact_log(num: int, den: int) -> float:
+    # math.log reads an int of any size, so no value underflows to 0.0 here
+    return math.log(num) - math.log(den)
+
+
+LOG_CAP_N = (EXACT_CAP // 2 + 1, 3000)  # the first n of the log regime, and one beyond
+
+
+@pytest.mark.parametrize("n", LOG_CAP_N)
+@pytest.mark.parametrize("where", ["s=0", "mode", "s=n-k"])
+def test_log_regime_matches_exact_recomputation(n, where):
+    # n beyond the cap: rebuild the exact rational directly and compare logs
+    k = 700
+    s = {"s=0": 0, "mode": mode_s01(n, k), "s=n-k": n - k}[where]
     p = prob_dk(DkQuery(n, k, s))
     assert p.tag == "log"
     num = (
@@ -219,14 +260,17 @@ def test_log_regime_matches_exact_recomputation():
         * math.factorial(n - k - s)
         * math.factorial(2 * n)
     )
-    exact = Fraction(num, den)
-    rel = abs(math.exp(p.value) - float(exact)) / float(exact)
-    assert rel <= 1e-10
+    assert abs(p.value - exact_log(num, den)) <= 1e-10
 
 
-def test_cond_prob_log_regime_matches_exact_recomputation():
-    # n beyond the cap: rebuild the exact rational directly and compare
-    n, k, s, d = 3000, 700, 1, 3  # e^-5.26; near the mode the formula reaches e^9000
+@pytest.mark.parametrize("n", LOG_CAP_N)
+@pytest.mark.parametrize("where", ["near", "s=0,d=0", "s=0,d=n-k", "s=n-k,d=0", "d=n-k-s"])
+def test_cond_prob_log_regime_matches_exact_recomputation(n, where):
+    # n beyond the cap: rebuild the exact rational directly and compare logs;
+    # "near" and "s=0,d=0" lie between e^-9 and e^-4; the others reach e^15500
+    k = 700
+    s, d = {"near": (1, 3), "s=0,d=0": (0, 0), "s=0,d=n-k": (0, n - k),
+            "s=n-k,d=0": (n - k, 0), "d=n-k-s": (5, n - k - 5)}[where]
     p = cond_prob_degree(n, k, s, d)
     assert p.tag == "log"
     num = (
@@ -236,9 +280,13 @@ def test_cond_prob_log_regime_matches_exact_recomputation():
         * math.factorial(2 * n - 2 * k - s - d - 1)
     )
     den = math.factorial(n - k - s - d) * math.factorial(2 * n - 2 * k - s)
-    exact = Fraction(num, den)
-    rel = abs(math.exp(p.value) - float(exact)) / float(exact)
-    assert rel <= 1e-10
+    assert abs(p.value - exact_log(num, den)) <= 1e-10
+
+
+def test_exact_regime_reaches_the_cap():
+    n = EXACT_CAP // 2
+    assert prob_dk(DkQuery(n, 700, 3)).tag == "exact"
+    assert cond_prob_degree(n, 700, 3, 2).tag == "exact"
 
 
 def test_exact_prob_validation():
