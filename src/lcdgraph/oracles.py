@@ -4,36 +4,101 @@ Every probability-valued operation runs in one of two numeric regimes:
 exact arbitrary-precision rationals when the point count 2n is at most
 ``EXACT_CAP``, and log-gamma evaluation above it.  Exact results are
 ``fractions.Fraction``; log results carry log(p) as a float.
+
+The exact regime never forms a factorial.  It adds the Legendre exponent
+vectors of the factorials over the primes up to ``EXACT_CAP`` (cached per
+argument, packed 16 bits a prime into one int) and multiplies the positive
+and the negative prime powers into a numerator and a denominator that are
+coprime by construction, so no big gcd reduces them.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 from .errors import DomainError
 
 EXACT_CAP = 4096  # threshold on 2n for the exact-rational regime
 
 
+def _primes_upto(n: int) -> list:
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+_PRIMES = _primes_upto(EXACT_CAP)  # the 564 primes that can divide x! for x <= EXACT_CAP
+# An exponent vector over _PRIMES is packed into one int, 16 bits a prime,
+# the lowest prime in the lowest bits; _ONES has a 1 at the foot of each field.
+_ONES = ((1 << 16 * len(_PRIMES)) - 1) // 0xFFFF
+_BIAS = _ONES << 15
+
+
 # memoised: a sweep of oracle calls in one process (the discrepancy table,
-# a benchmark round) asks for the same factorials of up to 4096 again and again
+# a benchmark round) asks for the same factorials again and again
 @lru_cache(maxsize=None)
-def _fact(x: int) -> int:
-    return math.factorial(x)
+def _fact_exponents(x: int) -> int:
+    """The packed exponent in x! of each prime, by Legendre's formula
+    sum_j floor(x / p^j).  Refuses x > EXACT_CAP, whose x! has prime factors
+    beyond the table."""
+    if not 0 <= x <= EXACT_CAP:
+        raise DomainError(f"exact factorial needs 0 <= x <= {EXACT_CAP}, got {x}")
+    exps = []
+    for p in _PRIMES[: bisect.bisect_right(_PRIMES, x)]:
+        e, q = 0, x
+        while q:
+            q //= p
+            e += q
+        exps.append(e)
+    return int.from_bytes(struct.pack(f"{len(exps)}H", *exps), sys.byteorder)
+
+
+def _unpack(packed: int, count: int) -> memoryview:
+    """The first ``count`` fields of a packed exponent vector."""
+    return memoryview(packed.to_bytes(2 * count, sys.byteorder)).cast("H")
+
+
+def _reduced_ratio(pow2: int, num: tuple, den: tuple) -> tuple:
+    """Coprime (top, bot) with top/bot = 2^pow2 * prod(x! for x in num) /
+    prod(y! for y in den)."""
+    # Each field of t holds 2^15 + e for its prime's exponent e in the ratio.
+    # |e| < 2^15, since p's exponent in x! is below x <= 4096 and each side
+    # of an oracle's ratio adds at most four such terms, pow2 <= n among
+    # them.  So no field borrows from the next, and bit 15 says e >= 0.
+    t = _BIAS + pow2 + sum(map(_fact_exponents, num)) - sum(map(_fact_exponents, den))
+    nonneg = ((t >> 15) & _ONES) * 0xFFFF
+    # only primes up to the largest argument, or 2 for pow2, can have e != 0
+    count = bisect.bisect_right(_PRIMES, max(2, *num, *den))
+    up = _unpack((t & nonneg) - (_BIAS & nonneg), count)
+    down = _unpack((_BIAS & ~nonneg) - (t & ~nonneg), count)
+    top = math.prod(map(pow, compress(_PRIMES, up), filter(None, up)))
+    return top, math.prod(map(pow, compress(_PRIMES, down), filter(None, down)))
+
+
+def _step2_product(lo: int, hi: int) -> int:
+    """lo * (lo+2) * ... over the terms below hi, as a balanced tree, so that
+    the big multiplications pair operands of like size."""
+    if hi - lo <= 128:
+        return math.prod(range(lo, hi, 2))
+    mid = lo + (hi - lo) // 4 * 2
+    return _step2_product(lo, mid) * _step2_product(mid, hi)
 
 
 def double_factorial(x: int) -> int:
     """x!! over odd or even x, with the empty-product values (-1)!! = 0!! = 1."""
     if x < -1:
         raise DomainError(f"double factorial undefined for {x}")
-    out = 1
-    while x > 1:
-        out *= x
-        x -= 2
-    return out
+    return _step2_product(x % 2 or 2, x + 1)
 
 
 @dataclass(frozen=True)
@@ -81,8 +146,7 @@ def _factorial_ratio(n: int, pow2: int, num: tuple, den: tuple) -> ExactProb:
     """2^pow2 * prod(x! for x in num) / prod(y! for y in den), exactly when
     2n <= EXACT_CAP and as a left-to-right sum of log-gamma terms above it."""
     if 2 * n <= EXACT_CAP:
-        top = 2**pow2 * math.prod(map(_fact, num))
-        return ExactProb(Fraction(top, math.prod(map(_fact, den))), "exact")
+        return ExactProb(Fraction(*_reduced_ratio(pow2, num, den)), "exact")
     logp = 0.0
     for x in num:
         logp += math.lgamma(x + 1)
@@ -116,7 +180,7 @@ def count_ns(q: DkQuery) -> int:
     """
     n, k, s = q.n, q.k, q.s
     return (
-        _fact(s)
+        math.factorial(s)
         * (2 * k + s - 1)
         * math.comb(2 * k + s - 2, s)
         * double_factorial(2 * k - 3)

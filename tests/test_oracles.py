@@ -1,4 +1,7 @@
+import hashlib
 import math
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -24,6 +27,7 @@ from lcdgraph.oracles import (
     ratio_f,
     tail_bound,
 )
+from lcdgraph.oracles import _PRIMES, _fact_exponents, _reduced_ratio, _unpack
 from pair_tables import partner_rows, reference_degree_rows
 
 
@@ -34,6 +38,14 @@ def test_double_factorial():
     assert double_factorial(6) == 48
     with pytest.raises(DomainError):
         double_factorial(-2)
+
+
+def test_double_factorial_matches_a_loop():
+    for x in [*range(-1, 600), 4095, 4096]:
+        out = 1
+        for y in range(x, 1, -2):
+            out *= y
+        assert double_factorial(x) == out
 
 
 def test_dkquery_validation():
@@ -287,6 +299,85 @@ def test_exact_regime_reaches_the_cap():
     n = EXACT_CAP // 2
     assert prob_dk(DkQuery(n, 700, 3)).tag == "exact"
     assert cond_prob_degree(n, 700, 3, 2).tag == "exact"
+
+
+def contract_cells():
+    """(oracle, args) on every prob_dk cell with n <= 40 (11,480), every
+    cond_prob_degree cell with n <= 25 (20,450), and 1,000 random cells of
+    each with n <= 2048."""
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            for s in range(n - k + 1):
+                yield prob_dk, (DkQuery(n, k, s),)
+    for n in range(2, 26):
+        for k in range(1, n):
+            for s in range(n - k + 1):
+                for d in range(n - k - s + 1):
+                    yield cond_prob_degree, (n, k, s, d)
+    rng = random.Random(16)
+    for _ in range(1000):
+        n = rng.randint(1, 2048)
+        k = rng.randint(1, n)
+        yield prob_dk, (DkQuery(n, k, rng.randint(0, n - k)),)
+        n = rng.randint(2, 2048)
+        k = rng.randint(1, n - 1)
+        s = rng.randint(0, n - k)
+        yield cond_prob_degree, (n, k, s, rng.randint(0, n - k - s))
+
+
+# sha256 of the repr of every (tag, value) over contract_cells(), pinned so
+# that no change to the exact evaluator moves a value
+ORACLE_CONTRACT_SHA256 = "62e6c1e737ee6cf30b6db6f7ebcf94127faf1d23bf78b458a439075d14ccc062"
+
+
+def test_exact_values_are_pinned():
+    h = hashlib.sha256()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # values near n = 2048 run to thousands of digits
+    try:
+        for oracle, args in contract_cells():
+            p = oracle(*args)
+            h.update(repr((p.tag, p.value)).encode())
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert h.hexdigest() == ORACLE_CONTRACT_SHA256
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, 2, 97, 4095, 4096, *random.Random(16).sample(range(3, 4095), 4)]
+)
+def test_fact_exponents_rebuild_the_factorial(x):
+    exps = _unpack(_fact_exponents(x), len(_PRIMES))
+    assert math.prod(map(pow, _PRIMES, exps)) == math.factorial(x)
+
+
+@pytest.mark.parametrize("x", [-1, EXACT_CAP + 1])
+def test_fact_exponents_refuse_arguments_beyond_the_prime_table(x):
+    with pytest.raises(DomainError):
+        _fact_exponents(x)
+    with pytest.raises(DomainError):
+        _reduced_ratio(0, (x,), (1,))
+
+
+# (pow2, num, den) of prob_dk at (2, 1, 0), (40, 7, 12) and (2048, 700, 30),
+# and of cond_prob_degree at (2048, 700, 30, 5) and (2048, 1, 0, 2047)
+@pytest.mark.parametrize(
+    "pow2, num, den",
+    [
+        (1, (1, 2, 2), (0, 0, 1, 4)),
+        (13, (25, 54, 40), (12, 6, 21, 80)),
+        (31, (1429, 2666, 2048), (30, 699, 1318, 4096)),
+        (5, (35, 1318, 2660), (1313, 2666)),
+        (2047, (2047, 2047, 2046), (0, 4094)),
+        (3, (1,), (0,)),  # every factorial below 2, so only pow2 names a prime
+    ],
+)
+def test_reduced_ratio_is_coprime_and_exact(pow2, num, den):
+    top, bot = _reduced_ratio(pow2, num, den)
+    assert math.gcd(top, bot) == 1
+    assert top * math.prod(map(math.factorial, den)) == (
+        bot * 2**pow2 * math.prod(map(math.factorial, num))
+    )
 
 
 def test_exact_prob_validation():

@@ -1,10 +1,17 @@
-"""Time the edge-list text writer, ``lcdgraph.io.write_rows``, on its three
-kinds of input and write ``BENCH_writer.json`` at the repository root.
+"""Time two layers on fixed work and write one ``BENCH_*.json`` for each at
+the repository root.
 
     python3 tools/bench_layers.py
 
 Seeds, sizes and repeat counts are fixed, so two checkouts run the same
-work.  The inputs, each built once before timing:
+work.  The package is imported from this checkout's ``src/``.  Each JSON
+holds, per input, the min and median seconds over the repeats, a sha256 of
+the output (equal digests mean equal output across checkouts), and the
+machine: cores, Python and numpy versions, and whether numba imports.
+
+``BENCH_writer.json`` times the edge-list text writer,
+``lcdgraph.io.write_rows``, on its three kinds of input, each built once
+before timing:
 
 - ``sequential_1e6``: the (source, target) columns of ``generate`` at
   n = 10^6, m = 1, sequential, master seed 0 (2 * 10^6 values);
@@ -13,21 +20,26 @@ work.  The inputs, each built once before timing:
   135,135 int8 rows of 21 columns, in one file.
 
 Each repeat writes one input to a fresh file in a temporary directory,
-timed from ``open`` to ``close``.  The JSON holds, per input, the min and
-median seconds over the repeats, the bytes written and their sha256 (equal
-digests mean equal bytes across checkouts), and the machine: cores, Python
-and numpy versions, and whether numba imports.  The package is imported from
-this checkout's ``src/``.
+timed from ``open`` to ``close``; the digest is of the bytes written.
+
+``BENCH_oracles.json`` times ``prob_dk``, ``cond_prob_degree`` and
+``count_ns`` in the exact regime, each over ``ORACLE_CELLS`` random cells
+at every n in ``ORACLE_NS`` (up to 2048, the top of that regime).  A cold
+sweep runs right after ``oracles`` is reloaded, so it starts with empty
+caches; ``cold_min_s`` and ``cold_median_s`` summarise those.  A warm sweep
+repeats the cells in the same process.  The digest is of the printed values.
 """
 
 from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import tempfile
@@ -40,12 +52,13 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from lcdgraph import cli  # noqa: E402
+from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.io import write_rows  # noqa: E402
 from lcdgraph.processes import ProcessParams, generate  # noqa: E402
 
 REPEATS = 21
-OUT = ROOT / "BENCH_writer.json"
+ORACLE_NS = (2, 8, 32, 128, 512, 2048)
+ORACLE_CELLS = 20  # per formula and n
 
 
 def edge_list(n: int, m: int, variant: str) -> list:
@@ -82,7 +95,25 @@ def numba_imports() -> bool:
     return True
 
 
-def main() -> int:
+def write_report(name: str, layer: str, results: dict) -> None:
+    out = ROOT / f"BENCH_{name}.json"
+    report = {
+        "layer": layer,
+        "inputs": results,
+        "machine": {
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "numba_imports": numba_imports(),
+        },
+    }
+    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    for key, r in results.items():
+        print(f"{key}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms")
+    print(f"wrote {out}")
+
+
+def bench_writer() -> None:
     results = {}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {
@@ -101,20 +132,70 @@ def main() -> int:
                 times[name].append(time_writes(calls, path))
     for name, ts in times.items():
         results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
-    report = {
-        "layer": "io.write_rows",
-        "inputs": results,
-        "machine": {
-            "cores": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "numba_imports": numba_imports(),
-        },
-    }
-    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    for name, r in results.items():
-        print(f"{name}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms")
-    print(f"wrote {OUT}")
+    write_report("writer", "io.write_rows", results)
+
+
+def oracle_cells() -> dict:
+    """formula -> list of in-domain argument tuples, the same in every run."""
+    rng = random.Random(0)
+    cells = {"prob_dk": [], "cond_prob_degree": [], "count_ns": []}
+    for n in ORACLE_NS:
+        for _ in range(ORACLE_CELLS):
+            for formula, args in cells.items():
+                k = rng.randint(1, n - 1 if formula == "cond_prob_degree" else n)
+                s = rng.randint(0, n - k)
+                if formula == "cond_prob_degree":
+                    args.append((n, k, s, rng.randint(0, n - k - s)))
+                else:
+                    args.append((n, k, s))
+    return cells
+
+
+def oracle_sweep(formula: str, cells: list) -> tuple:
+    """(seconds, values) of one formula over its cells."""
+    call = getattr(oracles, formula)
+    if formula != "cond_prob_degree":
+        cells = [(oracles.DkQuery(*c),) for c in cells]
+    start = time.perf_counter()
+    values = [call(*c) for c in cells]
+    return time.perf_counter() - start, values
+
+
+def printed(value) -> bytes:
+    return (str(value) if isinstance(value, int) else value.format()).encode()
+
+
+def bench_oracles() -> None:
+    cells = oracle_cells()
+    cold = {name: [] for name in cells}
+    warm = {name: [] for name in cells}
+    results = {}
+    for _ in range(REPEATS):  # each formula from empty caches
+        for name in cells:
+            importlib.reload(oracles)
+            cold[name].append(oracle_sweep(name, cells[name])[0])
+    for name in cells:  # warm-up, and the values
+        values = oracle_sweep(name, cells[name])[1]
+        digest = hashlib.sha256(b"\n".join(map(printed, values))).hexdigest()
+        results[name] = {"cells": len(values), "sha256": digest}
+    for _ in range(REPEATS):  # formulas interleaved, so host load hits each alike
+        for name in cells:
+            warm[name].append(oracle_sweep(name, cells[name])[0])
+    for name in cells:
+        results[name].update(
+            cold_min_s=min(cold[name]),
+            cold_median_s=statistics.median(cold[name]),
+            min_s=min(warm[name]),
+            median_s=statistics.median(warm[name]),
+            repeats=REPEATS,
+        )
+    write_report("oracles", "oracles", results)
+
+
+def main() -> int:
+    sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
+    bench_writer()
+    bench_oracles()
     return 0
 
 
