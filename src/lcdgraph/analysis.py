@@ -160,6 +160,8 @@ class SumS1Result:
     case: int
     claimed_order: float
     ratio: float
+    m_threshold: int  # M = floor(n^beta / log n)
+    integral: float  # 2n * int x^2 (1-x)^d dx over x = sqrt(k/n), k in [log^2 n, M]
 
 
 def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Result:
@@ -169,6 +171,11 @@ def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Resu
     Case 1 (beta <= 1-2a) and case 2 (beta > 1-2a, d < n^((1-beta)/2)) claim
     order n^(3b/2-1/2)/log^(3/2) n; case 3 (d >= n^((1-beta)/2)) claims
     O(n/d^3).  ``alpha`` defaults to log_n(d).
+
+    ``integral`` is the sum's continuum form, 2n * int x^2 (1-x)^d dx from
+    x = sqrt(k_lo/n) to sqrt(M/n), in closed form.  It is of order n/d^3
+    only when d * sqrt(M/n) >> 1, so that (1-x)^d cuts the integrand off
+    below the upper limit; otherwise the upper limit cuts it off first.
     """
     if n < 3 or d < 0 or not 0 < beta <= 1:
         raise DomainError("need n >= 3, d >= 0, beta in (0, 1]")
@@ -197,7 +204,16 @@ def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Resu
         case=case,
         claimed_order=claimed,
         ratio=value / claimed,
+        m_threshold=k_hi,
+        integral=2 * n * (_s1_antiderivative(1 - math.sqrt(k_lo / n), d)
+                          - _s1_antiderivative(1 - math.sqrt(k_hi / n), d)),
     )
+
+
+def _s1_antiderivative(y: float, d: int) -> float:
+    """F with F(1-a) - F(1-b) = int_a^b x^2 (1-x)^d dx: in y = 1 - x the
+    integrand is (1 - 2y + y^2) y^d."""
+    return y ** (d + 1) / (d + 1) - 2 * y ** (d + 2) / (d + 2) + y ** (d + 3) / (d + 3)
 
 
 @dataclass

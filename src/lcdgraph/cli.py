@@ -14,6 +14,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import platform
 import resource
 import secrets
@@ -278,14 +279,15 @@ def _exp_sums(args) -> int:
         "s1_case": s1.case,
         "s1_claimed_order": s1.claimed_order,
         "s1_ratio": s1.ratio,
+        "s1_integral": s1.integral,
         "s2_bound_primary": s2.bound_primary,
         "s2_bound_final": s2.bound_final,
     }
-    report.add_verdict(
-        "s1_ratio_in_band",
-        0.1 <= s1.ratio <= 10.0,
-        f"case {s1.case}: ratio={s1.ratio:.4g}",
-    )
+    detail = f"case {s1.case}: ratio={s1.ratio:.4g}"
+    if s1.case == 3:  # n/d^3 is the sum's order only for d * sqrt(M/n) >> 1
+        detail += (f" d*sqrt(M/n)={args.d * math.sqrt(s1.m_threshold / args.n):.3g}"
+                   f" s1={s1.value:.4g} integral={s1.integral:.4g}")
+    report.add_verdict("s1_ratio_in_band", 0.1 <= s1.ratio <= 10.0, detail)
     report.add_verdict(
         "s2_bound_chain",
         s2.bound_primary <= s2.bound_final or s2.bound_final == 0.0,

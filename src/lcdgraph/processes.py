@@ -30,8 +30,13 @@ from .errors import CapacityError, DomainError
 from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 
 # Most endpoints, 2 * samples * n * m, that one call may materialize; checked
-# before anything is allocated, for every variant.
+# before anything is allocated, for every variant.  Half of it, the most
+# primed vertices of one call, stays below 2^31, so int32 holds the
+# sequential choices and pointers.
 POINT_CAP = 50_000_000
+
+# Rows of a pairing batch that are sampled and reduced at a time.
+PAIRING_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,11 +70,18 @@ def _check_points(n: int, m: int, samples: int = 1) -> None:
 
 
 def sequential_choices(big_n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform choices of ``samples`` sequential processes on big_n primed
-    vertices: ``choices[:, t-1]`` is uniform on [0, 2t-2].  Row 0 of a
-    one-sample draw is the stream of ``rng.integers(0, 2t-1)`` over t."""
-    highs = 2 * np.arange(1, big_n + 1, dtype=np.int64) - 1
-    return rng.integers(0, highs, size=(samples, big_n))
+    """Uniform int32 choices of ``samples`` sequential processes on big_n
+    primed vertices: ``choices[:, t-1]`` is uniform on [0, 2t-2].
+
+    Drawn from a fresh ``Generator``, as ``generate`` draws from its
+    ``replicate_rng``, this is the stream of the int64 draw
+    ``rng.integers(0, 2t-1)`` over t, row after row.  It is so from any
+    other shared state too: both draws take the low, then the high 32-bit
+    half of each 64-bit output and run the same Lemire rejection.
+    ``POINT_CAP`` keeps 2t-1 and every flat pointer of
+    ``sequential_targets`` below 2^31."""
+    highs = 2 * np.arange(1, big_n + 1, dtype=np.int32) - 1
+    return rng.integers(0, highs, size=(samples, big_n), dtype=np.int32)
 
 
 def sequential_targets(choices: np.ndarray) -> np.ndarray:
@@ -81,17 +93,23 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     slot and otherwise hits a vertex with probability proportional to its
     degree.  A copy of an even slot 2s-2 is vertex s at once; the others
     are resolved by pointer jumping, ``ptr[p] = ptr[ptr[p]]`` on the
-    pending odd slots only, in O(log N) rounds.  Returns an int64 array of
-    the shape of ``choices``.
+    pending odd slots only, in O(log N) rounds.  Returns an array of the
+    shape and dtype of ``choices``, which is left as it is; the dtype must
+    hold samples * big_n.
     """
     samples, big_n = choices.shape
     # ptr holds one entry per primed vertex, row after row.  Pending: the
     # flat entry base + u - 1 of the vertex u = choices // 2 + 1 whose odd
     # slot is copied; resolved: ~(base + s - 1) for vertex s.  Integer ops,
     # not np.where, since a branch on random parity mispredicts.
-    base = big_n * np.arange(samples, dtype=np.int64)[:, None]
-    ptr = (choices >> 1) + base
-    ptr ^= (choices & 1) - 1  # even choice: x ^ -1 = ~x
+    base = big_n * np.arange(samples, dtype=choices.dtype)[:, None]
+    even = choices.astype(np.int8)  # the low bit survives the narrowing
+    even &= 1
+    even -= 1  # 0 for an odd choice, -1 for an even one
+    ptr = choices >> 1
+    ptr += base
+    ptr ^= even  # even choice: x ^ -1 = ~x
+    del even
     ptr = ptr.ravel()
     pending = np.flatnonzero(ptr >= 0)
     while pending.size:
@@ -114,9 +132,14 @@ def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
     and its last row is exactly 1.
     """
     b = 2.0 * np.arange(1, big_n)[:, None]
-    log1m = np.log1p(-rng.random((big_n - 1, samples))) / b
+    f = rng.random((big_n - 1, samples))  # V, then 1 - psi_k, in place
+    np.negative(f, out=f)
+    np.log1p(f, out=f)
+    f /= b
+    np.exp(f, out=f)
+    del b
     l = np.ones((big_n, samples), dtype=np.float64)
-    l[:-1] = np.cumprod(np.exp(log1m[::-1]), axis=0)[::-1]
+    np.cumprod(f[::-1], axis=0, out=l[:-1][::-1])  # l_k = prod_{j>k} (1 - psi_j)
     return l
 
 
@@ -128,19 +151,24 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     order = np.argsort(a)
     if a.size and not 0.0 <= a[order[0]] <= a[order[-1]] <= l[-1]:
         raise DomainError("urn keys must lie in [0, l_N]")
+    hit = np.searchsorted(l, a[order], side="left")
+    hit += 1
     tgt = np.empty(a.size, dtype=np.int64)
-    tgt[order] = np.searchsorted(l, a[order], side="left") + 1
+    tgt[order] = hit
     return tgt
 
 
 def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
     l = _stick_lengths(big_n, 1, rng)[:, 0]
-    return urn_targets(l, rng.random(big_n) * l)
+    a = rng.random(big_n)
+    a *= l
+    return urn_targets(l, a)
 
 
-# variant -> (N, rng) -> int64 targets of the N primed edges, where edge t
-# leaves primed vertex t.  The kernels look up the lcd functions and
-# _stick_lengths by their module names at call time.
+# variant -> (N, rng) -> targets of the N primed edges, where edge t leaves
+# primed vertex t, in a new array (int32 for sequential, int64 otherwise).
+# The kernels look up the lcd functions and _stick_lengths by their module
+# names at call time.
 _KERNELS = {
     "sequential": lambda big_n, rng: sequential_targets(sequential_choices(big_n, 1, rng))[0],
     "urn": _urn_kernel,
@@ -158,8 +186,10 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
     _check_points(n, m)
     rng = replicate_rng(params.master_seed, replicate)
     tgt = _KERNELS[params.variant](n * m, rng)
-    if m > 1:
-        tgt = (tgt - 1) // m + 1
+    if m > 1:  # the kernel's targets are its own: collapse them in place
+        tgt -= 1
+        tgt //= m
+        tgt += 1
     return LcdGraph(n, m, tgt)
 
 
@@ -183,16 +213,27 @@ def batch_total_degrees(
     if variant == "sequential":
         tgt = sequential_targets(sequential_choices(big_n, samples, rng))
         # every primed vertex is the source of one edge: out-degree m per block
-        return block_counts(tgt, n, m) + m
+        rows = block_counts(tgt, n, m)
+        rows += m
+        return rows
     if variant == "pairing":
-        return pair_degree_rows(sample_pairs(big_n, samples, rng), m)
+        # rng.permuted shuffles row by row, so blocks of rows draw the same
+        # rows as one table while holding only one block's pair table
+        rows = np.empty((samples, n), dtype=np.int64)
+        for start in range(0, samples, PAIRING_BLOCK):
+            block = rows[start : start + PAIRING_BLOCK]
+            block[...] = pair_degree_rows(sample_pairs(big_n, len(block), rng), m)
+        return rows
     return _batch_urn(n, m, samples, rng)
 
 
 def block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per-row counts of primed vertex ids (1..mn) in each block of m."""
+    """Per-row counts of primed vertex ids (1..mn) in each block of m, as
+    int64; ``primed`` is left as it is."""
     samples = primed.shape[0]
-    code = (primed - 1) // m + n * np.arange(samples, dtype=np.int64)[:, None]
+    code = primed - 1
+    code //= m
+    code += n * np.arange(samples, dtype=code.dtype)[:, None]
     return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
 
 
@@ -205,7 +246,8 @@ def _batch_urn(n, m, samples, rng):
     # stable per-row merge 65 / 166 ms.
     big_n = n * m
     l = _stick_lengths(big_n, samples, rng)
-    a = rng.random((big_n, samples)) * l
+    a = rng.random((big_n, samples))
+    a *= l
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
     # above[:, v] counts the a_k beyond l_{vm}, all of them for v = 0
@@ -213,4 +255,7 @@ def _batch_urn(n, m, samples, rng):
     above[:, 0] = big_n
     for v in range(1, n):
         above[:, v] = (a > l[v * m - 1]).sum(axis=0)
-    return above[:, :-1] - above[:, 1:] + m  # in-degree plus out-degree m
+    del a, l
+    rows = above[:, :-1] - above[:, 1:]
+    rows += m  # in-degree plus out-degree m
+    return rows

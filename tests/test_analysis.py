@@ -153,6 +153,20 @@ def test_sum_s1_case_classification():
     assert res.case == 3
 
 
+def test_sum_s1_integral_tracks_the_sum_in_case_3():
+    # the closed-form integral stays within 1.2 % of the sum on case-3 cells
+    # whose ratio to the claimed n/d^3 runs from 0.019 to 2.05
+    cells = [(10**4, 3, 0.8)] + [(n, math.ceil(n**0.2), 0.9) for n in (10**5, 10**6, 10**7)]
+    ratios = []
+    for n, d, beta in cells:
+        res = sum_s1(n, d, beta)
+        assert res.case == 3
+        assert res.m_threshold == math.floor(n**beta / math.log(n))
+        assert res.integral == pytest.approx(res.value, rel=0.012)
+        ratios.append(res.ratio)
+    assert min(ratios) < 0.02 and max(ratios) > 2
+
+
 def test_sum_s1_case_boundary_orders_coincide():
     # at beta = 1 - 2a cases 1 and 2 claim the same order
     a = sum_s1(10**6, 2, 0.6, alpha=0.2)  # beta = 1 - 2*0.2 exactly: case 1

@@ -279,12 +279,24 @@ def test_experiment_sums_pass(capsys, tmp_path):
     assert len(csv_lines) == 2  # header + aggregate row
 
 
+def test_experiment_sums_case_3_fail_names_the_cutoff(capsys, tmp_path):
+    # n/d^3 assumes d * sqrt(M/n) >> 1; here it is 0.39, the sum is cut off
+    # at M, and the band's verdict stands
+    out = tmp_path / "sums.json"
+    code, stdout, _ = run(capsys, "experiment", "sums", "--n", "10000", "--d", "3",
+                          "--beta", "0.8", "--out", str(out))
+    assert code == 1
+    assert ("FAIL s1_ratio_in_band: case 3: ratio=0.01865 d*sqrt(M/n)=0.393 "
+            "s1=6.908 integral=6.831") in stdout
+    assert json.loads(out.read_text())["aggregates"]["s1_integral"] == pytest.approx(6.831, abs=1e-3)
+
+
 # sha256 of every output file of three experiments whose reports hold no
 # unseeded draw; `gamma` is left out because its fit runs through LAPACK
 REPORT_PINS = {
     ("sums", "--n", "10000", "--d", "3", "--beta", "0.8"): {
-        "sums.json": "6371af961eadb4d5fe6a91baae966ee9ff337353d35cd7a90dac443221f25fd6",
-        "sums.csv": "64a4a534dc7ef9002588b5088075befe9cb831ed9efae1eff0c882f5ba168941",
+        "sums.json": "c36bde770d8955510407aa033e43eff21be8597bc427f8fa98cd76ad7d2ddd46",
+        "sums.csv": "9ba58c10f9c9fb99b58a93142e2f3f87d9cf3a0cba66efed677bf8a118636021",
     },
     ("corollary", "--n-grid", "1000,4000", "--replicates", "3", "--seed", "3"): {
         "corollary.json": "5da6395ac84278a3381d49f18d69bfbc293f2e985e1f33002048a6c3bfdc1b27",

@@ -1,12 +1,16 @@
+import copy
 import hashlib
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lcdgraph.errors import CapacityError, DomainError
+from lcdgraph.lcd import pair_degree_rows, sample_pairs
 from lcdgraph.processes import (
+    PAIRING_BLOCK,
     POINT_CAP,
     VARIANTS,
     ProcessParams,
@@ -14,6 +18,7 @@ from lcdgraph.processes import (
     batch_total_degrees,
     generate,
     replicate_rng,
+    sequential_choices,
     sequential_targets,
     urn_targets,
 )
@@ -69,6 +74,45 @@ def test_sequential_kernel_matches_reference_loop():
         tgt = np.array(reference_targets(stream.tolist()))
         assert g.src.tolist() == np.repeat(np.arange(1, n + 1), 3).tolist()
         assert g.tgt.tolist() == ((tgt - 1) // 3 + 1).tolist()
+
+
+def words_drawn(seed, replicate, draw, at_least):
+    """32-bit words that ``draw`` takes from the fresh stream
+    ``replicate_rng(seed, replicate)``, found by stepping a second fresh
+    PCG64 from ``at_least`` words on until the two states meet."""
+    rng = replicate_rng(seed, replicate)
+    draw(rng)
+    end = rng.bit_generator.state
+    walker = replicate_rng(seed, replicate).bit_generator
+    outputs = at_least // 2
+    walker.advance(outputs)
+    while walker.state["state"] != end["state"]:
+        walker.advance(1)
+        outputs += 1
+    return 2 * outputs - end["has_uint32"]
+
+
+def test_int32_choices_are_the_int64_stream():
+    # every flat pointer of sequential_targets, < samples * N <= POINT_CAP // 2,
+    # fits int32
+    assert POINT_CAP // 2 < 2**31
+    big_n = 3 * 10**5
+    highs = 2 * np.arange(1, big_n + 1) - 1
+    choices = sequential_choices(big_n, 1, replicate_rng(5, 0))
+    assert choices.dtype == np.int32
+    assert np.array_equal(choices[0], replicate_rng(5, 0).integers(0, highs))
+    # at this N the draw rejects some words (about ten expected), and the
+    # int32 draw rejects the same ones
+    rejected = words_drawn(5, 0, lambda rng: sequential_choices(big_n, 1, rng), big_n) - big_n
+    assert 0 < rejected < 40
+    # a batch of rows, also from a generator that holds a spare 32-bit half
+    for spare_half in (False, True):
+        rng = replicate_rng(8, 3)
+        if spare_half:
+            rng.integers(0, 5, dtype=np.int32)
+        twin = copy.deepcopy(rng)
+        rows = sequential_choices(2000, 5, rng)
+        assert np.array_equal(rows, twin.integers(0, highs[:2000], size=(5, 2000)))
 
 
 def test_multi_m2_n1_two_loops():
@@ -244,6 +288,41 @@ def test_batch_rows_keep_their_bytes(variant, n, m, samples):
     assert rows.dtype == np.int64 and rows.shape == (samples, n)
     digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
     assert digest == BATCH_DIGESTS[variant, n, m, samples]
+
+
+def test_pairing_batch_blocks_are_one_draw():
+    # three blocks, the last one ragged: the same rows as one unblocked table
+    samples = 2 * PAIRING_BLOCK + 1234
+    rows = batch_total_degrees("pairing", 3, 2, samples, replicate_rng(23, 1))
+    whole = pair_degree_rows(sample_pairs(6, samples, replicate_rng(23, 1)), 2)
+    assert rows.dtype == np.int64
+    assert np.array_equal(rows, whole)
+
+
+def traced_peak_mb(call):
+    """Peak of the heap that tracemalloc sees (numpy's buffers included)
+    while ``call`` runs, in MB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+# Heap peaks with a margin over the 17.1, 24.0, 8.2 and 28.5 MB that numpy
+# 2.4 gives here; the kernels' former temporaries gave 28.0, 30.7, 40.1 and
+# 33.6 MB.
+def test_generate_1e6_heap_peak():
+    peak = traced_peak_mb(lambda: generate(ProcessParams(10**6, 1)))
+    assert peak < 20.0, peak
+
+
+@pytest.mark.parametrize("variant, bound", [("sequential", 26.0), ("pairing", 10.0),
+                                            ("urn", 30.5)])
+def test_batch_heap_peak(variant, bound):
+    peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
+    assert peak < bound, peak
 
 
 def test_batch_handshake_all_variants():

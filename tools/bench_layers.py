@@ -1,5 +1,5 @@
-"""Time two layers on fixed work and write one ``BENCH_*.json`` for each at
-the repository root.
+"""Time three layers on fixed work and write one ``BENCH_*.json`` for each
+at the repository root.
 
     python3 tools/bench_layers.py
 
@@ -28,6 +28,18 @@ at every n in ``ORACLE_NS`` (up to 2048, the top of that regime).  A cold
 sweep runs right after ``oracles`` is reloaded, so it starts with empty
 caches; ``cold_min_s`` and ``cold_median_s`` summarise those.  A warm sweep
 repeats the cells in the same process.  The digest is of the printed values.
+
+``BENCH_kernels.json`` times the construction kernels of
+``lcdgraph.processes``, each from a fresh ``replicate_rng(0)``:
+
+- ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
+  vertices of n = 10^5, m = 3, before the blocks of m are identified;
+- ``sequential_1e6``: the sequential kernel at n = 10^6, m = 1;
+- ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``.
+
+Besides the times, each input records ``peak_bytes``, the peak of the heap
+that ``tracemalloc`` sees (numpy's buffers included) over one untimed call.
+The digest is of the output as little-endian int64, whatever its dtype.
 """
 
 from __future__ import annotations
@@ -44,6 +56,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -54,7 +67,13 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.io import write_rows  # noqa: E402
-from lcdgraph.processes import ProcessParams, generate  # noqa: E402
+from lcdgraph.processes import (  # noqa: E402
+    _KERNELS,
+    ProcessParams,
+    batch_total_degrees,
+    generate,
+    replicate_rng,
+)
 
 REPEATS = 21
 ORACLE_NS = (2, 8, 32, 128, 512, 2048)
@@ -109,7 +128,8 @@ def write_report(name: str, layer: str, results: dict) -> None:
     }
     out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     for key, r in results.items():
-        print(f"{key}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms")
+        peak = f", heap peak {r['peak_bytes'] / 1e6:.1f} MB" if "peak_bytes" in r else ""
+        print(f"{key}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms{peak}")
     print(f"wrote {out}")
 
 
@@ -192,10 +212,50 @@ def bench_oracles() -> None:
     write_report("oracles", "oracles", results)
 
 
+def kernel_calls() -> dict:
+    """input name -> a call that runs one kernel or batch from a fresh stream."""
+    calls = {}
+    for variant, kernel in _KERNELS.items():
+        calls[f"{variant}_1e5x3"] = lambda kernel=kernel: kernel(3 * 10**5, replicate_rng(0))
+    calls["sequential_1e6"] = lambda: _KERNELS["sequential"](10**6, replicate_rng(0))
+    for variant in _KERNELS:
+        calls[f"batch_{variant}"] = lambda variant=variant: batch_total_degrees(
+            variant, 3, 2, 200_000, replicate_rng(0))
+    return calls
+
+
+def traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bench_kernels() -> None:
+    calls = kernel_calls()
+    results = {}
+    for name, call in calls.items():  # warm-up, the output and the heap peak
+        out = call().astype("<i8")
+        results[name] = {"sha256": hashlib.sha256(out.tobytes()).hexdigest(),
+                         "peak_bytes": traced_peak(call)}
+    times = {name: [] for name in calls}
+    for _ in range(REPEATS):  # inputs interleaved, so host load hits each alike
+        for name, call in calls.items():
+            start = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - start)
+    for name, ts in times.items():
+        results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
+    write_report("kernels", "processes._KERNELS, processes.batch_total_degrees", results)
+
+
 def main() -> int:
     sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
     bench_writer()
     bench_oracles()
+    bench_kernels()
     return 0
 
 
