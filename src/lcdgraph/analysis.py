@@ -283,25 +283,22 @@ def corollary_experiment(
 
 def exact_sequential_law(n: int) -> dict:
     """Probability of every total-degree sequence under the one-edge-per-step
-    process, by exhaustive branching with exact rational weights."""
+    process, by a forward chain over the degree tuples of vertices 1..t-1:
+    step t appends vertex t's own endpoint (degree 1) and hits vertex u with
+    probability own[u]/(2t-1).  Each state counts its choice paths, out of
+    (2n-1)!!; there are Catalan(n) states at step n."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    law: dict = {}
-
-    def rec(t: int, endpoints: tuple, weight: Fraction):
-        if t > n:
-            degs = [0] * n
-            for e in endpoints:
-                degs[e - 1] += 1
-            key = tuple(degs)
-            law[key] = law.get(key, Fraction(0)) + weight
-            return
-        base = endpoints + (t,)
-        for r in range(2 * t - 1):
-            rec(t + 1, base + (base[r],), weight / (2 * t - 1))
-
-    rec(1, (), Fraction(1))
-    return law
+    paths = Counter({(): 1})
+    for _ in range(n):
+        step: Counter = Counter()
+        for degs, c in paths.items():
+            own = degs + (1,)
+            for u, d in enumerate(own):
+                step[own[:u] + (d + 1,) + own[u + 1 :]] += c * d
+        paths = step
+    total = pairing_count(n)
+    return {k: Fraction(c, total) for k, c in paths.items()}
 
 
 def exact_pairing_law(n: int) -> dict:
@@ -353,40 +350,30 @@ def cond_prob_discrepancy_table(n_max: int = 6) -> list:
 
     Each row: dict with the cell, the enumerated conditional probability of
     total degree d+1 for vertex k+1 given D_k = 2k+s, the formula value, and
-    whether they agree exactly.  The formula disagrees on d = 0 and on
-    d >= 1 cells alike: for n <= 6, 35 of the 70 d >= 1 cells with
-    enumerated mass disagree.
+    whether they agree exactly.  The enumerated column is read off
+    ``exact_pairing_law(n)``, with D_k the running degree sum, s = D_k - 2k
+    and d = deg_{k+1} - 1.  The formula disagrees on d = 0 and on d >= 1
+    cells alike: for n <= 6, 35 of the 70 d >= 1 cells with enumerated mass
+    disagree.
     """
     rows = []
     for n in range(2, n_max + 1):
         by_cell: Counter = Counter()
-        ks = np.arange(1, n)
-        for block in enumerate_pairings(n):
-            degs = pair_degree_rows(block)
-            # cell (k, s, d) of vertex k+1 for k = 1..n-1: D_k = 2k + s
-            s = np.cumsum(degs[:, :-1], axis=1) - 2 * ks
-            cells = np.stack([np.broadcast_to(ks, s.shape), s, degs[:, 1:] - 1], axis=-1)
-            by_cell.update(count_rows(cells.reshape(-1, 3)))
         by_cond: Counter = Counter()
-        for (k, s, _), c in by_cell.items():
-            by_cond[(k, s)] += c
+        for degs, p in exact_pairing_law(n).items():
+            dk = 0
+            for k in range(1, n):
+                dk += degs[k - 1]
+                by_cell[k, dk - 2 * k, degs[k] - 1] += p
+                by_cond[k, dk - 2 * k] += p
         for k in range(1, n):
             for s in range(0, n - k + 1):
-                denom = by_cond.get((k, s), 0)
+                denom = by_cond[k, s]
                 for d in range(0, n - k - s + 1):
                     formula = cond_prob_degree(n, k, s, d).value
-                    enum = Fraction(by_cell.get((k, s, d), 0), denom) if denom else None
-                    rows.append(
-                        {
-                            "n": n,
-                            "k": k,
-                            "s": s,
-                            "d": d,
-                            "enumerated": enum,
-                            "formula": formula,
-                            "match": enum is not None and enum == formula,
-                        }
-                    )
+                    enum = by_cell[k, s, d] / denom if denom else None
+                    rows.append({"n": n, "k": k, "s": s, "d": d, "enumerated": enum,
+                                 "formula": formula, "match": enum == formula})
     return rows
 
 

@@ -201,9 +201,10 @@ def batch_total_degrees(
     variant: str, n: int, m: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Total-degree sequences of many independent small graphs, one row per
-    sample, from the same kernels as ``generate``.  Intended for n*m small
-    (distribution tests); memory is O(samples * n * m), and
-    2 * samples * n * m may not exceed POINT_CAP."""
+    sample.  Sequential and pairing run the kernels of ``generate``; the urn
+    counts its keys beyond each block boundary l_{vm} (``_batch_urn``).
+    Intended for n*m small (distribution tests); memory is
+    O(samples * n * m), and 2 * samples * n * m may not exceed POINT_CAP."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     if min(n, m, samples) < 1:
@@ -250,12 +251,13 @@ def _batch_urn(n, m, samples, rng):
     a *= l
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
-    # above[:, v] counts the a_k beyond l_{vm}, all of them for v = 0
-    above = np.zeros((samples, n + 1), dtype=np.int64)
-    above[:, 0] = big_n
-    for v in range(1, n):
-        above[:, v] = (a > l[v * m - 1]).sum(axis=0)
-    del a, l
-    rows = above[:, :-1] - above[:, 1:]
+    # rows[:, v] counts the keys beyond l_{vm} (all of them for v = 0), less
+    # those beyond l_{vm+m}; only these n - 1 inner boundaries of l are kept
+    l = l[m - 1 : big_n - 1 : m].copy()
+    rows = np.empty((samples, n), dtype=np.int64)
+    rows[:, 0] = big_n
+    for v, bound in enumerate(l):
+        rows[:, v + 1] = (a > bound).sum(axis=0)
+        rows[:, v] -= rows[:, v + 1]
     rows += m  # in-degree plus out-degree m
     return rows

@@ -219,7 +219,7 @@ def test_corollary_small_grid_runs():
     assert all(0 <= f <= 1 for f in res.fractions)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_exact_laws_agree(n):
     seq = exact_sequential_law(n)
     pair = exact_pairing_law(n)
@@ -246,6 +246,20 @@ def sha256_of_repr(value) -> str:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_exact_pairing_law_digest(n):
     assert sha256_of_repr(sorted(exact_pairing_law(n).items())) == EXACT_PAIRING_LAW_SHA256[n]
+
+
+# the same digests, taken from the former path recursion over all (2n-1)!!
+# choice paths, as the two laws are one dict; n = 7 is beyond the pairing pins
+EXACT_SEQUENTIAL_LAW_SHA256 = {
+    **EXACT_PAIRING_LAW_SHA256,
+    7: "76717e0be822719cbced9afd933f7b390c1568f83c4284bca6882828251ef7a2",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_exact_sequential_law_digest(n):
+    law = exact_sequential_law(n)
+    assert sha256_of_repr(sorted(law.items())) == EXACT_SEQUENTIAL_LAW_SHA256[n]
 
 
 def test_exact_sequential_law_n2_values():
@@ -282,10 +296,24 @@ def test_cond_prob_discrepancy_table():
     # the agreeing n=2 cells from the closed form
     ok = next(r for r in rows if (r["n"], r["k"], r["s"], r["d"]) == (2, 1, 1, 0))
     assert ok["match"]
-    # every cell of n <= 6, pinned
+    # every cell of n <= 6 and of n <= 7, pinned
     assert sha256_of_repr(cond_prob_discrepancy_table(6)) == (
         "ac31312907426ee30d6f5926867a1f328561a64db8af1f34e6be920515a9e774"
     )
+    assert sha256_of_repr(cond_prob_discrepancy_table(7)) == (
+        "56bae3fbc17e6114d73106abd53b19ef102918b65ab30eb50fd1a8fd75fd7cbe"
+    )
+
+
+def test_cond_prob_discrepancy_table_reads_the_pairing_law(monkeypatch):
+    # exact_pairing_law is the one reduction of the enumerated pairings
+    def no_enumeration(n):
+        raise AssertionError("enumerate_pairings called outside exact_pairing_law")
+
+    law = {n: exact_pairing_law(n) for n in range(1, 5)}
+    monkeypatch.setattr(analysis, "enumerate_pairings", no_enumeration)
+    monkeypatch.setattr(analysis, "exact_pairing_law", law.__getitem__)
+    assert len(cond_prob_discrepancy_table(4)) == 31
 
 
 def test_experiment_report_roundtrip(tmp_path):

@@ -107,6 +107,27 @@ def test_prob_dk_matches_enumeration(n):
             assert prob_dk(DkQuery(n, k, s)).value == expected
 
 
+def test_prob_dk_matches_the_process_chain():
+    # D_k of the process itself, on every cell with n <= 40: after step k,
+    # D = 2k on all (2k-1)!! paths; step t > k hits one of the first k
+    # vertices, adding 1 to D, on D of its 2t-1 choices
+    cells = 0
+    for k in range(1, 41):
+        paths = {2 * k: double_factorial(2 * k - 1)}  # D -> choice paths
+        for n in range(k, 41):
+            if n > k:
+                step: Counter = Counter()
+                for dk, c in paths.items():
+                    step[dk + 1] += c * dk
+                    step[dk] += c * (2 * n - 1 - dk)
+                paths = step
+            total = double_factorial(2 * n - 1)
+            for s in range(n - k + 1):
+                assert prob_dk(DkQuery(n, k, s)).value == Fraction(paths[2 * k + s], total)
+                cells += 1
+    assert cells == 11_480
+
+
 def test_ratio_f_n2():
     assert ratio_f(2, 1, 0) == Fraction(2)
 

@@ -318,8 +318,10 @@ def test_generate_1e6_heap_peak():
     assert peak < 20.0, peak
 
 
+# tracemalloc peaks at (3, 2, 2e5) are 24.0, 8.2 and 22.4 MB; the urn holds
+# its sticks and keys (9.6 MB each) and, briefly, the copied block boundaries
 @pytest.mark.parametrize("variant, bound", [("sequential", 26.0), ("pairing", 10.0),
-                                            ("urn", 30.5)])
+                                            ("urn", 23.5)])
 def test_batch_heap_peak(variant, bound):
     peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
     assert peak < bound, peak
