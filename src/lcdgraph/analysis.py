@@ -3,14 +3,11 @@ asymptotic-sum surrogates and exact tiny-n law comparisons."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -137,8 +134,8 @@ def concentration_experiment(
     """Fraction of replicates whose vertex count at in-degree d deviates from
     the replicate grand mean by at least sqrt(n log n).
 
-    The grand mean stands in for the unobservable expectation; documented
-    in the report this feeds.
+    The grand mean stands in for the expectation E[N_d] until its exact
+    finite-n value is computed; the report names it ``expectation_proxy``.
     """
     if replicates < 100:
         raise DomainError("need at least 100 replicates")
@@ -376,65 +373,3 @@ def cond_prob_discrepancy_table(n_max: int = 6) -> list:
                                  "formula": formula, "match": enum == formula})
     return rows
 
-
-# ---------------------------------------------------------------------------
-# experiment reports
-
-
-@dataclass
-class ExperimentReport:
-    """Serializable record of one experiment run."""
-
-    name: str
-    parameters: dict
-    replicates: list = field(default_factory=list)  # list of flat dicts
-    aggregates: dict = field(default_factory=dict)
-    verdicts: list = field(default_factory=list)  # {"name", "passed", "detail"}
-
-    def add_verdict(self, name: str, passed: bool, detail: str = ""):
-        self.verdicts.append({"name": name, "passed": bool(passed), "detail": detail})
-
-    @property
-    def all_passed(self) -> bool:
-        return all(v["passed"] for v in self.verdicts)
-
-    def to_json(self) -> str:
-        """Serialize the report.  It holds no timing, so that a replay with
-        the same seed produces byte-identical files; the wall clock lives in
-        the run manifest instead."""
-        payload = {
-            "name": self.name,
-            "parameters": self.parameters,
-            "replicates": self.replicates,
-            "aggregates": self.aggregates,
-            "verdicts": self.verdicts,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True, default=str)
-
-    def write_json(self, path) -> Path:
-        path = Path(path)
-        path.write_text(self.to_json() + "\n")
-        return path
-
-    def write_csv(self, path) -> Path:
-        """Flat per-replicate rows with a header row, for plotting."""
-        path = Path(path)
-        rows = self.replicates or [self.aggregates]
-        fieldnames = sorted({k for row in rows for k in row})
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
-        return path
-
-
-def write_region_csv(vertices, path) -> Path:
-    """Region corner points as an (alpha, beta) CSV for plotting."""
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "beta"])
-        for a, b in vertices:
-            writer.writerow([str(a), str(b)])
-    return path

@@ -1,16 +1,19 @@
 """Command-line front end: generate graphs, evaluate the closed-form
 oracles, and run the reproducible experiments.
 
-``generate`` and every experiment accept ``--seed``; when omitted, ``main``
-draws one from OS entropy and the run manifest records it, so every run is
-replayable.  Commands that write files also write ``<out>.manifest.json``
-with sha256 digests of the outputs; ``lcdgraph replay --manifest <file>``
-re-executes the recorded command and verifies byte-identical outputs.
+``generate`` and every sampling experiment accept ``--seed``; when omitted,
+``main`` draws one from OS entropy, so every run is replayable.  Commands
+that write files also write ``<out>.manifest.json``: the resolved command
+line, once, and sha256 digests of the outputs; ``lcdgraph replay --manifest
+<file>`` re-executes the recorded command and verifies byte-identical
+outputs.  An experiment's report records as its parameters the parsed flags
+other than ``--out`` and ``--threads``, plus any value it derives from them.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -28,7 +31,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    ExperimentReport,
     concentration_experiment,
     corollary_experiment,
     degree_histogram,
@@ -40,7 +42,6 @@ from .analysis import (
     sum_s1,
     sum_s2_bound,
     tv_distance,
-    write_region_csv,
 )
 from .errors import DomainError
 from .io import write_graph, write_rows
@@ -72,6 +73,8 @@ from .regions import (
 )
 
 MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
+# parsed values that are not flags: the command path, its handler, its start time
+_NOT_FLAGS = ("subcommand", "experiment_name", "func", "started")
 
 
 def _fmt(x) -> str:
@@ -98,16 +101,11 @@ def _write_manifest(args, out_path: Path, outputs) -> Path:
     if getattr(args, "experiment_name", None):
         argv.append(args.experiment_name)
     for key, val in sorted(vars(args).items()):
-        if key in ("subcommand", "func", "experiment_name", "manifest", "started") or val is None:
+        if key in _NOT_FLAGS or val is None:
             continue
         argv.extend([f"--{key.replace('_', '-')}", str(val)])
     manifest = {
         "argv": argv,
-        "parameters": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("func", "manifest", "started") and v is not None
-        },
         "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -179,38 +177,48 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _finish_experiment(args, report, extra_outputs=()) -> int:
+def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=(),
+                       **extra) -> int:
+    """Write the report ``<out>`` as JSON, its CSV beside it (one row per
+    replicate, or the aggregates alone) and the run manifest, then print
+    each ``(name, passed, detail)`` verdict.  The report's parameters are
+    the parsed flags, None values kept, plus ``extra``; it holds no timing,
+    so that a replay with the same seed writes the same bytes."""
     out = Path(args.out)
-    json_path = report.write_json(out)
-    csv_path = report.write_csv(out.with_suffix(".csv"))
-    outputs = [json_path, csv_path, *extra_outputs]
-    _write_manifest(args, out, outputs)
-    for v in report.verdicts:
-        status = "PASS" if v["passed"] else "FAIL"
-        print(f"{status} {v['name']}: {v['detail']}")
-    return 0 if report.all_passed else 1
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS + ("out", "threads")}
+    report = {
+        "name": args.experiment_name,
+        "parameters": flags | extra,
+        "replicates": list(replicates),
+        "aggregates": aggregates,
+        "verdicts": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in verdicts],
+    }
+    out.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
+    csv_path = out.with_suffix(".csv")
+    rows = report["replicates"] or [aggregates]
+    with open(csv_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=sorted({k for row in rows for k in row}))
+        writer.writeheader()
+        writer.writerows(rows)
+    _write_manifest(args, out, [out, csv_path, *extra_outputs])
+    for name, passed, detail in verdicts:
+        print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
+    return 0 if all(passed for _, passed, _ in verdicts) else 1
 
 
 def _exp_fraction(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     target = expected_count(args.n, args.m, args.d) / args.n  # checks d before any replicate
     res = empirical_fraction(params, args.d, args.replicates, threads=args.threads)
-    report = ExperimentReport(
-        "fraction",
-        {"n": args.n, "m": args.m, "d": args.d, "degree": args.d + args.m, "seed": args.seed,
-         "replicates": args.replicates},
-    )
-    report.replicates = [
-        {"replicate": i, "fraction": f} for i, f in enumerate(res.fractions)
-    ]
-    report.aggregates = {"mean": res.mean, "std": res.std, "target": target}
     rel = abs(res.mean - target) / target
-    report.add_verdict(
-        "fraction_within_5pct",
-        rel <= 0.05,
-        f"mean={res.mean:.6g} target={target:.6g} rel_err={rel:.3%}",
+    return _finish_experiment(
+        args,
+        {"mean": res.mean, "std": res.std, "target": target},
+        [("fraction_within_5pct", rel <= 0.05,
+          f"mean={res.mean:.6g} target={target:.6g} rel_err={rel:.3%}")],
+        replicates=[{"replicate": i, "fraction": f} for i, f in enumerate(res.fractions)],
+        degree=args.d + args.m,
     )
-    return _finish_experiment(args, report)
 
 
 def _exp_gamma(args) -> int:
@@ -222,11 +230,7 @@ def _exp_gamma(args) -> int:
     fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
     hill = hill_exponent(hist_in, args.dlo)
     predicted = limiting_in_degree_gamma(args.m, args.dlo, args.dhi)
-    report = ExperimentReport(
-        "gamma",
-        {"n": args.n, "m": args.m, "dlo": args.dlo, "dhi": args.dhi, "seed": args.seed},
-    )
-    report.aggregates = {
+    aggregates = {
         "gamma_in": fit_in.gamma,
         "stderr_in": fit_in.stderr,
         "gamma_total": fit_tot.gamma,
@@ -234,47 +238,35 @@ def _exp_gamma(args) -> int:
         "gamma_hill_in": hill,
         "predicted_gamma_in": predicted,
     }
-    report.add_verdict(
+    return _finish_experiment(args, aggregates, [(
         "gamma_in_band",
         2.8 <= fit_in.gamma <= 3.2,
         f"in-degree fit gamma={fit_in.gamma:.4f} (se {fit_in.stderr:.4f}), "
         f"limiting law over the window {predicted:.4f}; "
         f"total-degree fit gamma={fit_tot.gamma:.4f}; Hill {hill:.4f}",
-    )
-    return _finish_experiment(args, report)
+    )])
 
 
 def _exp_concentration(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     res = concentration_experiment(params, args.d, args.replicates, threads=args.threads)
-    report = ExperimentReport(
-        "concentration",
-        {"n": args.n, "m": args.m, "d": args.d, "seed": args.seed,
-         "replicates": args.replicates, "expectation_proxy": "replicate grand mean"},
-    )
-    report.aggregates = {
+    aggregates = {
         "threshold": res.threshold,
         "mean_count": res.mean_count,
         "std_count": res.std_count,
         "exceedance_rate": res.exceedance_rate,
     }
-    report.add_verdict(
-        "exceedance_below_0.05",
-        res.exceedance_rate <= 0.05,
-        f"rate={res.exceedance_rate:.4f} threshold={res.threshold:.1f} "
-        f"std={res.std_count:.1f}",
-    )
-    return _finish_experiment(args, report)
+    verdict = ("exceedance_below_0.05", res.exceedance_rate <= 0.05,
+               f"rate={res.exceedance_rate:.4f} threshold={res.threshold:.1f} "
+               f"std={res.std_count:.1f}")
+    return _finish_experiment(args, aggregates, [verdict],
+                              expectation_proxy="replicate grand mean")
 
 
 def _exp_sums(args) -> int:
     s1 = sum_s1(args.n, args.d, args.beta, alpha=args.alpha)
     s2 = sum_s2_bound(args.n, args.m, max(args.d, 1), args.beta)
-    report = ExperimentReport(
-        "sums",
-        {"n": args.n, "m": args.m, "d": args.d, "beta": args.beta, "alpha": args.alpha},
-    )
-    report.aggregates = {
+    aggregates = {
         "s1_value": s1.value,
         "s1_case": s1.case,
         "s1_claimed_order": s1.claimed_order,
@@ -287,13 +279,11 @@ def _exp_sums(args) -> int:
     if s1.case == 3:  # n/d^3 is the sum's order only for d * sqrt(M/n) >> 1
         detail += (f" d*sqrt(M/n)={args.d * math.sqrt(s1.m_threshold / args.n):.3g}"
                    f" s1={s1.value:.4g} integral={s1.integral:.4g}")
-    report.add_verdict("s1_ratio_in_band", 0.1 <= s1.ratio <= 10.0, detail)
-    report.add_verdict(
-        "s2_bound_chain",
-        s2.bound_primary <= s2.bound_final or s2.bound_final == 0.0,
-        f"primary={s2.bound_primary:.4g} final={s2.bound_final:.4g}",
-    )
-    return _finish_experiment(args, report)
+    return _finish_experiment(args, aggregates, [
+        ("s1_ratio_in_band", 0.1 <= s1.ratio <= 10.0, detail),
+        ("s2_bound_chain", s2.bound_primary <= s2.bound_final or s2.bound_final == 0.0,
+         f"primary={s2.bound_primary:.4g} final={s2.bound_final:.4g}"),
+    ])
 
 
 def _exp_corollary(args) -> int:
@@ -304,22 +294,15 @@ def _exp_corollary(args) -> int:
     res = corollary_experiment(
         n_grid, args.m, args.exponent, args.replicates, args.seed, threads=args.threads
     )
-    report = ExperimentReport(
-        "corollary",
-        {"n_grid": n_grid, "m": args.m, "exponent": args.exponent, "seed": args.seed,
-         "replicates": args.replicates},
+    return _finish_experiment(
+        args,
+        {"decreasing": res.decreasing},
+        [("fractions_decreasing", res.decreasing,
+          "fractions " + ", ".join(f"{f:.3e}" for f in res.fractions))],
+        replicates=[{"n": n, "d": d, "fraction": f}
+                    for n, d, f in zip(res.n_grid, res.d_values, res.fractions)],
+        n_grid=n_grid,
     )
-    report.replicates = [
-        {"n": n, "d": d, "fraction": f}
-        for n, d, f in zip(res.n_grid, res.d_values, res.fractions)
-    ]
-    report.aggregates = {"decreasing": res.decreasing}
-    report.add_verdict(
-        "fractions_decreasing",
-        res.decreasing,
-        "fractions " + ", ".join(f"{f:.3e}" for f in res.fractions),
-    )
-    return _finish_experiment(args, report)
 
 
 def _exp_region(args) -> int:
@@ -331,26 +314,21 @@ def _exp_region(args) -> int:
         result = combined_max_alpha()
     else:
         result = region_max_alpha(BUILTIN_SYSTEMS[args.system])
-    report = ExperimentReport(
-        "region", {"system": args.system, "inequalities": args.inequalities}
-    )
-    attained = "attained" if result.attained else "sup, not attained"
-    report.aggregates = {
+    aggregates = {
         "sup_alpha": str(result.sup_alpha),
         "attained": result.attained,
         "witness_beta": str(result.witness_beta),
         "beta_interval": [str(x) for x in result.beta_interval],
     }
-    out = Path(args.out)
-    poly = write_region_csv(result.vertices, out.with_suffix(".vertices.csv"))
-    report.add_verdict(
-        "region_solved",
-        True,
-        f"sup alpha = {_fmt(result.sup_alpha)} ({attained}), "
-        f"witness beta = {_fmt(result.witness_beta)}",
-    )
+    # the region's corner points, as an (alpha, beta) CSV for plotting
+    corners = Path(args.out).with_suffix(".vertices.csv")
+    with open(corners, "w", newline="") as fh:
+        csv.writer(fh).writerows([("alpha", "beta")] + [(str(a), str(b)) for a, b in result.vertices])
+    attained = "attained" if result.attained else "sup, not attained"
+    verdict = ("region_solved", True, f"sup alpha = {_fmt(result.sup_alpha)} ({attained}), "
+               f"witness beta = {_fmt(result.witness_beta)}")
     print(f"sup alpha = {_fmt(result.sup_alpha)}")
-    return _finish_experiment(args, report, extra_outputs=[poly])
+    return _finish_experiment(args, aggregates, [verdict], extra_outputs=[corners])
 
 
 def _exp_equivalence(args) -> int:
@@ -361,17 +339,12 @@ def _exp_equivalence(args) -> int:
         )
         for v in rng
     }
-    report = ExperimentReport(
-        "equivalence",
-        {"n": args.n, "m": args.m, "samples": args.samples, "seed": args.seed},
-    )
     seq, urn, pairing = VARIANTS
-    pairs = [(seq, pairing), (seq, urn), (urn, pairing)]
-    for a, b in pairs:
-        tv = tv_distance(dists[a], dists[b])
-        report.aggregates[f"tv_{a}_{b}"] = tv
-        report.add_verdict(f"tv_{a}_{b}_below_0.01", tv <= 0.01, f"tv={tv:.5f}")
-    return _finish_experiment(args, report)
+    tvs = {f"tv_{a}_{b}": tv_distance(dists[a], dists[b])
+           for a, b in [(seq, pairing), (seq, urn), (urn, pairing)]}
+    return _finish_experiment(
+        args, tvs, [(f"{name}_below_0.01", tv <= 0.01, f"tv={tv:.5f}") for name, tv in tvs.items()]
+    )
 
 
 def cmd_replay(args) -> int:
@@ -389,10 +362,13 @@ def cmd_replay(args) -> int:
         and isinstance(manifest.get("outputs"), dict)
         and manifest["outputs"]
         and all(isinstance(d, str) for d in manifest["outputs"].values())
+        # a plain file name: the digest checked is of a file the replay wrote
+        and all(name not in ("", ".", "..") and Path(name).name == name
+                for name in manifest["outputs"])
     ):
         raise DomainError(
             f"{args.manifest} is not a run manifest: it needs an 'argv' list of strings, "
-            "not itself a replay, and a non-empty 'outputs' map of file names to digests"
+            "not itself a replay, and a non-empty 'outputs' map of plain file names to digests"
         )
     argv = list(manifest["argv"])
     with tempfile.TemporaryDirectory() as tmp:
@@ -495,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--beta", type=float, required=True)
     e.add_argument("--alpha", type=float, default=None)
-    _add_common(e, _exp_sums)
+    _add_common(e, _exp_sums, seed=False)
 
     e = exp.add_parser("corollary")
     e.add_argument("--n-grid", default="10000,100000,1000000")
@@ -509,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(BUILTIN_SYSTEMS) + ("combined",))
     e.add_argument("--inequalities", default=None,
                    help="file with one 'a b cmp c' inequality per line")
-    _add_common(e, _exp_region)
+    _add_common(e, _exp_region, seed=False)
 
     e = exp.add_parser("equivalence")
     e.add_argument("--n", type=int, required=True)
@@ -537,6 +513,9 @@ def main(argv=None) -> int:
         threads = getattr(args, "threads", 1)
         if not 1 <= threads <= MAX_THREADS:  # before any worker pool exists
             raise DomainError(f"--threads must be an integer in 1..{MAX_THREADS}, got {threads}")
+        if args.subcommand == "experiment" and Path(args.out).suffix == ".csv":
+            raise DomainError(f"--out {args.out} ends in .csv, the name of the report's CSV; "
+                              "give the JSON report another suffix")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

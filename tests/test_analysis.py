@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 from fractions import Fraction
 
@@ -8,7 +7,6 @@ import pytest
 
 from lcdgraph import analysis
 from lcdgraph.analysis import (
-    ExperimentReport,
     concentration_experiment,
     cond_prob_discrepancy_table,
     corollary_experiment,
@@ -315,19 +313,3 @@ def test_cond_prob_discrepancy_table_reads_the_pairing_law(monkeypatch):
     monkeypatch.setattr(analysis, "exact_pairing_law", law.__getitem__)
     assert len(cond_prob_discrepancy_table(4)) == 31
 
-
-def test_experiment_report_roundtrip(tmp_path):
-    rep = ExperimentReport("demo", {"n": 5})
-    rep.replicates = [{"replicate": 0, "x": 1.5}, {"replicate": 1, "x": 2.5}]
-    rep.aggregates = {"mean": 2.0}
-    rep.add_verdict("mean_positive", True, "mean=2.0")
-    rep.wall_clock_seconds = 1.23
-    assert rep.all_passed
-    payload = json.loads(rep.to_json())
-    assert "wall_clock_seconds" not in payload  # deterministic by default
-    csv_path = rep.write_csv(tmp_path / "demo.csv")
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "replicate,x"
-    assert len(lines) == 3
-    rep.add_verdict("always_wrong", False)
-    assert not rep.all_passed

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import platform
@@ -78,7 +79,7 @@ def test_cached_parser_is_reentrant(capsys, tmp_path):
     manifest = tmp_path / "g.csv.manifest.json"
     recorded = json.loads(manifest.read_text())
     assert recorded["wall_clock_seconds"] >= 0
-    assert "started" not in recorded["parameters"] and "--started" not in recorded["argv"]
+    assert "--started" not in recorded["argv"]
     code, stdout, _ = run(capsys, "replay", "--manifest", str(manifest))
     assert code == 0
     assert "replay PASS" in stdout
@@ -156,9 +157,10 @@ def test_generate_edge_count(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
+    # at n = 1 every construction gives the row (2), so TV = 0 whatever the seed
     [("generate", "--n", "5", "--m", "1"),
-     ("experiment", "sums", "--n", "1000000", "--d", "3", "--beta", "0.75")],
-    ids=["generate", "sums"],
+     ("experiment", "equivalence", "--n", "1", "--samples", "100")],
+    ids=["generate", "equivalence"],
 )
 def test_generate_entropy_seed_recorded(capsys, tmp_path, argv):
     out = tmp_path / "out.json"
@@ -325,6 +327,86 @@ def test_experiment_report_digests(capsys, tmp_path, argv):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pin, name
 
 
+# every flag of each experiment at a small size, and the values its report
+# adds to them
+PARAMETER_CASES = {
+    "fraction": ({"n": 2000, "m": 2, "d": 1, "replicates": 2, "seed": 3, "threads": 2},
+                 {"degree": 3}),
+    "gamma": ({"n": 3000, "m": 1, "dlo": 1, "dhi": 10, "seed": 3}, {}),
+    "concentration": ({"n": 300, "m": 1, "d": 1, "replicates": 100, "seed": 3, "threads": 2},
+                      {"expectation_proxy": "replicate grand mean"}),
+    "sums": ({"n": 10000, "m": 1, "d": 3, "beta": 0.8, "alpha": None}, {}),
+    "corollary": ({"n_grid": "1000,2000", "m": 1, "exponent": 0.25, "replicates": 1,
+                   "seed": 3, "threads": 2}, {"n_grid": [1000, 2000]}),
+    "region": ({"system": "theorem1", "inequalities": None}, {}),
+    "equivalence": ({"n": 2, "m": 1, "samples": 100, "seed": 3}, {}),
+}
+
+
+@pytest.mark.parametrize("experiment", PARAMETER_CASES)
+def test_report_parameters_are_the_flags(capsys, tmp_path, experiment):
+    flags, extra = PARAMETER_CASES[experiment]
+    argv = [tok for key, val in flags.items() if val is not None
+            for tok in (f"--{key.replace('_', '-')}", str(val))]
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "experiment", experiment, *argv, "--out", str(out))
+    assert code in (0, 1)
+    report = json.loads(out.read_text())
+    assert set(report) == {"name", "parameters", "replicates", "aggregates", "verdicts"}
+    assert report["name"] == experiment
+    assert report["parameters"] == {k: v for k, v in flags.items() if k != "threads"} | extra
+    # the CSV has one row per replicate, or the aggregates alone, under
+    # their sorted keys
+    rows = report["replicates"] or [report["aggregates"]]
+    lines = (tmp_path / "r.csv").read_text().splitlines()
+    assert lines[0] == ",".join(sorted(rows[0]))
+    assert len(lines) == 1 + len(rows)
+
+
+def test_experiment_out_ending_in_csv_is_refused(capsys, tmp_path, monkeypatch):
+    # the report's CSV is <out> with suffix .csv, so it would overwrite the report
+    def no_replicates(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(analysis, "replicate_counts", no_replicates)
+    code, stdout, err = run(capsys, "experiment", "fraction", "--n", "20000", "--d", "1",
+                            "--replicates", "10", "--seed", "3",
+                            "--out", str(tmp_path / "r.csv"))
+    assert code == 2
+    assert "--out" in err
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def option_surface(parser, command=()):
+    """(command, flag) for every value the parser can set, positionals by name."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from option_surface(sub, (*command, name))
+        elif not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
+            yield " ".join(command), (action.option_strings or [action.dest])[0]
+
+
+def test_option_surface_is_pinned():
+    surface = {
+        "enumerate": "--n --out",
+        "generate": "--n --m --variant --replicate --format --seed --out",
+        "oracle": "formula --n --k --s --d --m --l",
+        "experiment fraction": "--n --m --d --replicates --seed --out --threads",
+        "experiment gamma": "--n --m --dlo --dhi --seed --out",
+        "experiment concentration": "--n --m --d --replicates --seed --out --threads",
+        "experiment sums": "--n --m --d --beta --alpha --out",
+        "experiment corollary": "--n-grid --m --exponent --replicates --seed --out --threads",
+        "experiment region": "--system --inequalities --out",
+        "experiment equivalence": "--n --m --samples --seed --out",
+        "replay": "--manifest",
+    }
+    pinned = {(command, flag) for command, flags in surface.items() for flag in flags.split()}
+    assert set(option_surface(build_parser())) == pinned
+    assert len(pinned) == 58
+
+
 def test_experiment_gamma_total_fits_the_total_degree_histogram(capsys, tmp_path):
     # gamma's fit runs through LAPACK, so its report is not pinned; its
     # total-degree fit must be the fit of the graph's total-degree histogram
@@ -456,7 +538,7 @@ def test_manifest_records_peak_memory_and_versions(capsys, tmp_path):
 def test_replay_reproduces_experiment(capsys, tmp_path):
     out = tmp_path / "sums.json"
     run(capsys, "experiment", "sums", "--n", "100000", "--d", "3", "--beta", "0.8",
-        "--seed", "1", "--out", str(out))
+        "--out", str(out))
     code, stdout, _ = run(capsys, "replay",
                           "--manifest", str(tmp_path / "sums.json.manifest.json"))
     assert code == 0
@@ -471,6 +553,12 @@ def test_replay_reproduces_experiment(capsys, tmp_path):
         {"argv": ["generate", "--n", "5", "--seed", "0", "--out", "g.csv"]},
         {"argv": ["replay", "--manifest", "bad.manifest.json"], "outputs": {}},
         {"argv": ["oracle", "prob-dk", "--n", "2"], "outputs": {}},  # checks nothing
+        # an output name that is not a plain file name would hash a file the
+        # replay did not write
+        {"argv": ["generate", "--n", "5", "--seed", "0", "--out", "g.csv"],
+         "outputs": {"/etc/hostname": "0" * 64}},
+        {"argv": ["generate", "--n", "5", "--seed", "0", "--out", "g.csv"],
+         "outputs": {"../g.csv": "0" * 64}},
     ],
 )
 def test_replay_rejects_malformed_manifest(capsys, tmp_path, manifest):
