@@ -18,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import platform
 import resource
 import secrets
@@ -106,7 +107,6 @@ def _write_manifest(args, out_path: Path, outputs) -> Path:
         argv.extend([f"--{key.replace('_', '-')}", str(val)])
     manifest = {
         "argv": argv,
-        "seed": getattr(args, "seed", None),
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_clock_seconds": time.time() - args.started,
@@ -483,7 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     e = exp.add_parser("region")
     e.add_argument("--system", default="theorem1",
                    choices=tuple(BUILTIN_SYSTEMS) + ("combined",))
-    e.add_argument("--inequalities", default=None,
+    # absolute, so that argv and the report name the file read, from any directory
+    e.add_argument("--inequalities", type=os.path.abspath, default=None,
                    help="file with one 'a b cmp c' inequality per line")
     _add_common(e, _exp_region, seed=False)
 

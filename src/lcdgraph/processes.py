@@ -35,8 +35,8 @@ from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 # sequential choices and pointers.
 POINT_CAP = 50_000_000
 
-# Rows of a pairing batch that are sampled and reduced at a time.
-PAIRING_BLOCK = 1 << 14
+# Rows of a batch that are sampled and reduced at a time.
+BATCH_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -200,42 +200,32 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
 def batch_total_degrees(
     variant: str, n: int, m: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Total-degree sequences of many independent small graphs, one row per
-    sample.  Sequential and pairing run the kernels of ``generate``; the urn
-    counts its keys beyond each block boundary l_{vm} (``_batch_urn``).
-    Intended for n*m small (distribution tests); memory is
-    O(samples * n * m), and 2 * samples * n * m may not exceed POINT_CAP."""
+    """Total-degree sequences of many independent small graphs, one int64
+    row per sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's
+    row kernel in ``_BATCHES``.  Intended for n*m small (distribution
+    tests); memory is that of one block plus the (samples, n) result, and
+    2 * samples * n * m may not exceed POINT_CAP."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown variant {variant!r}")
     if min(n, m, samples) < 1:
         raise DomainError(f"n, m and samples must be >= 1, got {n}, {m}, {samples}")
     _check_points(n, m, samples)
-    big_n = n * m
-    if variant == "sequential":
-        tgt = sequential_targets(sequential_choices(big_n, samples, rng))
-        # every primed vertex is the source of one edge: out-degree m per block
-        rows = block_counts(tgt, n, m)
-        rows += m
-        return rows
-    if variant == "pairing":
-        # rng.permuted shuffles row by row, so blocks of rows draw the same
-        # rows as one table while holding only one block's pair table
-        rows = np.empty((samples, n), dtype=np.int64)
-        for start in range(0, samples, PAIRING_BLOCK):
-            block = rows[start : start + PAIRING_BLOCK]
-            block[...] = pair_degree_rows(sample_pairs(big_n, len(block), rng), m)
-        return rows
-    return _batch_urn(n, m, samples, rng)
+    rows = np.empty((samples, n), dtype=np.int64)
+    for start in range(0, samples, BATCH_BLOCK):
+        block = rows[start : start + BATCH_BLOCK]
+        block[...] = _BATCHES[variant](n, m, len(block), rng)
+    return rows
 
 
-def block_counts(primed: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Per-row counts of primed vertex ids (1..mn) in each block of m, as
-    int64; ``primed`` is left as it is."""
-    samples = primed.shape[0]
-    code = primed - 1
-    code //= m
-    code += n * np.arange(samples, dtype=code.dtype)[:, None]
-    return np.bincount(code.ravel(), minlength=samples * n).reshape(samples, n)
+def _batch_sequential(n, m, samples, rng):
+    tgt = sequential_targets(sequential_choices(n * m, samples, rng))
+    # count each row's primed targets per block of m, row r's in bins r*n..
+    tgt -= 1
+    tgt //= m
+    tgt += n * np.arange(samples, dtype=tgt.dtype)[:, None]
+    rows = np.bincount(tgt.ravel(), minlength=samples * n).reshape(samples, n)
+    rows += m  # every primed vertex is the source of one edge: out-degree m
+    return rows
 
 
 def _batch_urn(n, m, samples, rng):
@@ -261,3 +251,13 @@ def _batch_urn(n, m, samples, rng):
         rows[:, v] -= rows[:, v + 1]
     rows += m  # in-degree plus out-degree m
     return rows
+
+
+# variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs.
+# Sequential and pairing draw row after row, so their rows do not depend on
+# BATCH_BLOCK; the urn draws one column per graph, so its rows do.
+_BATCHES = {
+    "sequential": _batch_sequential,
+    "urn": _batch_urn,
+    "pairing": lambda n, m, rows, rng: pair_degree_rows(sample_pairs(n * m, rows, rng), m),
+}

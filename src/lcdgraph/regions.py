@@ -162,12 +162,9 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
     """
     closed = [q.closure() for q in sys.inequalities]
     alpha_bounds = _eliminate_beta(closed)
-    lo, _, hi, _ = _interval_1d(alpha_bounds)
-    if hi is None:
+    _, _, sup, _ = _interval_1d(alpha_bounds)
+    if sup is None:
         raise DomainError("alpha is unbounded above; no finite supremum")
-    sup = hi
-    if lo is not None and lo > sup:  # pragma: no cover - caught in _interval_1d
-        raise InfeasibleSystemError("empty alpha interval")
     b_lo, _, b_hi, _ = _beta_interval_at(closed, sup)
     # the original system, strictness kept, reaches alpha = sup iff its beta
     # interval there is non-empty

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from lcdgraph.errors import CapacityError, DomainError
-from lcdgraph.lcd import pair_degree_rows, sample_pairs
 from lcdgraph.processes import (
-    PAIRING_BLOCK,
+    BATCH_BLOCK,
     POINT_CAP,
     VARIANTS,
+    _BATCHES,
     ProcessParams,
     _stick_lengths,
     batch_total_degrees,
@@ -268,7 +268,9 @@ def test_negative_seed_or_replicate_rejected():
 # sha256 of the little-endian int64 rows of batch_total_degrees(variant, n,
 # m, samples, replicate_rng(17, 10 * n + m)), recorded before the pairing
 # rows came from right-endpoint gaps and the sequential pointer setup lost
-# its np.where: the seed-to-bytes contract of the batch path
+# its np.where: the seed-to-bytes contract of the batch path.  The urn draws
+# one column per graph, so its rows above BATCH_BLOCK samples depend on the
+# block size; the (3, 2, 20000) case pins them.
 BATCH_DIGESTS = {
     ("sequential", 3, 2, 2000): "ce17acb93ea9db3e3f4f849147c059d0be6db0cc9b7f5bb753a820881d6ef153",
     ("sequential", 4, 1, 1500): "df6b728570827947ad50122fad919688f712c327987168766d2c23b6e304f332",
@@ -279,6 +281,7 @@ BATCH_DIGESTS = {
     ("urn", 3, 2, 2000): "32f7f5666128ab2d31833328258ce254ed1512920ad94da097c85d4b6caafd45",
     ("urn", 4, 1, 1500): "1b800b703f80180b2d6ee4756eec6f3fe5c2368ae724eef5059e0d5c2443a01c",
     ("urn", 2, 3, 1000): "cb8e77ee8ee3b4cb57e60a168eb394fe9500cf40821c094d72c22675ddfee5d6",
+    ("urn", 3, 2, 20000): "b2b0be3d7e078c139aba6dc69f9c0cde4b36447ed6e5def7e9d6024e6c451358",
 }
 
 
@@ -290,12 +293,14 @@ def test_batch_rows_keep_their_bytes(variant, n, m, samples):
     assert digest == BATCH_DIGESTS[variant, n, m, samples]
 
 
-def test_pairing_batch_blocks_are_one_draw():
-    # three blocks, the last one ragged: the same rows as one unblocked table
-    samples = 2 * PAIRING_BLOCK + 1234
-    rows = batch_total_degrees("pairing", 3, 2, samples, replicate_rng(23, 1))
-    whole = pair_degree_rows(sample_pairs(6, samples, replicate_rng(23, 1)), 2)
-    assert rows.dtype == np.int64
+@pytest.mark.parametrize("variant", ["sequential", "pairing"])
+def test_batch_blocks_are_one_draw(variant):
+    # three blocks, the last one ragged: the same rows as one call of the
+    # row kernel, since these two draw row after row
+    samples = 2 * BATCH_BLOCK + 1234
+    rows = batch_total_degrees(variant, 3, 2, samples, replicate_rng(23, 1))
+    whole = _BATCHES[variant](3, 2, samples, replicate_rng(23, 1))
+    assert rows.dtype == whole.dtype == np.int64
     assert np.array_equal(rows, whole)
 
 
@@ -310,18 +315,16 @@ def traced_peak_mb(call):
         tracemalloc.stop()
 
 
-# Heap peaks with a margin over the 17.1, 24.0, 8.2 and 28.5 MB that numpy
-# 2.4 gives here; the kernels' former temporaries gave 28.0, 30.7, 40.1 and
-# 33.6 MB.
+# Heap peak with a margin over the 17.1 MB that numpy 2.4 gives here.
 def test_generate_1e6_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**6, 1)))
     assert peak < 20.0, peak
 
 
-# tracemalloc peaks at (3, 2, 2e5) are 24.0, 8.2 and 22.4 MB; the urn holds
-# its sticks and keys (9.6 MB each) and, briefly, the copied block boundaries
-@pytest.mark.parametrize("variant, bound", [("sequential", 26.0), ("pairing", 10.0),
-                                            ("urn", 23.5)])
+# tracemalloc peaks at (3, 2, 2e5) are 7.1, 8.2 and 6.6 MB: the 4.8 MB
+# result and one BATCH_BLOCK of rows
+@pytest.mark.parametrize("variant, bound", [("sequential", 8.5), ("pairing", 10.0),
+                                            ("urn", 8.0)])
 def test_batch_heap_peak(variant, bound):
     peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
     assert peak < bound, peak
