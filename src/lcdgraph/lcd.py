@@ -142,17 +142,3 @@ class LcdGraph:
     def total_degrees(self) -> np.ndarray:
         return self.in_degrees + self.m
 
-    def edge_list(self):
-        return list(zip(self.src.tolist(), self.tgt.tolist()))
-
-
-def graph_from_pairs(pairs: np.ndarray) -> LcdGraph:
-    """Build the merged directed graph of one pairing from its pair table
-    (shape (n, 2), any pair order).  Raises DomainError unless the table
-    holds each point 1..2n exactly once, n >= 1, and a < b in every pair.
-    Edge k leaves vertex k, which closes at the k-th right endpoint."""
-    n = len(pairs)
-    if not (n >= 1 and pairs.shape == (n, 2) and (pairs[:, 0] < pairs[:, 1]).all()
-            and np.array_equal(np.sort(pairs, axis=None), np.arange(1, 2 * n + 1))):
-        raise DomainError("pair table is not a pairing of 1..2n with a < b in every pair")
-    return LcdGraph(n, 1, pair_targets(pairs))

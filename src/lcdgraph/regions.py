@@ -1,14 +1,15 @@
 """Exact feasibility analysis of linear inequality systems over (alpha, beta).
 
 All arithmetic is over ``fractions.Fraction``; results such as sup alpha are
-exact rationals, never floats.  Strict inequalities are closed when taking
-the supremum and the result is flagged "not attained" when the optimum sits
-on a strict boundary.
+exact rationals, never floats.  One polygon algorithm serves every result:
+the corners of the closed region are its pairwise boundary intersections,
+and sup alpha is the largest corner alpha.  Strict inequalities are closed
+when taking the supremum and the result is flagged "not attained" when the
+optimum sits on a strict boundary.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from itertools import combinations
 from .errors import DomainError, InfeasibleSystemError
 
 _OPS = ("<", "<=", ">", ">=")
+_EMPTY = "the region is empty, even with its strict inequalities closed"
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,6 @@ class Inequality:
     def strict(self) -> bool:
         return self.op in ("<", ">")
 
-    def holds(self, alpha: Fraction, beta: Fraction) -> bool:
-        lhs = self.a * alpha + self.b * beta
-        if self.op == "<":
-            return lhs < self.c
-        if self.op == "<=":
-            return lhs <= self.c
-        if self.op == ">":
-            return lhs > self.c
-        return lhs >= self.c
-
 
 def parse_inequality(line: str) -> Inequality:
     """Parse "a b cmp c" meaning a*alpha + b*beta cmp c; a, b, c rational."""
@@ -62,7 +54,10 @@ def parse_inequality(line: str) -> Inequality:
     if len(parts) != 4:
         raise DomainError(f"expected 'a b cmp c', got {line!r}")
     a, b, op, c = parts
-    return Inequality(Fraction(a), Fraction(b), op, Fraction(c))
+    try:
+        return Inequality(Fraction(a), Fraction(b), op, Fraction(c))
+    except ZeroDivisionError:
+        raise DomainError(f"zero denominator in {line!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,10 +73,6 @@ class RegionSystem:
     @classmethod
     def from_lines(cls, lines) -> "RegionSystem":
         return cls(tuple(parse_inequality(ln) for ln in lines if ln.strip()))
-
-    def holds(self, alpha, beta) -> bool:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        return all(q.holds(alpha, beta) for q in self.inequalities)
 
 
 @dataclass(frozen=True)
@@ -104,7 +95,7 @@ def _interval_1d(bounds):
     for coef, strict, c in bounds:
         if coef == 0:
             if c < 0 or (strict and c == 0):
-                raise InfeasibleSystemError("constant inequality is false")
+                raise InfeasibleSystemError(_EMPTY)
             continue
         val = c / coef
         if coef > 0:  # x <(=) val
@@ -115,33 +106,8 @@ def _interval_1d(bounds):
                 lo, lo_strict = val, strict
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            raise InfeasibleSystemError("empty one-variable interval")
+            raise InfeasibleSystemError(_EMPTY)
     return lo, lo_strict, hi, hi_strict
-
-
-def _eliminate_beta(ineqs):
-    """Fourier-Motzkin step: project the system onto alpha.
-
-    Input inequalities are normalized to a*alpha + b*beta (<|<=) c.  Returns
-    bounds on alpha as (coef, strict, c) triples meaning coef*alpha (<|<=) c.
-    """
-    uppers, lowers, pure = [], [], []
-    for q in ineqs:
-        q = q.normalized()
-        if q.b == 0:
-            pure.append((q.a, q.strict, q.c))
-        elif q.b > 0:  # beta <=(<) (c - a*alpha)/b
-            uppers.append(q)
-        else:  # beta >=(>) (c - a*alpha)/b
-            lowers.append(q)
-    for lo in lowers:
-        for up in uppers:
-            # (c_lo - a_lo*alpha)/b_lo <= beta <= (c_up - a_up*alpha)/b_up
-            # with b_lo < 0 < b_up; cross-multiplying by -b_lo*b_up > 0:
-            a = up.a * (-lo.b) + lo.a * up.b
-            c = up.c * (-lo.b) + lo.c * up.b
-            pure.append((a, lo.strict or up.strict, c))
-    return pure
 
 
 def _beta_interval_at(ineqs, alpha: Fraction):
@@ -153,26 +119,34 @@ def _beta_interval_at(ineqs, alpha: Fraction):
     return _interval_1d(bounds)
 
 
+def _meets(ineqs, alpha: Fraction) -> bool:
+    """True when some beta satisfies every inequality at this alpha."""
+    try:
+        _beta_interval_at(ineqs, alpha)
+    except InfeasibleSystemError:
+        return False
+    return True
+
+
 def region_max_alpha(sys: RegionSystem) -> RegionResult:
     """Exact sup of alpha over the region, with a witnessing beta.
 
     Strict inequalities are closed for the supremum; ``attained`` reports
     whether the original system reaches it.  Raises InfeasibleSystemError
-    when even the closure is empty.
+    when even the closure is empty, DomainError when alpha is unbounded.
     """
-    closed = [q.closure() for q in sys.inequalities]
-    alpha_bounds = _eliminate_beta(closed)
-    _, _, sup, _ = _interval_1d(alpha_bounds)
-    if sup is None:
+    closed = [q.closure().normalized() for q in sys.inequalities]
+    vertices = region_vertices(sys)
+    if vertices:  # a region with a corner holds no line, so a finite sup is a corner
+        sup = max(a for a, _ in vertices)
+    else:  # empty, or a strip between parallel boundaries
+        lo, _, sup, _ = _interval_1d([(q.a, q.strict, q.c) for q in closed if q.b == 0])
+        if sup is None and not _meets(closed, lo or 0):
+            raise InfeasibleSystemError(_EMPTY)
+    # the closure is convex, so alpha is unbounded iff it reaches past sup
+    if sup is None or _meets(closed, sup + 1):
         raise DomainError("alpha is unbounded above; no finite supremum")
     b_lo, _, b_hi, _ = _beta_interval_at(closed, sup)
-    # the original system, strictness kept, reaches alpha = sup iff its beta
-    # interval there is non-empty
-    try:
-        _beta_interval_at(sys.inequalities, sup)
-        attained = True
-    except InfeasibleSystemError:
-        attained = False
     # a witnessing beta strictly inside the interval when it has interior
     if b_lo is not None and b_hi is not None:
         witness = (b_lo + b_hi) / 2
@@ -184,11 +158,22 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
         witness = Fraction(0)
     return RegionResult(
         sup_alpha=sup,
-        attained=attained,
+        # the original system, strictness kept, reaches alpha = sup iff its
+        # beta interval there is non-empty
+        attained=_meets(sys.inequalities, sup),
         beta_interval=(b_lo, b_hi),
         witness_beta=witness,
-        vertices=region_vertices(sys),
+        vertices=vertices,
     )
+
+
+def _angle_key(x: Fraction, y: Fraction) -> Fraction:
+    """An exact key that increases with the angle of (x, y) in (-pi, pi],
+    as atan2 does: 1 - x/r above the x-axis, x/r - 1 below, r = |x| + |y|."""
+    r = abs(x) + abs(y)
+    if r == 0:
+        return Fraction(0)
+    return 1 - x / r if y >= 0 else x / r - 1
 
 
 def region_vertices(sys: RegionSystem) -> tuple:
@@ -208,26 +193,7 @@ def region_vertices(sys: RegionSystem) -> tuple:
         return ()
     cx = sum(p[0] for p in pts) / len(pts)
     cy = sum(p[1] for p in pts) / len(pts)
-    return tuple(sorted(pts, key=lambda p: math.atan2(p[1] - cy, p[0] - cx)))
-
-
-def feasible_along(sys: RegionSystem, point, direction) -> bool:
-    """True when point + eps*direction satisfies every inequality (including
-    strict ones) for all small enough eps > 0.  Exact arithmetic."""
-    px, py = Fraction(point[0]), Fraction(point[1])
-    dx, dy = Fraction(direction[0]), Fraction(direction[1])
-    for q in sys.inequalities:
-        qn = q.normalized()
-        g0 = qn.a * px + qn.b * py - qn.c
-        g1 = qn.a * dx + qn.b * dy
-        # need g0 + eps*g1 < 0 (or <= 0) for small eps > 0
-        if g0 < 0:
-            continue
-        if g0 == 0:
-            if g1 < 0 or (g1 == 0 and not qn.strict):
-                continue
-        return False
-    return True
+    return tuple(sorted(pts, key=lambda p: _angle_key(p[0] - cx, p[1] - cy)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Test references that read pairings as partner rows.  The package holds
-every pairing as a pair table; only these references, and the tests that
-code or check pairings through them, convert to partner rows."""
+"""Test references that read pairings as partner rows, or one pairing as
+its graph.  The package holds every pairing as a pair table; only these
+references, and the tests that code or check pairings through them, convert
+to partner rows or check a table before building its graph."""
 
 import numpy as np
+
+from lcdgraph.errors import DomainError
+from lcdgraph.lcd import LcdGraph, pair_targets
 
 
 def partner_rows(pairs: np.ndarray) -> np.ndarray:
@@ -25,3 +29,20 @@ def reference_degree_rows(partner: np.ndarray, m: int = 1) -> np.ndarray:
     primed = np.cumsum(is_right, axis=1) - is_right  # primed vertex - 1
     code = primed // m + n * np.arange(rows)[:, None]
     return np.bincount(code.ravel(), minlength=rows * n).reshape(rows, n)
+
+
+def graph_from_pairs(pairs: np.ndarray) -> LcdGraph:
+    """Build the merged directed graph of one pairing from its pair table
+    (shape (n, 2), any pair order).  Raises DomainError unless the table
+    holds each point 1..2n exactly once, n >= 1, and a < b in every pair.
+    Edge k leaves vertex k, which closes at the k-th right endpoint."""
+    n = len(pairs)
+    if not (n >= 1 and pairs.shape == (n, 2) and (pairs[:, 0] < pairs[:, 1]).all()
+            and np.array_equal(np.sort(pairs, axis=None), np.arange(1, 2 * n + 1))):
+        raise DomainError("pair table is not a pairing of 1..2n with a < b in every pair")
+    return LcdGraph(n, 1, pair_targets(pairs))
+
+
+def edge_list(g: LcdGraph) -> list:
+    """The graph's edges as (source, target) pairs, in edge order."""
+    return list(zip(g.src.tolist(), g.tgt.tolist()))

@@ -33,8 +33,9 @@ from lcdgraph.processes import (
     generate,
     replicate_rng,
 )
-from lcdgraph.regions import BUILTIN_SYSTEMS, combined_max_alpha, feasible_along, region_max_alpha
+from lcdgraph.regions import BUILTIN_SYSTEMS, combined_max_alpha, region_max_alpha
 from pair_tables import partner_rows, reference_degree_rows
+from region_reference import feasible_along
 
 
 def _report(criterion: int, passed: bool, detail: str):

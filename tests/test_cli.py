@@ -11,9 +11,10 @@ import pytest
 from lcdgraph import analysis, cli
 from lcdgraph.analysis import power_law_exponent
 from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
-from lcdgraph.lcd import enumerate_pairings, graph_from_pairs
+from lcdgraph.lcd import enumerate_pairings
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
 from lcdgraph.processes import VARIANTS, ProcessParams, generate
+from pair_tables import graph_from_pairs
 
 
 def run(capsys, *argv):
@@ -274,6 +275,24 @@ def test_experiment_region_custom_inequalities(capsys, tmp_path):
     assert "sup alpha = 1/3" in stdout
 
 
+@pytest.mark.parametrize("text", [
+    "1 0 >= 1\n1 0 <= 0\n",  # an empty closure
+    "1 0 >= 0\n",  # alpha unbounded above
+    "",  # no inequality
+    "1 0 <=\n",  # three fields
+    "1 0 <= 1/0\n",  # a zero denominator
+], ids=["empty-region", "unbounded", "empty-file", "three-fields", "zero-denominator"])
+def test_experiment_region_bad_inequalities(capsys, tmp_path, text):
+    ineq = tmp_path / "ineq.txt"
+    ineq.write_text(text)
+    code, stdout, err = run(capsys, "experiment", "region", "--inequalities", str(ineq),
+                            "--out", str(tmp_path / "region.json"))
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [ineq]  # no report
+
+
 def test_replay_region_with_relative_inequalities(capsys, tmp_path, monkeypatch):
     # run in a/ with a relative input path, replay from b/
     (tmp_path / "a").mkdir()
@@ -313,8 +332,9 @@ def test_experiment_sums_case_3_fail_names_the_cutoff(capsys, tmp_path):
     assert json.loads(out.read_text())["aggregates"]["s1_integral"] == pytest.approx(6.831, abs=1e-3)
 
 
-# sha256 of every output file of three experiments whose reports hold no
-# unseeded draw; `gamma` is left out because its fit runs through LAPACK
+# sha256 of every output file of the experiments whose reports hold no
+# unseeded draw, and of every built-in region system; `gamma` is left out
+# because its fit runs through LAPACK
 REPORT_PINS = {
     ("sums", "--n", "10000", "--d", "3", "--beta", "0.8"): {
         "sums.json": "c36bde770d8955510407aa033e43eff21be8597bc427f8fa98cd76ad7d2ddd46",
@@ -329,6 +349,26 @@ REPORT_PINS = {
         "region.csv": "dbecbf14c3b6558d96f55650c5de692e6a8b92bdb3d867530d550e0432886375",
         "region.vertices.csv": "de745861903660c8b6ec6ebf04e5a0ddebba6aef2f5bd163abdc7bdd09defcdc",
     },
+    ("region", "--system", "theorem1"): {
+        "region.json": "00b233d1f9bad1d6ed5f0ac85aa6d2d95a6349374bfb7e5f706a8fbb5eb21a96",
+        "region.csv": "9e8cab46c69243e78130b3455d23dfc45142563d692a9c22894280b189d5daae",
+        "region.vertices.csv": "9c091c7dc699f6cd39c01d50ded6f056800140e0f7bd89186448f65e85949b86",
+    },
+    ("region", "--system", "theorem2-case1"): {
+        "region.json": "f17014fcb0d21acdaa78f4d8f9475123eae8fade5b0aed094d6daca672f1a580",
+        "region.csv": "8820e912ff3f980dac681a453f3b4f43dd1a3a48ed1ce74bee11ae0657698294",
+        "region.vertices.csv": "d120b5f22c265c7a6caa95818efc4a85750571e1d7a71dce9d57b13845e9e373",
+    },
+    ("region", "--system", "theorem2-case2"): {
+        "region.json": "99ad0a687639b879165291bf254051f8186e24004c776c0a7a0ddf477b13c2c5",
+        "region.csv": "8820e912ff3f980dac681a453f3b4f43dd1a3a48ed1ce74bee11ae0657698294",
+        "region.vertices.csv": "631a3cc503e78db70202b7f911d770a753398fdb16e11e17ef1095c008007a2f",
+    },
+    ("region", "--system", "theorem2-case3"): {
+        "region.json": "b1e1fb6dba1a09085cb898ab50ec1b8eb90b0e3be5f0f05a2e905ad2d8548f12",
+        "region.csv": "dbecbf14c3b6558d96f55650c5de692e6a8b92bdb3d867530d550e0432886375",
+        "region.vertices.csv": "de745861903660c8b6ec6ebf04e5a0ddebba6aef2f5bd163abdc7bdd09defcdc",
+    },
     ("fraction", "--n", "5000", "--m", "3", "--d", "2", "--replicates", "10", "--seed", "4"): {
         "fraction.json": "db099b30552842c35f027fa856afd25e4ee2db9f53432a239d6ae4bf1af9d1b8",
         "fraction.csv": "2062d3f2f20082e797393db5cb8bcfb93bc6e610bed3070a93e655b2a6d984f2",
@@ -340,7 +380,16 @@ REPORT_PINS = {
 }
 
 
-@pytest.mark.parametrize("argv", REPORT_PINS, ids=lambda argv: argv[0])
+def pin_id(argv):
+    """The experiment's name; a built-in region system other than the
+    combined one, pinned first under the bare name, adds its own."""
+    name, *flags = argv
+    if name == "region" and flags[1] != "combined":
+        return f"region-{flags[1]}"
+    return name
+
+
+@pytest.mark.parametrize("argv", REPORT_PINS, ids=pin_id)
 def test_experiment_report_digests(capsys, tmp_path, argv):
     run(capsys, "experiment", *argv, "--out", str(tmp_path / f"{argv[0]}.json"))
     for name, pin in REPORT_PINS[argv].items():

@@ -1,17 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError, InfeasibleSystemError
 from lcdgraph.regions import (
     BUILTIN_SYSTEMS,
     RegionSystem,
     combined_max_alpha,
-    feasible_along,
     parse_inequality,
     region_max_alpha,
     region_vertices,
 )
+from region_reference import feasible_along, holds, reference_sup_alpha, system_holds
 
 
 def test_parse_inequality():
@@ -26,13 +28,15 @@ def test_parse_rejects_garbage():
         parse_inequality("1 2 3")
     with pytest.raises(DomainError):
         parse_inequality("1 2 == 3")
+    with pytest.raises(DomainError, match="1/0"):
+        parse_inequality("1 0 <= 1/0")
 
 
 def test_inequality_holds_and_closure():
     q = parse_inequality("1 0 < 1/3")
-    assert q.holds(Fraction(1, 4), Fraction(0))
-    assert not q.holds(Fraction(1, 3), Fraction(0))
-    assert q.closure().holds(Fraction(1, 3), Fraction(0))
+    assert holds(q, Fraction(1, 4), Fraction(0))
+    assert not holds(q, Fraction(1, 3), Fraction(0))
+    assert holds(q.closure(), Fraction(1, 3), Fraction(0))
 
 
 def test_first_theorem_sup_alpha_is_exactly_1_14():
@@ -68,7 +72,7 @@ def test_case2_strict_system_has_no_interior():
     for a_num in range(0, 11):
         a = Fraction(a_num, 30)
         for b_num in range(0, 33):
-            assert not sys2.holds(a, Fraction(b_num, 32))
+            assert not system_holds(sys2, a, Fraction(b_num, 32))
 
 
 def test_alpha_box_alone():
@@ -98,7 +102,7 @@ def test_beta_bounded_on_one_side(lines, interval):
     assert res.sup_alpha == 1
     assert res.attained
     assert res.beta_interval == interval
-    assert sys.holds(res.sup_alpha, res.witness_beta)
+    assert system_holds(sys, res.sup_alpha, res.witness_beta)
 
 
 def test_infeasible_system():
@@ -111,6 +115,9 @@ def test_unbounded_alpha():
     sys = RegionSystem.from_lines(["1 0 >= 0"])
     with pytest.raises(DomainError):
         region_max_alpha(sys)
+    # a half-plane that leaves out alpha = 0 is not empty either
+    with pytest.raises(DomainError):
+        region_max_alpha(RegionSystem.from_lines(["1 0 >= 1"]))
 
 
 def test_unit_box_vertices():
@@ -144,3 +151,33 @@ def test_feasible_along_negative_case():
 def test_empty_system_rejected():
     with pytest.raises(DomainError):
         RegionSystem(())
+
+
+def test_vertices_ccw_at_extreme_scales():
+    # the corners are ordered by an exact angle key; a float angle overflows
+    # at 1e400 and rounds every corner of the 1e-400 box to the centre
+    big, eps, zero = Fraction(10) ** 400, Fraction(1, 10**400), Fraction(0)
+    wide = RegionSystem.from_lines(["1 0 <= 1e400", "0 1 <= 1", "1 0 >= 0", "0 1 >= 0"])
+    assert region_vertices(wide) == ((zero, zero), (big, zero), (big, 1), (zero, 1))
+    tiny = RegionSystem.from_lines(["1 0 <= 1e-400", "0 1 <= 1e-400", "1 0 >= 0", "0 1 >= 0"])
+    assert region_vertices(tiny) == ((zero, zero), (eps, zero), (eps, eps), (zero, eps))
+
+
+# zero twice, so that boundaries parallel to an axis are common
+_COEF = st.sampled_from([Fraction(v) for v in
+                         ("-2", "-1", "-1/2", "-1/3", "0", "0", "1/3", "1/2", "1", "3/2", "2")])
+_INEQ = st.builds(lambda a, b, op, c: f"{a} {b} {op} {c}",
+                  _COEF, _COEF, st.sampled_from(["<", "<=", ">", ">="]), _COEF)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(_INEQ, min_size=1, max_size=7))
+def test_corner_sup_matches_fourier_motzkin(lines):
+    sys = RegionSystem.from_lines(lines)
+    try:
+        want = reference_sup_alpha(sys)
+    except (DomainError, InfeasibleSystemError) as exc:
+        with pytest.raises(type(exc)):
+            region_max_alpha(sys)
+    else:
+        assert region_max_alpha(sys).sup_alpha == want
