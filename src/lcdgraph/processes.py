@@ -69,19 +69,118 @@ def _check_points(n: int, m: int, samples: int = 1) -> None:
         raise CapacityError(f"2 * samples * n * m = {points} points exceed the cap {POINT_CAP}")
 
 
+# Draws per chunk of _lemire_rows, whose temporaries are O(DRAW_CHUNK): at
+# 2^13 the largest, a uint64 product, is 64 KiB.  On a 2-core Xeon, 2^12
+# made the 3e5 and 1e6 draws about 25 % slower; 2^14 was 5-10 % faster in
+# a warm process but took the 2e4 draw from 0.19 to 0.40 ms in a fresh one.
+DRAW_CHUNK = 1 << 13
+
+# Vertex t beyond which a row is drawn by rng.integers.  A rejection costs
+# _lemire_rows one pass over the rest of its chunk, and at range 2t-1 about
+# (2t-1)/2^33 of the draws reject, so past some t numpy's own per-element
+# loop (about 28 ns a draw) is cheaper.  At big_n = 1e7 on a 2-core Xeon,
+# numpy 2.4, the draw took 346, 280, 274, 316 and 360 ms with the hand-off
+# at t = 2^20 .. 2^24.  Only the draw_1e7 input of tools/bench_layers.py
+# runs past it; no benchmark workload does.
+DRAW_HANDOFF = 1 << 22
+
+
 def sequential_choices(big_n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform int32 choices of ``samples`` sequential processes on big_n
     primed vertices: ``choices[:, t-1]`` is uniform on [0, 2t-2].
 
-    Drawn from a fresh ``Generator``, as ``generate`` draws from its
-    ``replicate_rng``, this is the stream of the int64 draw
-    ``rng.integers(0, 2t-1)`` over t, row after row.  It is so from any
-    other shared state too: both draws take the low, then the high 32-bit
-    half of each 64-bit output and run the same Lemire rejection.
-    ``POINT_CAP`` keeps 2t-1 and every flat pointer of
-    ``sequential_targets`` below 2^31."""
-    highs = 2 * np.arange(1, big_n + 1, dtype=np.int32) - 1
-    return rng.integers(0, highs, size=(samples, big_n), dtype=np.int32)
+    The choices, and the state the generator is left in, are those of
+    ``rng.integers(0, highs, size=(samples, big_n), dtype=np.int32)`` with
+    ``highs[t-1] = 2t-1``, which is also the stream of the int64 draw: each
+    takes the low, then the high 32-bit half of each 64-bit output and runs
+    Lemire's multiply-and-reject (Lemire, "Fast random integer generation in
+    an interval", ACM TOMACS 29(1), 2019).  ``_lemire_rows`` applies that
+    rule to whole chunks, up to vertex ``DRAW_HANDOFF`` of each row; the
+    rest of a longer row is left to ``rng.integers``.  Only a PCG64
+    generator, as ``replicate_rng`` makes, is accepted.  The call reads and
+    sets the generator's state in several steps, not under its lock, so no
+    other thread may draw from ``rng`` meanwhile.  ``POINT_CAP`` keeps
+    2t-1 and every flat pointer of ``sequential_targets`` below 2^31."""
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        raise DomainError(f"the sequential draw needs a PCG64 generator, got {type(bits).__name__}")
+    choices = np.zeros((samples, big_n), dtype=np.int32)
+    if big_n <= DRAW_HANDOFF:
+        _lemire_rows(bits, choices[:, 1:])
+        return choices
+    highs = 2 * np.arange(DRAW_HANDOFF + 1, big_n + 1, dtype=np.int32) - 1
+    for row in choices:
+        _lemire_rows(bits, row[None, 1:DRAW_HANDOFF])
+        row[DRAW_HANDOFF:] = rng.integers(0, highs, dtype=np.int32)
+    return choices
+
+
+def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
+    """Fill ``block[r, c]`` with numpy's bounded draw on [0, 2c+2], row
+    after row, from ``bits`` as ``Generator.integers`` draws it.
+
+    One draw takes the next 32-bit half h of the stream (a spare half the
+    generator holds comes first) and computes m = h * (2c+3) in 64 bits; it
+    keeps m >> 32 unless the low word of m is below 2^32 mod (2c+3), and
+    otherwise retries with the next half.  A chunk finds its first rejection
+    from the low words alone and keeps the draws before it, then resumes
+    one half later.  At the end the generator's spare half is set as numpy
+    leaves it: the one half left over, or none."""
+    rows, width = block.shape
+    if block.size == 0:
+        return
+    per = min(rows, max(1, DRAW_CHUNK // width))  # whole rows in a chunk
+    # the ranges of a chunk from column 0: whole rows, or a long row's start
+    table = np.arange(3, 2 * min(width, DRAW_CHUNK) + 3, 2, dtype=np.uint32)
+    if per > 1:
+        table = np.tile(table, per)
+    vals = np.empty(table.size, dtype=np.int32)
+    state = bits.state
+    # pool[hq] is the next half and pool[hq - 1] the last one used, which
+    # numpy keeps in uinteger
+    pool = np.array([state["uinteger"]] * (1 + state["has_uint32"]), dtype=np.uint32)
+    hq = 1
+    r = c = 0
+    while r < rows:
+        if width <= DRAW_CHUNK:
+            k, w = min(per, rows - r), width
+        else:  # a piece of one long row
+            k, w = 1, min(DRAW_CHUNK, width - c)
+        span = k * w
+        ranges = table[:span] + np.uint32(2 * c) if c else table[:span]
+        top = 2 * (c + w) + 1  # the largest range in the chunk
+        p = 0
+        while p < span:
+            n = span - p
+            if pool.size - hq < n:
+                fresh = bits.random_raw((n - pool.size + hq + 1) // 2)
+                fresh = fresh.astype("<u8", copy=False).view("<u4")  # low half first
+                pool = np.concatenate((pool[hq - 1 :], fresh))
+                hq = 1
+            half, rng_p = pool[hq : hq + n], ranges[p:]
+            low = half * rng_p  # the low word of m, mod 2^32
+            j = n
+            maybe = (low < top).nonzero()[0]  # each threshold is below its range
+            if maybe.size:
+                rng_m = rng_p[maybe]
+                reject = maybe[low[maybe] < -rng_m % rng_m]  # 2^32 mod range
+                if reject.size:
+                    j = int(reject[0])
+            high = half[:j].astype(np.uint64)
+            high *= rng_p[:j]
+            high >>= 32
+            vals[p : p + j] = high
+            p += j
+            hq += j + (j < n)  # skip the rejected half, and draw p again
+        block[r : r + k, c : c + w] = vals[:span].reshape(k, w)
+        c += w
+        if c == width:
+            r, c = r + k, 0
+    spare = pool.size - hq
+    state = bits.state
+    state["has_uint32"] = spare
+    state["uinteger"] = int(pool[hq - 1 + spare])
+    bits.state = state
 
 
 def sequential_targets(choices: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from lcdgraph.analysis import (
     hill_exponent,
     limiting_in_degree_gamma,
     power_law_exponent,
+    replicate_counts,
     sum_s1,
     sum_s2_bound,
     tv_distance,
@@ -63,6 +64,13 @@ def test_empirical_fraction_threaded_matches_serial():
     serial = empirical_fraction(params, 2, replicates=8, threads=1)
     threaded = empirical_fraction(params, 2, replicates=8, threads=4)
     assert serial.fractions == threaded.fractions  # replicate streams are keyed
+
+
+def test_replicate_counts_threaded_matches_serial_with_rejections():
+    # at n = 3e5 each replicate's draw rejects about ten 32-bit words, so
+    # each thread carries its own generator through rejections and spare halves
+    params = ProcessParams(3 * 10**5, 1, "sequential", 3)
+    assert replicate_counts(params, 1, 4, threads=2) == replicate_counts(params, 1, 4, threads=1)
 
 
 def _synthetic_histogram(gamma: float, c: float = 10**9) -> dict:

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from lcdgraph import processes
 from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.processes import (
     BATCH_BLOCK,
+    DRAW_CHUNK,
     POINT_CAP,
     VARIANTS,
     _BATCHES,
@@ -114,6 +116,86 @@ def test_int32_choices_are_the_int64_stream():
         twin = copy.deepcopy(rng)
         rows = sequential_choices(2000, 5, rng)
         assert np.array_equal(rows, twin.integers(0, highs[:2000], size=(5, 2000)))
+
+
+def same_stream(big_n, samples, rng):
+    """Check that ``sequential_choices`` draws from ``rng`` what
+    ``rng.integers(0, highs)`` draws from a copy of it: the same choices, the
+    same generator state after, spare 32-bit half included, and the same
+    draws after that."""
+    twin = copy.deepcopy(rng)
+    choices = sequential_choices(big_n, samples, rng)
+    highs = 2 * np.arange(1, big_n + 1, dtype=np.int32) - 1
+    expected = twin.integers(0, highs, size=(samples, big_n), dtype=np.int32)
+    assert choices.dtype == np.int32
+    assert np.array_equal(choices, expected)
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert np.array_equal(rng.integers(0, 10**6, 3, dtype=np.int32),
+                          twin.integers(0, 10**6, 3, dtype=np.int32))
+    assert np.array_equal(rng.random(2), twin.random(2))
+
+
+def draws_from(seed, replicate, spare_half):
+    rng = replicate_rng(seed, replicate)
+    if spare_half:  # one 32-bit draw leaves the high half of a word spare
+        rng.integers(0, 5, dtype=np.int32)
+    return rng
+
+
+@pytest.mark.parametrize("spare_half", [False, True])
+@pytest.mark.parametrize("big_n", [1, 2, 3])
+def test_draw_stream_tiny(big_n, spare_half):
+    same_stream(big_n, 1, draws_from(big_n, 2, spare_half))
+    # vertex 1 takes no word, and ranges this small reject none
+    draw = lambda rng: sequential_choices(big_n, 1, rng)  # noqa: E731
+    assert words_drawn(big_n, 2, draw, 0) == big_n - 1
+
+
+@pytest.mark.parametrize("big_n, samples", [(2, 1), (2, 4), (5, 2)])
+def test_draw_stream_rejects_a_zero_half(big_n, samples):
+    # a spare half of 0 gives m = 0 at range 3, below 2^32 mod 3 = 1, so the
+    # first draw rejects it; at N = 2 that draw is the last of its row
+    rng = replicate_rng(1, 0)
+    state = rng.bit_generator.state
+    state.update(has_uint32=1, uinteger=0)
+    rng.bit_generator.state = state
+    same_stream(big_n, samples, rng)
+
+
+def test_draw_stream_with_rejections():
+    big_n = 10**6
+    same_stream(big_n, 1, replicate_rng(5, 1))
+    draw = lambda rng: sequential_choices(big_n, 1, rng)  # noqa: E731
+    rejected = words_drawn(5, 1, draw, big_n) - (big_n - 1)
+    assert 60 < rejected < 200  # about N^2 / 2^33 = 116 expected
+
+
+# rows that end inside a chunk, rows longer than a chunk, and (with the chunk
+# made small) rejections in many chunks
+@pytest.mark.parametrize("chunk", [DRAW_CHUNK, 1000])
+@pytest.mark.parametrize("big_n, samples", [(7, 3000), (DRAW_CHUNK // 2 + 1, 5),
+                                            (DRAW_CHUNK + 5, 3), (3 * 10**5, 1)])
+def test_draw_stream_across_chunks(monkeypatch, chunk, big_n, samples):
+    monkeypatch.setattr(processes, "DRAW_CHUNK", chunk)
+    for spare_half in (False, True):
+        same_stream(big_n, samples, draws_from(big_n, samples, spare_half))
+
+
+@pytest.mark.parametrize("big_n", [999, 1000, 1001, 2500])
+def test_draw_stream_hands_long_rows_to_numpy(monkeypatch, big_n):
+    monkeypatch.setattr(processes, "DRAW_HANDOFF", 1000)
+    for spare_half in (False, True):
+        same_stream(big_n, 3, draws_from(big_n, 7, spare_half))
+
+
+@pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64,
+                                  np.random.PCG64DXSM])
+def test_draw_needs_pcg64(bits):
+    rng = np.random.Generator(bits(0))
+    with pytest.raises(DomainError, match="PCG64"):
+        sequential_choices(5, 1, rng)
+    with pytest.raises(DomainError, match="PCG64"):
+        batch_total_degrees("sequential", 3, 1, 10, rng)
 
 
 def test_multi_m2_n1_two_loops():

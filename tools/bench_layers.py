@@ -35,7 +35,13 @@ repeats the cells in the same process.  The digest is of the printed values.
 - ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
   vertices of n = 10^5, m = 3, before the blocks of m are identified;
 - ``sequential_1e6``: the sequential kernel at n = 10^6, m = 1;
-- ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``.
+- ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``;
+- ``draw_<N>``: the sequential choices alone, ``sequential_choices(N, 1)``
+  for N = 2, 2 * 10^4, 10^6 and 10^7 (past ``DRAW_HANDOFF``), and
+  ``draw_6x16384`` for 2^14 rows of N = 6, the shape of a batch block;
+- ``replicates_t<k>``: ``replicate_counts`` of in-degree 1 over 100
+  sequential graphs of n = 2 * 10^4, m = 1, on k = 1 and 2 threads, as the
+  ``experiment fraction`` and ``concentration`` loops run them.
 
 Besides the times, each input records ``peak_bytes``, the peak of the heap
 that ``tracemalloc`` sees (numpy's buffers included) over one untimed call.
@@ -66,6 +72,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
+from lcdgraph.analysis import replicate_counts  # noqa: E402
 from lcdgraph.io import write_rows  # noqa: E402
 from lcdgraph.processes import (  # noqa: E402
     _KERNELS,
@@ -73,6 +80,7 @@ from lcdgraph.processes import (  # noqa: E402
     batch_total_degrees,
     generate,
     replicate_rng,
+    sequential_choices,
 )
 
 REPEATS = 21
@@ -221,6 +229,14 @@ def kernel_calls() -> dict:
     for variant in _KERNELS:
         calls[f"batch_{variant}"] = lambda variant=variant: batch_total_degrees(
             variant, 3, 2, 200_000, replicate_rng(0))
+    for name, big_n, samples in (("2", 2, 1), ("2e4", 20_000, 1), ("1e6", 10**6, 1),
+                                 ("1e7", 10**7, 1), ("6x16384", 6, 1 << 14)):
+        calls[f"draw_{name}"] = lambda big_n=big_n, samples=samples: sequential_choices(
+            big_n, samples, replicate_rng(0))
+    params = ProcessParams(n=20_000, m=1, variant="sequential", master_seed=0)
+    for threads in (1, 2):
+        calls[f"replicates_t{threads}"] = lambda threads=threads: np.array(
+            replicate_counts(params, 1, 100, threads))
     return calls
 
 
@@ -248,7 +264,8 @@ def bench_kernels() -> None:
             times[name].append(time.perf_counter() - start)
     for name, ts in times.items():
         results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
-    write_report("kernels", "processes._KERNELS, processes.batch_total_degrees", results)
+    write_report("kernels", "processes._KERNELS, processes.batch_total_degrees, "
+                 "processes.sequential_choices, analysis.replicate_counts", results)
 
 
 def main() -> int:
