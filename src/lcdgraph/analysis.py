@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientDataError
 from .lcd import enumerate_pairings, pair_degree_rows, pairing_count
-from .oracles import cond_prob_degree
+from .oracles import cond_prob_degree, expected_count
 from .processes import ProcessParams, generate
 
 
@@ -92,11 +92,10 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
 
 def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
     """The exponent ``power_law_exponent`` fits over in-degrees [d_lo, d_hi]
-    to the limiting in-degree law P(k) = 2m(m+1)/((k+m)(k+m+1)(k+m+2)): what
+    to the limiting in-degree law P(k) = ``expected_count(1, m, k)``: what
     a finite-window in-degree fit should be judged against.  It tends to 3
     only as the window moves out (2.430 at m = 3 over [5, 50])."""
-    law = {k: 2 * m * (m + 1) / ((k + m) * (k + m + 1) * (k + m + 2))
-           for k in range(d_lo, d_hi + 1)}
+    law = {k: expected_count(1, m, k) for k in range(d_lo, d_hi + 1)}
     return power_law_exponent(law, d_lo, d_hi).gamma
 
 

@@ -313,6 +313,7 @@ def _exp_region(args) -> int:
     elif args.system == "combined":
         result = combined_max_alpha()
     else:
+        args.system = args.system or "theorem1"  # the system when neither flag is given
         result = region_max_alpha(BUILTIN_SYSTEMS[args.system])
     aggregates = {
         "sup_alpha": str(result.sup_alpha),
@@ -481,11 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(e, _exp_corollary, threads=True)
 
     e = exp.add_parser("region")
-    e.add_argument("--system", default="theorem1",
-                   choices=tuple(BUILTIN_SYSTEMS) + ("combined",))
+    system = e.add_mutually_exclusive_group()
+    system.add_argument("--system", choices=tuple(BUILTIN_SYSTEMS) + ("combined",),
+                        help="built-in system (theorem1 when neither flag is given)")
     # absolute, so that argv and the report name the file read, from any directory
-    e.add_argument("--inequalities", type=os.path.abspath, default=None,
-                   help="file with one 'a b cmp c' inequality per line")
+    system.add_argument("--inequalities", type=os.path.abspath,
+                        help="file with one 'a b cmp c' inequality per line")
     _add_common(e, _exp_region, seed=False)
 
     e = exp.add_parser("equivalence")

@@ -95,11 +95,11 @@ def pair_targets(pairs: np.ndarray) -> np.ndarray:
     a < b, not checked), in right-endpoint (creation) order: the vertex of
     each right endpoint's partner, 1 + the number of right endpoints before
     that left endpoint."""
-    left_of = np.zeros(2 * len(pairs) + 1, dtype=pairs.dtype)
+    left_of = np.zeros(2 * len(pairs) + 1, dtype=np.int32)
     left_of[pairs[:, 1]] = pairs[:, 0]
     left_of = left_of[1:]  # left_of[b - 1] == a, 0 at left endpoints
     is_right = left_of > 0
-    closed = np.cumsum(is_right)  # right endpoints up to and including each point
+    closed = np.cumsum(is_right, dtype=np.int32)  # right endpoints up to each point, inclusive
     closed += 1
     return closed[left_of[is_right] - 1]
 
@@ -119,7 +119,7 @@ class LcdGraph:
     tgt: np.ndarray
 
     def __post_init__(self):
-        self.tgt = np.asarray(self.tgt, dtype=np.int64)
+        self.tgt = np.asarray(self.tgt)
         if self.tgt.shape != (self.n_vertices * self.m,):
             raise DomainError(f"need n * m targets, got shape {self.tgt.shape}")
 
@@ -129,7 +129,7 @@ class LcdGraph:
 
     @property
     def src(self) -> np.ndarray:
-        src = np.arange(self.m, self.n_edges + self.m, dtype=np.int64)
+        src = np.arange(self.m, self.n_edges + self.m, dtype=np.int32)
         src //= self.m  # (i + m) // m = i // m + 1, in place: one array of n*m ids
         return src
 

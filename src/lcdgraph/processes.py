@@ -31,8 +31,8 @@ from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 
 # Most endpoints, 2 * samples * n * m, that one call may materialize; checked
 # before anything is allocated, for every variant.  Half of it, the most
-# primed vertices of one call, stays below 2^31, so int32 holds the
-# sequential choices and pointers.
+# primed vertices of one call, stays below 2^31, so int32 holds every vertex
+# id: edge targets are int32 from each kernel to LcdGraph and the writer.
 POINT_CAP = 50_000_000
 
 # Rows of a batch that are sampled and reduced at a time.
@@ -252,7 +252,7 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
         raise DomainError("urn keys must lie in [0, l_N]")
     hit = np.searchsorted(l, a[order], side="left")
     hit += 1
-    tgt = np.empty(a.size, dtype=np.int64)
+    tgt = np.empty(a.size, dtype=np.int32)
     tgt[order] = hit
     return tgt
 
@@ -265,7 +265,7 @@ def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # variant -> (N, rng) -> targets of the N primed edges, where edge t leaves
-# primed vertex t, in a new array (int32 for sequential, int64 otherwise).
+# primed vertex t, in a new int32 array.
 # The kernels look up the lcd functions and _stick_lengths by their module
 # names at call time.
 _KERNELS = {

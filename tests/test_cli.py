@@ -273,6 +273,28 @@ def test_experiment_region_custom_inequalities(capsys, tmp_path):
                           "--out", str(out))
     assert code == 0
     assert "sup alpha = 1/3" in stdout
+    # the file is the system solved: no built-in one is recorded
+    assert json.loads(out.read_text())["parameters"]["system"] is None
+    manifest = json.loads((tmp_path / "region.json.manifest.json").read_text())
+    assert "--system" not in manifest["argv"]
+
+
+def test_experiment_region_defaults_to_theorem1(capsys, tmp_path):
+    code, _, _ = run(capsys, "experiment", "region", "--out", str(tmp_path / "region.json"))
+    assert code == 0
+    for name, pin in REPORT_PINS[("region", "--system", "theorem1")].items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pin, name
+
+
+def test_experiment_region_refuses_system_and_inequalities(capsys, tmp_path):
+    ineq = tmp_path / "ineq.txt"
+    ineq.write_text("1 0 >= 0\n1 0 <= 1/3\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "region", "--system", "theorem2-case1", "--inequalities",
+              str(ineq), "--out", str(tmp_path / "region.json")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [ineq]  # no report
 
 
 @pytest.mark.parametrize("text", [

@@ -241,3 +241,10 @@ def test_graph_degree_modes():
     for n, m, tgt in ((2, 1, [1]), (2, 2, [1, 1, 1]), (1, 1, [[1]])):
         with pytest.raises(DomainError):
             LcdGraph(n, m, np.array(tgt))  # n * m targets, one per edge
+
+
+def test_graph_keeps_its_int32_targets():
+    tgt = np.array([1, 1, 1, 2], dtype=np.int32)
+    g = LcdGraph(2, 2, tgt)
+    assert g.tgt is tgt  # no widening copy
+    assert g.src.tolist() == [1, 1, 2, 2] and g.src.dtype == np.int32

@@ -15,6 +15,7 @@ from lcdgraph.processes import (
     POINT_CAP,
     VARIANTS,
     _BATCHES,
+    _KERNELS,
     ProcessParams,
     _stick_lengths,
     batch_total_degrees,
@@ -212,6 +213,13 @@ def test_handshake_identity(variant):
     assert (np.bincount(g.src)[1:] == 2).all()
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_targets_are_int32_from_kernel_to_graph(variant):
+    assert _KERNELS[variant](30, replicate_rng(5)).dtype == np.int32
+    g = generate(ProcessParams(10, 3, variant, 5))
+    assert g.tgt.dtype == g.src.dtype == np.int32
+
+
 def test_multi_m2_large_handshake():
     g = generate(ProcessParams(10**5, 2, "sequential", 1))
     assert int(g.total_degrees.sum()) == 4 * 10**5
@@ -402,6 +410,14 @@ def traced_peak_mb(call):
 def test_generate_1e6_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**6, 1)))
     assert peak < 20.0, peak
+
+
+# Heap peak with a margin over the 12.7 MB that numpy 2.4 gives here (13.4 MB
+# as the first call in a process): the int64 pair table and pair_targets'
+# int32 temporaries.
+def test_generate_pairing_heap_peak():
+    peak = traced_peak_mb(lambda: generate(ProcessParams(10**5, 3, "pairing")))
+    assert peak < 15.0, peak
 
 
 # tracemalloc peaks at (3, 2, 2e5) are 7.1, 8.2 and 6.6 MB: the 4.8 MB

@@ -41,11 +41,17 @@ repeats the cells in the same process.  The digest is of the printed values.
   ``draw_6x16384`` for 2^14 rows of N = 6, the shape of a batch block;
 - ``replicates_t<k>``: ``replicate_counts`` of in-degree 1 over 100
   sequential graphs of n = 2 * 10^4, m = 1, on k = 1 and 2 threads, as the
-  ``experiment fraction`` and ``concentration`` loops run them.
+  ``experiment fraction`` and ``concentration`` loops run them;
+  ``replicates_1e6_t<k>`` the same over 8 graphs of n = 10^6;
+- ``generate_write_<shape>``: ``generate`` then ``write_graph``, as
+  ``lcdgraph generate`` runs them, on the four graphs of the benchmark's
+  ``generate`` workload: each variant at n = 10^5, m = 3, and sequential
+  at n = 10^6, m = 1, master seed 0.
 
 Besides the times, each input records ``peak_bytes``, the peak of the heap
 that ``tracemalloc`` sees (numpy's buffers included) over one untimed call.
-The digest is of the output as little-endian int64, whatever its dtype.
+The digest is of the output as little-endian int64, whatever its dtype, and
+for ``generate_write_<shape>`` of the edge-list bytes written.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.analysis import replicate_counts  # noqa: E402
-from lcdgraph.io import write_rows  # noqa: E402
+from lcdgraph.io import write_graph, write_rows  # noqa: E402
 from lcdgraph.processes import (  # noqa: E402
     _KERNELS,
     ProcessParams,
@@ -220,8 +226,9 @@ def bench_oracles() -> None:
     write_report("oracles", "oracles", results)
 
 
-def kernel_calls() -> dict:
-    """input name -> a call that runs one kernel or batch from a fresh stream."""
+def kernel_calls(tmp: Path) -> dict:
+    """input name -> a call that runs one kernel or batch from a fresh stream,
+    or a ``generate`` and ``write_graph`` into ``tmp``, returning the path."""
     calls = {}
     for variant, kernel in _KERNELS.items():
         calls[f"{variant}_1e5x3"] = lambda kernel=kernel: kernel(3 * 10**5, replicate_rng(0))
@@ -233,10 +240,16 @@ def kernel_calls() -> dict:
                                  ("1e7", 10**7, 1), ("6x16384", 6, 1 << 14)):
         calls[f"draw_{name}"] = lambda big_n=big_n, samples=samples: sequential_choices(
             big_n, samples, replicate_rng(0))
-    params = ProcessParams(n=20_000, m=1, variant="sequential", master_seed=0)
-    for threads in (1, 2):
-        calls[f"replicates_t{threads}"] = lambda threads=threads: np.array(
-            replicate_counts(params, 1, 100, threads))
+    for name, n, replicates in (("", 20_000, 100), ("1e6_", 10**6, 8)):
+        params = ProcessParams(n=n, m=1, variant="sequential", master_seed=0)
+        for threads in (1, 2):
+            calls[f"replicates_{name}t{threads}"] = lambda p=params, r=replicates, t=threads: (
+                np.array(replicate_counts(p, 1, r, t)))
+    for name, n, m, variant in [(f"{v}_1e5x3", 10**5, 3, v) for v in _KERNELS] + [
+            ("sequential_1e6", 10**6, 1, "sequential")]:
+        params = ProcessParams(n=n, m=m, variant=variant, master_seed=0)
+        calls[f"generate_write_{name}"] = lambda p=params, path=tmp / f"{name}.csv": write_graph(
+            generate(p), path, {})
     return calls
 
 
@@ -250,22 +263,25 @@ def traced_peak(call) -> int:
 
 
 def bench_kernels() -> None:
-    calls = kernel_calls()
     results = {}
-    for name, call in calls.items():  # warm-up, the output and the heap peak
-        out = call().astype("<i8")
-        results[name] = {"sha256": hashlib.sha256(out.tobytes()).hexdigest(),
-                         "peak_bytes": traced_peak(call)}
-    times = {name: [] for name in calls}
-    for _ in range(REPEATS):  # inputs interleaved, so host load hits each alike
-        for name, call in calls.items():
-            start = time.perf_counter()
-            call()
-            times[name].append(time.perf_counter() - start)
+    with tempfile.TemporaryDirectory() as tmp:
+        calls = kernel_calls(Path(tmp))
+        for name, call in calls.items():  # warm-up, the output and the heap peak
+            out = call()
+            data = out.read_bytes() if isinstance(out, Path) else out.astype("<i8").tobytes()
+            results[name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                             "peak_bytes": traced_peak(call)}
+        times = {name: [] for name in calls}
+        for _ in range(REPEATS):  # inputs interleaved, so host load hits each alike
+            for name, call in calls.items():
+                start = time.perf_counter()
+                call()
+                times[name].append(time.perf_counter() - start)
     for name, ts in times.items():
         results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
     write_report("kernels", "processes._KERNELS, processes.batch_total_degrees, "
-                 "processes.sequential_choices, analysis.replicate_counts", results)
+                 "processes.sequential_choices, analysis.replicate_counts, "
+                 "processes.generate + io.write_graph", results)
 
 
 def main() -> int:
