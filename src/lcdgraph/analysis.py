@@ -219,11 +219,11 @@ class SumS2Result:
     bound_final: float  # 2n / d^3
 
 
-def sum_s2_bound(n: int, m: int, d: int, beta: float) -> SumS2Result:
+def sum_s2_bound(n: int, d: int, beta: float) -> SumS2Result:
     """The late-vertex tail bound chain: S2 <= M^(d+1)/(2^d n^d) <= 2n/d^3;
     both bounds are 0 when d > M (no vertex can accumulate d late links)."""
-    if n < 3 or m < 1 or d < 1 or not 0 < beta <= 1:
-        raise DomainError("need n >= 3, m >= 1, d >= 1, beta in (0, 1]")
+    if n < 3 or d < 1 or not 0 < beta <= 1:
+        raise DomainError("need n >= 3, d >= 1, beta in (0, 1]")
     m_thr = math.floor(n**beta / math.log(n))
     if d > m_thr:
         return SumS2Result(m_thr, 0.0, 0.0)

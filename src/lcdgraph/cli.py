@@ -45,7 +45,7 @@ from .analysis import (
     tv_distance,
 )
 from .errors import DomainError
-from .io import write_graph, write_rows
+from .io import graph_files, write_graph, write_rows
 from .lcd import enumerate_pairings, pair_degree_rows
 from .oracles import (
     DkQuery,
@@ -151,8 +151,7 @@ def cmd_generate(args) -> int:
     g = generate(params, replicate=args.replicate)
     out = Path(args.out)
     write_graph(g, out, {"n": args.n, "m": args.m, "variant": args.variant, "seed": args.seed})
-    header = out.with_name(out.name + ".header.json")
-    _write_manifest(args, out, [out, header])
+    _write_manifest(args, out, graph_files(out))
     print(f"wrote {g.n_edges} edges to {out} (seed {args.seed})")
     return 0
 
@@ -265,7 +264,7 @@ def _exp_concentration(args) -> int:
 
 def _exp_sums(args) -> int:
     s1 = sum_s1(args.n, args.d, args.beta, alpha=args.alpha)
-    s2 = sum_s2_bound(args.n, args.m, max(args.d, 1), args.beta)
+    s2 = sum_s2_bound(args.n, max(args.d, 1), args.beta)
     aggregates = {
         "s1_value": s1.value,
         "s1_case": s1.case,
@@ -377,7 +376,10 @@ def cmd_replay(args) -> int:
         for i, tok in enumerate(argv[:-1]):
             if tok == "--out":
                 argv[i + 1] = str(Path(tmp) / Path(argv[i + 1]).name)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit:  # the parser refused the recorded command, or ran none
+            raise DomainError(f"cannot replay {args.manifest}: the parser stopped its command")
         ok = True
         for name, digest in manifest["outputs"].items():
             replayed = Path(tmp) / name
@@ -429,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--variant", choices=VARIANTS, default="sequential")
     p.add_argument("--replicate", type=int, default=0)
-    p.add_argument("--format", choices=("csv",), default="csv")
     _add_common(p, cmd_generate)
 
     p = sub.add_parser("oracle", help="evaluate one closed-form quantity")
@@ -468,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = exp.add_parser("sums")
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=1)
     e.add_argument("--d", type=int, required=True)
     e.add_argument("--beta", type=float, required=True)
     e.add_argument("--alpha", type=float, default=None)

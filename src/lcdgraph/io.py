@@ -14,17 +14,22 @@ from .lcd import LcdGraph
 CHUNK_CELLS = 1 << 17  # values formatted per pass: bounds the writer's buffers
 
 
+def graph_files(path: str | Path) -> list:
+    """The files ``write_graph(g, path, header)`` writes: edge list, header."""
+    path = Path(path)
+    return [path, path.with_name(path.name + ".header.json")]
+
+
 def write_graph(g: LcdGraph, path: str | Path, header: dict) -> Path:
     """Write the edge list as `source,target` lines (1-indexed, no header
-    row) and ``header``, the run parameters, as `<path>.header.json`.
+    row) and ``header``, the run parameters, to the two ``graph_files(path)``.
 
     The CSV holds exactly the bytes of ``f"{s},{t}\\n"`` for each edge in
     order, as written by ``write_rows``.  Ids must be >= 0.
     """
-    path = Path(path)
+    path, header_path = graph_files(path)
     with open(path, "wb") as fh:
         write_rows(fh, (g.src, g.tgt), b",\n")
-    header_path = path.with_name(path.name + ".header.json")
     with open(header_path, "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")

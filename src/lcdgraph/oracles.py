@@ -112,13 +112,14 @@ class ExactProb:
     """
 
     value: Fraction | float
-    tag: str
 
     def __post_init__(self):
-        if self.tag not in ("exact", "log"):
-            raise DomainError(f"unknown representation tag {self.tag!r}")
         if self.tag == "exact" and self.value < 0:
             raise DomainError("exact probability must be non-negative")
+
+    @property
+    def tag(self) -> str:
+        return "exact" if isinstance(self.value, Fraction) else "log"
 
     def format(self) -> str:
         if self.tag == "exact":
@@ -146,14 +147,14 @@ def _factorial_ratio(n: int, pow2: int, num: tuple, den: tuple) -> ExactProb:
     """2^pow2 * prod(x! for x in num) / prod(y! for y in den), exactly when
     2n <= EXACT_CAP and as a left-to-right sum of log-gamma terms above it."""
     if 2 * n <= EXACT_CAP:
-        return ExactProb(Fraction(*_reduced_ratio(pow2, num, den)), "exact")
+        return ExactProb(Fraction(*_reduced_ratio(pow2, num, den)))
     logp = 0.0
     for x in num:
         logp += math.lgamma(x + 1)
     logp += pow2 * math.log(2.0)
     for y in den:
         logp -= math.lgamma(y + 1)
-    return ExactProb(logp, "log")
+    return ExactProb(logp)
 
 
 def prob_dk(q: DkQuery) -> ExactProb:
@@ -166,7 +167,7 @@ def prob_dk(q: DkQuery) -> ExactProb:
     p = _factorial_ratio(
         n, s + 1, (2 * k + s - 1, 2 * n - 2 * k - s, n), (s, k - 1, n - k - s, 2 * n)
     )
-    return p if p.tag == "exact" else ExactProb(min(p.value, 0.0), "log")
+    return p if p.tag == "exact" else ExactProb(min(p.value, 0.0))
 
 
 def count_ns(q: DkQuery) -> int:

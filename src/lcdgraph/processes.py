@@ -221,14 +221,14 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     return ptr
 
 
-def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
+def _urn_draw(big_n: int, samples: int, rng: np.random.Generator):
     """The cumulative stick lengths ``l`` of ``samples`` independent urns on
-    big_n primed vertices, one column per urn.
+    big_n primed vertices, one column per urn, then their keys ``a``.
 
     psi_k ~ Beta(1, 2k-2) is drawn by inversion,
     1 - psi_k = V**(1/(2k-2)) with V uniform on (0, 1].  ``l`` is a product
     of factors in (0, 1], so it is non-decreasing in k even after rounding,
-    and its last row is exactly 1.
+    and its last row is exactly 1.  Primed vertex k's key is uniform on [0, l_k].
     """
     b = 2.0 * np.arange(1, big_n)[:, None]
     f = rng.random((big_n - 1, samples))  # V, then 1 - psi_k, in place
@@ -239,7 +239,10 @@ def _stick_lengths(big_n: int, samples: int, rng: np.random.Generator):
     del b
     l = np.ones((big_n, samples), dtype=np.float64)
     np.cumprod(f[::-1], axis=0, out=l[:-1][::-1])  # l_k = prod_{j>k} (1 - psi_j)
-    return l
+    del f
+    a = rng.random((big_n, samples))
+    a *= l
+    return l, a
 
 
 def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -257,20 +260,13 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     return tgt
 
 
-def _urn_kernel(big_n: int, rng: np.random.Generator) -> np.ndarray:
-    l = _stick_lengths(big_n, 1, rng)[:, 0]
-    a = rng.random(big_n)
-    a *= l
-    return urn_targets(l, a)
-
-
 # variant -> (N, rng) -> targets of the N primed edges, where edge t leaves
 # primed vertex t, in a new int32 array.
-# The kernels look up the lcd functions and _stick_lengths by their module
-# names at call time.
+# The kernels look up the lcd functions and _urn_draw by their module names
+# at call time.
 _KERNELS = {
     "sequential": lambda big_n, rng: sequential_targets(sequential_choices(big_n, 1, rng))[0],
-    "urn": _urn_kernel,
+    "urn": lambda big_n, rng: urn_targets(*(c[:, 0] for c in _urn_draw(big_n, 1, rng))),
     "pairing": lambda big_n, rng: pair_targets(sample_pairs(big_n, 1, rng)[0]),
 }
 
@@ -335,9 +331,7 @@ def _batch_urn(n, m, samples, rng):
     # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms, a
     # stable per-row merge 65 / 166 ms.
     big_n = n * m
-    l = _stick_lengths(big_n, samples, rng)
-    a = rng.random((big_n, samples))
-    a *= l
+    l, a = _urn_draw(big_n, samples, rng)
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
     # rows[:, v] counts the keys beyond l_{vm} (all of them for v = 0), less

@@ -211,7 +211,7 @@ def test_criterion_7_order_of_growth_surrogates():
     for n in n_grid:
         for beta in (0.7, 0.875):
             for d in (2, 5, 10):
-                res = sum_s2_bound(n, 1, d, beta)
+                res = sum_s2_bound(n, d, beta)
                 if res.bound_primary > res.bound_final:
                     failures.append(f"bound chain broken at (n={n}, beta={beta}, d={d})")
     # vanishing-fraction experiment across three decades

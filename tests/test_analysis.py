@@ -182,15 +182,15 @@ def test_sum_s1_case_boundary_orders_coincide():
 
 
 def test_sum_s2_bound_chain_and_zero():
-    res = sum_s2_bound(10**6, 1, 10, 0.875)
+    res = sum_s2_bound(10**6, 10, 0.875)
     assert 0 < res.bound_primary <= res.bound_final
     big_d = res.m_threshold + 1
-    res0 = sum_s2_bound(10**6, 1, big_d, 0.875)
+    res0 = sum_s2_bound(10**6, big_d, 0.875)
     assert res0.bound_primary == res0.bound_final == 0.0
 
 
 def test_sum_s2_d1_bound():
-    res = sum_s2_bound(10**6, 1, 1, 0.9)
+    res = sum_s2_bound(10**6, 1, 0.9)
     assert res.bound_primary == pytest.approx(res.m_threshold**2 / (2 * 10**6))
     assert res.bound_primary <= 2 * 10**6
 

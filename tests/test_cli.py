@@ -359,7 +359,7 @@ def test_experiment_sums_case_3_fail_names_the_cutoff(capsys, tmp_path):
 # because its fit runs through LAPACK
 REPORT_PINS = {
     ("sums", "--n", "10000", "--d", "3", "--beta", "0.8"): {
-        "sums.json": "c36bde770d8955510407aa033e43eff21be8597bc427f8fa98cd76ad7d2ddd46",
+        "sums.json": "ebb5deeb8bb3b9f1b78f1512ad85b08b51ca359cb3afa3534337052c732f4e1b",
         "sums.csv": "9ba58c10f9c9fb99b58a93142e2f3f87d9cf3a0cba66efed677bf8a118636021",
     },
     ("corollary", "--n-grid", "1000,4000", "--replicates", "3", "--seed", "3"): {
@@ -426,7 +426,7 @@ PARAMETER_CASES = {
     "gamma": ({"n": 3000, "m": 1, "dlo": 1, "dhi": 10, "seed": 3}, {}),
     "concentration": ({"n": 300, "m": 1, "d": 1, "replicates": 100, "seed": 3, "threads": 2},
                       {"expectation_proxy": "replicate grand mean"}),
-    "sums": ({"n": 10000, "m": 1, "d": 3, "beta": 0.8, "alpha": None}, {}),
+    "sums": ({"n": 10000, "d": 3, "beta": 0.8, "alpha": None}, {}),
     "corollary": ({"n_grid": "1000,2000", "m": 1, "exponent": 0.25, "replicates": 1,
                    "seed": 3, "threads": 2}, {"n_grid": [1000, 2000]}),
     "region": ({"system": "theorem1", "inequalities": None}, {}),
@@ -482,12 +482,12 @@ def option_surface(parser, command=()):
 def test_option_surface_is_pinned():
     surface = {
         "enumerate": "--n --out",
-        "generate": "--n --m --variant --replicate --format --seed --out",
+        "generate": "--n --m --variant --replicate --seed --out",
         "oracle": "formula --n --k --s --d --m --l",
         "experiment fraction": "--n --m --d --replicates --seed --out --threads",
         "experiment gamma": "--n --m --dlo --dhi --seed --out",
         "experiment concentration": "--n --m --d --replicates --seed --out --threads",
-        "experiment sums": "--n --m --d --beta --alpha --out",
+        "experiment sums": "--n --d --beta --alpha --out",
         "experiment corollary": "--n-grid --m --exponent --replicates --seed --out --threads",
         "experiment region": "--system --inequalities --out",
         "experiment equivalence": "--n --m --samples --seed --out",
@@ -495,7 +495,7 @@ def test_option_surface_is_pinned():
     }
     pinned = {(command, flag) for command, flags in surface.items() for flag in flags.split()}
     assert set(option_surface(build_parser())) == pinned
-    assert len(pinned) == 58
+    assert len(pinned) == 56
 
 
 def test_experiment_gamma_total_fits_the_total_degree_histogram(capsys, tmp_path):
@@ -659,6 +659,39 @@ def test_replay_rejects_malformed_manifest(capsys, tmp_path, manifest):
     assert code == 2
     assert "not a run manifest" in err
     assert stdout == ""  # rejected before anything was re-run
+
+
+def test_replay_names_a_manifest_the_parser_refuses(capsys, tmp_path):
+    # a generate manifest recorded while the command took --format
+    run(capsys, "generate", "--n", "5", "--seed", "0", "--out", str(tmp_path / "g.csv"))
+    path = tmp_path / "g.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["argv"][1:1] = ["--format", "csv"]
+    path.write_text(json.dumps(manifest))
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 2
+    assert "unrecognized arguments: --format csv" in err
+    assert f"cannot replay {path}: the parser stopped its command" in err
+    assert stdout == ""
+
+
+def test_replay_names_a_manifest_that_runs_no_command(capsys, tmp_path):
+    path = tmp_path / "version.manifest.json"
+    path.write_text(json.dumps({"argv": ["--version"], "outputs": {"g.csv": "0" * 64}}))
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 2
+    assert f"cannot replay {path}: the parser stopped its command" in err
+    assert stdout == f"{cli.__version__}\n"  # argparse's version line, and no PASS
+
+
+def test_replay_fails_a_command_that_fails_when_run(capsys, tmp_path):
+    path = tmp_path / "p.csv.manifest.json"
+    path.write_text(json.dumps({"argv": ["enumerate", "--n", "9", "--out", "p.csv"],
+                                "outputs": {"p.csv": "0" * 64}}))
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 1
+    assert "exceeds the enumeration cap" in err
+    assert stdout.splitlines() == ["FAIL p.csv", "replay FAIL"]
 
 
 def test_replay_rejects_raw_text(capsys, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.io import CHUNK_CELLS, write_graph, write_rows
+from lcdgraph.io import CHUNK_CELLS, graph_files, write_graph, write_rows
 from lcdgraph.lcd import LcdGraph
 
 
@@ -53,6 +53,7 @@ def test_write_graph_edges_and_header(tmp_path):
     assert path.read_bytes() == reference_csv(g.src.tolist(), g.tgt.tolist())
     header_text = (tmp_path / "g.csv.header.json").read_text()
     assert header_text == json.dumps(header, indent=2, sort_keys=True) + "\n"
+    assert sorted(tmp_path.iterdir()) == graph_files(path)  # the files written, named
 
 
 def test_digit_boundaries(tmp_path):

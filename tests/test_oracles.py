@@ -403,9 +403,10 @@ def test_reduced_ratio_is_coprime_and_exact(pow2, num, den):
 
 def test_exact_prob_validation():
     with pytest.raises(DomainError):
-        ExactProb(Fraction(-1, 2), "exact")
-    with pytest.raises(DomainError):
-        ExactProb(0.5, "weird")
+        ExactProb(Fraction(-1, 2))
+    # the tag follows the value's type
+    assert ExactProb(Fraction(1, 2)).tag == "exact"
+    assert ExactProb(-0.5).tag == "log"
 
 
 @settings(max_examples=100, deadline=None)

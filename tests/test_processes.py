@@ -17,7 +17,7 @@ from lcdgraph.processes import (
     _BATCHES,
     _KERNELS,
     ProcessParams,
-    _stick_lengths,
+    _urn_draw,
     batch_total_degrees,
     generate,
     replicate_rng,
@@ -239,7 +239,7 @@ def test_replicates_differ():
 
 def test_urn_weights_n1():
     # one primed vertex: psi_1 = 1 and its stick is the whole of [0, 1]
-    l = _stick_lengths(1, 1, replicate_rng(0))
+    l = _urn_draw(1, 1, replicate_rng(0))[0]
     assert l.tolist() == [[1.0]]
 
 
@@ -247,12 +247,12 @@ def test_urn_alpha2_mean_is_half():
     # psi_2 ~ Beta(1, 2) has mean 1/3: the probability that vertex 2
     # self-loops in the sequential process (see test_n2_attachment_probabilities);
     # l_1 = 1 - psi_2
-    draws = [1 - _stick_lengths(2, 1, replicate_rng(8, r))[0, 0] for r in range(10**4)]
+    draws = [1 - _urn_draw(2, 1, replicate_rng(8, r))[0][0, 0] for r in range(10**4)]
     assert abs(float(np.mean(draws)) - 1 / 3) < 0.01
 
 
 def test_urn_l_non_decreasing_and_normalized():
-    l = _stick_lengths(2 * 10**4, 1, replicate_rng(9))[:, 0]
+    l = _urn_draw(2 * 10**4, 1, replicate_rng(9))[0][:, 0]
     assert (np.diff(l) >= 0).all()
     assert l[-1] == 1.0
 
@@ -260,7 +260,7 @@ def test_urn_l_non_decreasing_and_normalized():
 def test_kappa_boundaries():
     # kappa, the key -> vertex map of the urn (urn_targets), sends the ends
     # of [0, l_N] to vertices 1 and N
-    l = _stick_lengths(50, 1, replicate_rng(3))[:, 0]
+    l = _urn_draw(50, 1, replicate_rng(3))[0][:, 0]
     assert urn_targets(l, np.array([0.0, l[-1]])).tolist() == [1, 50]
 
 

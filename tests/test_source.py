@@ -35,6 +35,37 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+# The functions that draw from a generator.  Each construction draws its
+# randomness in one of them, for one graph and for a batch alike.
+DRAW_FUNCTIONS = {"sequential_choices", "_lemire_rows", "sample_pairs", "_urn_draw"}
+
+
+def generator_callers(source: str) -> set:
+    """The top-level functions of a module that call a method of ``rng`` or
+    ``bits``; a call outside any function is named by its line."""
+    callers = set()
+    for node in ast.parse(source).body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)
+                    and isinstance(sub.func.value, ast.Name)
+                    and sub.func.value.id in ("rng", "bits")):
+                callers.add(getattr(node, "name", f"line {sub.lineno}"))
+    return callers
+
+
+def test_generator_callers_are_found():
+    source = ("def f(rng):\n    return rng.random(3)\n"
+              "def g(rng):\n    return rng.bit_generator\n"
+              "K = {'h': lambda rng: rng.integers(2)}\n")
+    assert generator_callers(source) == {"f", "line 5"}
+
+
+def test_only_the_draw_functions_call_a_generator():
+    callers = set().union(*(generator_callers((SRC / name).read_text())
+                            for name in ("processes.py", "lcd.py")))
+    assert callers == DRAW_FUNCTIONS
+
+
 def top_level_names(source: str) -> list:
     """The functions, classes and constants a module defines at top level."""
     names = []
