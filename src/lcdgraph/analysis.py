@@ -11,8 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, InsufficientDataError
-from .lcd import enumerate_pairings, pair_degree_rows, pairing_count
+from .errors import CapacityError, DomainError, InsufficientDataError
+from .lcd import pairing_count
 from .oracles import cond_prob_degree, expected_count
 from .processes import ProcessParams, generate
 
@@ -150,6 +150,9 @@ def concentration_experiment(
     )
 
 
+S1_TERM_CAP = 10**7  # sum_s1 terms; one float64 array of them is then 80 MB
+
+
 @dataclass
 class SumS1Result:
     value: float
@@ -180,6 +183,8 @@ def sum_s1(n: int, d: int, beta: float, alpha: float | None = None) -> SumS1Resu
     k_hi = math.floor(n**beta / log_n)
     if k_hi <= k_lo:
         raise DomainError(f"M = {k_hi} must exceed log^2 n = {k_lo}")
+    if k_hi - k_lo + 1 > S1_TERM_CAP:
+        raise CapacityError(f"{k_hi - k_lo + 1} terms of S1 exceed the cap {S1_TERM_CAP}")
     alpha_eff = alpha if alpha is not None else (math.log(d) / log_n if d >= 2 else 0.0)
     k = np.arange(k_lo, k_hi + 1, dtype=np.float64)
     root = np.sqrt(k / n)
@@ -256,7 +261,10 @@ def corollary_experiment(
         raise DomainError(f"need at least 1 replicate, got {replicates}")
     d_values, fracs = [], []
     for n in n_grid:
-        d = math.ceil(n**exponent)
+        try:
+            d = math.ceil(n**exponent)
+        except OverflowError:
+            raise DomainError(f"exponent {exponent}: n^exponent overflows at n = {n}") from None
         d_values.append(d)
         params = ProcessParams(n=n, m=m, variant="sequential", master_seed=master_seed)
         if d > m * n:  # an in-degree never exceeds the m*n edges
@@ -276,6 +284,8 @@ def corollary_experiment(
 # ---------------------------------------------------------------------------
 # exact tiny-n laws and distribution distances
 
+EXACT_LAW_CAP = 12  # Catalan(12) = 208,012 chain states, about 120 MB; each n adds about 3.5x
+
 
 def exact_sequential_law(n: int) -> dict:
     """Probability of every total-degree sequence under the one-edge-per-step
@@ -285,6 +295,8 @@ def exact_sequential_law(n: int) -> dict:
     (2n-1)!!; there are Catalan(n) states at step n."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    if n > EXACT_LAW_CAP:
+        raise CapacityError(f"n={n} exceeds the exact-law cap {EXACT_LAW_CAP}")
     paths = Counter({(): 1})
     for _ in range(n):
         step: Counter = Counter()
@@ -295,16 +307,6 @@ def exact_sequential_law(n: int) -> dict:
         paths = step
     total = pairing_count(n)
     return {k: Fraction(c, total) for k, c in paths.items()}
-
-
-def exact_pairing_law(n: int) -> dict:
-    """Probability of every total-degree sequence under uniform pairings,
-    counted over all (2n-1)!! of them."""
-    counts: Counter = Counter()
-    for block in enumerate_pairings(n):
-        counts.update(count_rows(pair_degree_rows(block)))
-    total = pairing_count(n)
-    return {k: Fraction(c, total) for k, c in counts.items()}
 
 
 def tv_distance(p: dict, q: dict) -> float:
@@ -341,22 +343,25 @@ def degree_rows_to_distribution(rows: np.ndarray) -> dict:
 
 
 def cond_prob_discrepancy_table(n_max: int = 6) -> list:
-    """Compare the closed-form conditional-degree expression against
-    exhaustive enumeration for every feasible (n, k, s, d) cell.
+    """Compare the closed-form conditional-degree expression against the
+    exact law for every feasible (n, k, s, d) cell, n <= n_max <= EXACT_LAW_CAP.
 
-    Each row: dict with the cell, the enumerated conditional probability of
+    Each row: dict with the cell, the exact conditional probability of
     total degree d+1 for vertex k+1 given D_k = 2k+s, the formula value, and
-    whether they agree exactly.  The enumerated column is read off
-    ``exact_pairing_law(n)``, with D_k the running degree sum, s = D_k - 2k
+    whether they agree exactly.  The exact column, keyed "enumerated", is
+    read off ``exact_sequential_law(n)``, which equals the enumeration of
+    all pairings for n <= 8; D_k is the running degree sum, s = D_k - 2k
     and d = deg_{k+1} - 1.  The formula disagrees on d = 0 and on d >= 1
-    cells alike: for n <= 6, 35 of the 70 d >= 1 cells with enumerated mass
+    cells alike: for n <= 6, 35 of the 70 d >= 1 cells with exact mass
     disagree.
     """
+    if n_max > EXACT_LAW_CAP:
+        raise CapacityError(f"n_max={n_max} exceeds the exact-law cap {EXACT_LAW_CAP}")
     rows = []
     for n in range(2, n_max + 1):
         by_cell: Counter = Counter()
         by_cond: Counter = Counter()
-        for degs, p in exact_pairing_law(n).items():
+        for degs, p in exact_sequential_law(n).items():
             dk = 0
             for k in range(1, n):
                 dk += degs[k - 1]

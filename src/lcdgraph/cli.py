@@ -86,6 +86,14 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def finite_float(text: str) -> float:
+    """The value of a float flag; argparse names the flag when it is refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -192,7 +200,9 @@ def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=
         "aggregates": aggregates,
         "verdicts": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in verdicts],
     }
-    out.write_text(json.dumps(report, indent=2, sort_keys=True, default=str) + "\n")
+    # allow_nan=False: no report holds NaN or Infinity, which are not JSON
+    out.write_text(json.dumps(report, indent=2, sort_keys=True, default=str, allow_nan=False)
+                   + "\n")
     csv_path = out.with_suffix(".csv")
     rows = report["replicates"] or [aggregates]
     with open(csv_path, "w", newline="") as fh:
@@ -470,14 +480,14 @@ def build_parser() -> argparse.ArgumentParser:
     e = exp.add_parser("sums")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--d", type=int, required=True)
-    e.add_argument("--beta", type=float, required=True)
-    e.add_argument("--alpha", type=float, default=None)
+    e.add_argument("--beta", type=finite_float, required=True)
+    e.add_argument("--alpha", type=finite_float, default=None)
     _add_common(e, _exp_sums, seed=False)
 
     e = exp.add_parser("corollary")
     e.add_argument("--n-grid", default="10000,100000,1000000")
     e.add_argument("--m", type=int, default=1)
-    e.add_argument("--exponent", type=float, default=0.25)
+    e.add_argument("--exponent", type=finite_float, default=0.25)
     e.add_argument("--replicates", type=int, default=8)
     _add_common(e, _exp_corollary, threads=True)
 

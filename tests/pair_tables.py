@@ -1,12 +1,24 @@
 """Test references that read pairings as partner rows, or one pairing as
-its graph.  The package holds every pairing as a pair table; only these
-references, and the tests that code or check pairings through them, convert
-to partner rows or check a table before building its graph."""
+its graph, or the exact m = 1 law off all pairings.  The package holds every
+pairing as a pair table; only these references, and the tests that code or
+check pairings through them, convert to partner rows or check a table before
+building its graph.  The package's exact law is the forward chain
+``exact_sequential_law``; the enumeration here is its independent check."""
+
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
+from lcdgraph.analysis import count_rows
 from lcdgraph.errors import DomainError
-from lcdgraph.lcd import LcdGraph, pair_targets
+from lcdgraph.lcd import (
+    LcdGraph,
+    enumerate_pairings,
+    pair_degree_rows,
+    pair_targets,
+    pairing_count,
+)
 
 
 def partner_rows(pairs: np.ndarray) -> np.ndarray:
@@ -46,3 +58,13 @@ def graph_from_pairs(pairs: np.ndarray) -> LcdGraph:
 def edge_list(g: LcdGraph) -> list:
     """The graph's edges as (source, target) pairs, in edge order."""
     return list(zip(g.src.tolist(), g.tgt.tolist()))
+
+
+def exact_pairing_law(n: int) -> dict:
+    """Probability of every total-degree sequence under uniform pairings,
+    counted over all (2n-1)!! of them."""
+    counts: Counter = Counter()
+    for block in enumerate_pairings(n):
+        counts.update(count_rows(pair_degree_rows(block)))
+    total = pairing_count(n)
+    return {k: Fraction(c, total) for k, c in counts.items()}

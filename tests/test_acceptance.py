@@ -18,7 +18,6 @@ from lcdgraph.analysis import (
     corollary_experiment,
     degree_histogram,
     degree_rows_to_distribution,
-    exact_pairing_law,
     exact_sequential_law,
     power_law_exponent,
     sum_s1,
@@ -34,7 +33,7 @@ from lcdgraph.processes import (
     replicate_rng,
 )
 from lcdgraph.regions import BUILTIN_SYSTEMS, combined_max_alpha, region_max_alpha
-from pair_tables import partner_rows, reference_degree_rows
+from pair_tables import exact_pairing_law, partner_rows, reference_degree_rows
 from region_reference import feasible_along
 
 

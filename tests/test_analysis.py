@@ -14,7 +14,6 @@ from lcdgraph.analysis import (
     degree_histogram,
     degree_rows_to_distribution,
     empirical_fraction,
-    exact_pairing_law,
     exact_sequential_law,
     hill_exponent,
     limiting_in_degree_gamma,
@@ -24,8 +23,9 @@ from lcdgraph.analysis import (
     sum_s2_bound,
     tv_distance,
 )
-from lcdgraph.errors import DomainError, InsufficientDataError
+from lcdgraph.errors import CapacityError, DomainError, InsufficientDataError
 from lcdgraph.processes import ProcessParams, generate
+from pair_tables import exact_pairing_law
 
 
 def _loop_graph():
@@ -311,13 +311,28 @@ def test_cond_prob_discrepancy_table():
     )
 
 
-def test_cond_prob_discrepancy_table_reads_the_pairing_law(monkeypatch):
-    # exact_pairing_law is the one reduction of the enumerated pairings
-    def no_enumeration(n):
-        raise AssertionError("enumerate_pairings called outside exact_pairing_law")
+def test_cond_prob_discrepancy_table_reads_the_chain(monkeypatch):
+    # the exact column is the forward chain's law, read once for each n
+    read = []
 
-    law = {n: exact_pairing_law(n) for n in range(1, 5)}
-    monkeypatch.setattr(analysis, "enumerate_pairings", no_enumeration)
-    monkeypatch.setattr(analysis, "exact_pairing_law", law.__getitem__)
-    assert len(cond_prob_discrepancy_table(4)) == 31
+    def spy(n):
+        read.append(n)
+        return exact_sequential_law(n)
 
+    monkeypatch.setattr(analysis, "exact_sequential_law", spy)
+    assert sha256_of_repr(cond_prob_discrepancy_table(6)) == (
+        "ac31312907426ee30d6f5926867a1f328561a64db8af1f34e6be920515a9e774"
+    )
+    assert read == [2, 3, 4, 5, 6]
+
+
+def test_exact_law_cap_refuses_before_any_state(monkeypatch):
+    # Counter builds the chain's states; past the cap no state is built
+    def no_states(*args):
+        raise AssertionError("a chain state was built")
+
+    monkeypatch.setattr(analysis, "Counter", no_states)
+    with pytest.raises(CapacityError, match="cap 12"):
+        exact_sequential_law(analysis.EXACT_LAW_CAP + 1)
+    with pytest.raises(CapacityError, match="cap 12"):
+        cond_prob_discrepancy_table(13)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import platform
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +353,56 @@ def test_experiment_sums_case_3_fail_names_the_cutoff(capsys, tmp_path):
     assert ("FAIL s1_ratio_in_band: case 3: ratio=0.01865 d*sqrt(M/n)=0.393 "
             "s1=6.908 integral=6.831") in stdout
     assert json.loads(out.read_text())["aggregates"]["s1_integral"] == pytest.approx(6.831, abs=1e-3)
+
+
+def exit_and_errors(capsys, *argv):
+    """main's exit code, a parser refusal's included, and the stderr lines
+    that say ``error:``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    return code, [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("sums", "--n", "1000", "--d", "1", "--beta", "1", "--alpha", "nan"), "--alpha"),
+    (("corollary", "--n-grid", "1000", "--exponent", "inf", "--seed", "0"), "--exponent"),
+    (("corollary", "--n-grid", "1000", "--exponent", "1e6", "--seed", "0"), "exponent 1000000.0"),
+], ids=["sums-alpha-nan", "corollary-exponent-inf", "corollary-exponent-1e6"])
+def test_non_finite_float_exits_2(capsys, tmp_path, argv, named):
+    code, errors = exit_and_errors(capsys, "experiment", *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert len(errors) == 1 and named in errors[0]
+    assert list(tmp_path.iterdir()) == []  # no report, no manifest
+
+
+def test_replay_refuses_a_recorded_non_finite_flag(capsys, tmp_path):
+    # a manifest written before float flags had to be finite
+    manifest = tmp_path / "sums.json.manifest.json"
+    manifest.write_text(json.dumps({
+        "argv": ["experiment", "sums", "--alpha", "nan", "--beta", "1.0", "--d", "1",
+                 "--n", "1000", "--out", "sums.json"],
+        "outputs": {"sums.json": "0" * 64},
+    }))
+    code, errors = exit_and_errors(capsys, "replay", "--manifest", str(manifest))
+    assert code == 2
+    assert errors[-1] == f"error: cannot replay {manifest}: the parser stopped its command"
+
+
+def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):
+    # at beta = 1 this n gives S1_TERM_CAP + 1 terms, 80 MB in one float64 array
+    assert analysis.S1_TERM_CAP == 10**7
+    tracemalloc.start()
+    code, errors = exit_and_errors(capsys, "experiment", "sums", "--n", "190667349", "--d", "1",
+                                   "--beta", "1", "--out", str(tmp_path / "sums.json"))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert code == 2
+    assert errors == ["error: 10000001 terms of S1 exceed the cap 10000000"]
+    assert peak < 1 << 20
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of every output file of the experiments whose reports hold no
