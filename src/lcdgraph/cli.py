@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import hashlib
 import json
@@ -45,7 +46,7 @@ from .analysis import (
     tv_distance,
 )
 from .errors import DomainError
-from .io import graph_files, write_graph, write_rows
+from .io import graph_files, write_graph, write_json, write_rows
 from .lcd import enumerate_pairings, pair_degree_rows
 from .oracles import (
     DkQuery,
@@ -74,6 +75,7 @@ from .regions import (
 )
 
 MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
+INT_FLAG_MAX = 2**63 - 1  # an int flag above this is refused: it may overflow a float
 # parsed values that are not flags: the command path, its handler, its start time
 _NOT_FLAGS = ("subcommand", "experiment_name", "func", "started")
 
@@ -94,6 +96,15 @@ def finite_float(text: str) -> float:
     return value
 
 
+def integer(text: str) -> int:
+    """The value of an int flag other than ``--seed``, ``--replicate`` and
+    ``--threads``; argparse names the flag when it is refused."""
+    value = int(text)
+    if value > INT_FLAG_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most 2^63 - 1 = {INT_FLAG_MAX}")
+    return value
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -102,7 +113,7 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(args, out_path: Path, outputs) -> Path:
+def _write_manifest(args, out_path: Path, outputs) -> None:
     """Record the resolved invocation next to its outputs, the seconds since
     ``main`` parsed it, the process's peak resident memory and the Python
     and numpy versions.  ``replay`` compares only the output digests."""
@@ -124,9 +135,7 @@ def _write_manifest(args, out_path: Path, outputs) -> Path:
         "numpy": np.__version__,
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
-    path = out_path.with_name(out_path.name + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-    return path
+    write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +209,7 @@ def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=
         "aggregates": aggregates,
         "verdicts": [{"name": n, "passed": bool(p), "detail": d} for n, p, d in verdicts],
     }
-    # allow_nan=False: no report holds NaN or Infinity, which are not JSON
-    out.write_text(json.dumps(report, indent=2, sort_keys=True, default=str, allow_nan=False)
-                   + "\n")
+    write_json(out, report)
     csv_path = out.with_suffix(".csv")
     rows = report["replicates"] or [aggregates]
     with open(csv_path, "w", newline="") as fh:
@@ -259,16 +266,10 @@ def _exp_gamma(args) -> int:
 def _exp_concentration(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     res = concentration_experiment(params, args.d, args.replicates, threads=args.threads)
-    aggregates = {
-        "threshold": res.threshold,
-        "mean_count": res.mean_count,
-        "std_count": res.std_count,
-        "exceedance_rate": res.exceedance_rate,
-    }
     verdict = ("exceedance_below_0.05", res.exceedance_rate <= 0.05,
                f"rate={res.exceedance_rate:.4f} threshold={res.threshold:.1f} "
                f"std={res.std_count:.1f}")
-    return _finish_experiment(args, aggregates, [verdict],
+    return _finish_experiment(args, dataclasses.asdict(res), [verdict],
                               expectation_proxy="replicate grand mean")
 
 
@@ -309,7 +310,7 @@ def _exp_corollary(args) -> int:
         [("fractions_decreasing", res.decreasing,
           "fractions " + ", ".join(f"{f:.3e}" for f in res.fractions))],
         replicates=[{"n": n, "d": d, "fraction": f}
-                    for n, d, f in zip(res.n_grid, res.d_values, res.fractions)],
+                    for n, d, f in zip(n_grid, res.d_values, res.fractions)],
         n_grid=n_grid,
     )
 
@@ -433,62 +434,62 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("enumerate", help="list all pairings of 2n points")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     _add_common(p, cmd_enumerate, seed=False)
 
     p = sub.add_parser("generate", help="generate one graph")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--m", type=integer, default=1)
     p.add_argument("--variant", choices=VARIANTS, default="sequential")
     p.add_argument("--replicate", type=int, default=0)
     _add_common(p, cmd_generate)
 
     p = sub.add_parser("oracle", help="evaluate one closed-form quantity")
     p.add_argument("formula", choices=tuple(_ORACLES))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--s", type=int, default=0)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--l", type=int, default=1)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--k", type=integer, default=1)
+    p.add_argument("--s", type=integer, default=0)
+    p.add_argument("--d", type=integer, default=1)
+    p.add_argument("--m", type=integer, default=1)
+    p.add_argument("--l", type=integer, default=1)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a named experiment")
     exp = p.add_subparsers(dest="experiment_name", required=True)
 
     e = exp.add_parser("fraction")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=1)
-    e.add_argument("--d", type=int, required=True)
-    e.add_argument("--replicates", type=int, default=50)
+    e.add_argument("--n", type=integer, required=True)
+    e.add_argument("--m", type=integer, default=1)
+    e.add_argument("--d", type=integer, required=True)
+    e.add_argument("--replicates", type=integer, default=50)
     _add_common(e, _exp_fraction, threads=True)
 
     e = exp.add_parser("gamma")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=1)
-    e.add_argument("--dlo", type=int, default=5)
-    e.add_argument("--dhi", type=int, default=50)
+    e.add_argument("--n", type=integer, required=True)
+    e.add_argument("--m", type=integer, default=1)
+    e.add_argument("--dlo", type=integer, default=5)
+    e.add_argument("--dhi", type=integer, default=50)
     _add_common(e, _exp_gamma)
 
     e = exp.add_parser("concentration")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=1)
-    e.add_argument("--d", type=int, required=True)
-    e.add_argument("--replicates", type=int, default=200)
+    e.add_argument("--n", type=integer, required=True)
+    e.add_argument("--m", type=integer, default=1)
+    e.add_argument("--d", type=integer, required=True)
+    e.add_argument("--replicates", type=integer, default=200)
     _add_common(e, _exp_concentration, threads=True)
 
     e = exp.add_parser("sums")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--d", type=int, required=True)
+    e.add_argument("--n", type=integer, required=True)
+    e.add_argument("--d", type=integer, required=True)
     e.add_argument("--beta", type=finite_float, required=True)
     e.add_argument("--alpha", type=finite_float, default=None)
     _add_common(e, _exp_sums, seed=False)
 
     e = exp.add_parser("corollary")
     e.add_argument("--n-grid", default="10000,100000,1000000")
-    e.add_argument("--m", type=int, default=1)
+    e.add_argument("--m", type=integer, default=1)
     e.add_argument("--exponent", type=finite_float, default=0.25)
-    e.add_argument("--replicates", type=int, default=8)
+    e.add_argument("--replicates", type=integer, default=8)
     _add_common(e, _exp_corollary, threads=True)
 
     e = exp.add_parser("region")
@@ -501,9 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(e, _exp_region, seed=False)
 
     e = exp.add_parser("equivalence")
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--m", type=int, default=1)
-    e.add_argument("--samples", type=int, default=10**6)
+    e.add_argument("--n", type=integer, required=True)
+    e.add_argument("--m", type=integer, default=1)
+    e.add_argument("--samples", type=integer, default=10**6)
     _add_common(e, _exp_equivalence)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify digests")

@@ -1,5 +1,5 @@
-"""Persistence for generated graphs: edge-list CSV plus a JSON header, and
-the numpy text writer behind it and behind ``lcdgraph enumerate``."""
+"""Persistence: a graph's edge-list CSV and JSON header, the numpy text
+writer behind it and ``lcdgraph enumerate``, and the one strict JSON writer."""
 
 from __future__ import annotations
 
@@ -30,10 +30,14 @@ def write_graph(g: LcdGraph, path: str | Path, header: dict) -> Path:
     path, header_path = graph_files(path)
     with open(path, "wb") as fh:
         write_rows(fh, (g.src, g.tgt), b",\n")
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(header_path, header)
     return path
+
+
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as JSON with indent 2, sorted keys and a final newline.
+    NaN or an infinity raises ValueError, a non-JSON type (np.int64) TypeError."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_rows(fh, columns, seps: bytes) -> None:

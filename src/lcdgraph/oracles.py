@@ -2,7 +2,8 @@
 
 Every probability-valued operation runs in one of two numeric regimes:
 exact arbitrary-precision rationals when the point count 2n is at most
-``EXACT_CAP``, and log-gamma evaluation above it.  Exact results are
+``EXACT_CAP``, and log-gamma evaluation above it, up to the n whose
+rounding bound reaches ``LOG_ERROR_CAP``.  Exact results are
 ``fractions.Fraction``; log results carry log(p) as a float.
 
 The exact regime never forms a factorial.  It adds the Legendre exponent
@@ -23,9 +24,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 
-from .errors import DomainError
+from .errors import CapacityError, DomainError
 
 EXACT_CAP = 4096  # threshold on 2n for the exact-rational regime
+# Most rounding error of a log-regime log(p): its terms, about 2n log 2n
+# each, round to about ulp(term), so the sum's error is about terms * ulp(largest).
+# The cap serves n up to about 1.6e9 in prob_dk (error 6.6e-7 at n = 1e9,
+# 1.3e-4 at 1e10 and 4.8 at 1e15, against the exact -log(2n - 1) at k = 1).
+LOG_ERROR_CAP = 1e-4
 
 
 def _primes_upto(n: int) -> list:
@@ -145,15 +151,19 @@ class DkQuery:
 
 def _factorial_ratio(n: int, pow2: int, num: tuple, den: tuple) -> ExactProb:
     """2^pow2 * prod(x! for x in num) / prod(y! for y in den), exactly when
-    2n <= EXACT_CAP and as a left-to-right sum of log-gamma terms above it."""
+    2n <= EXACT_CAP and as a left-to-right sum of log-gamma terms above it,
+    which raises CapacityError when its rounding bound exceeds LOG_ERROR_CAP."""
     if 2 * n <= EXACT_CAP:
         return ExactProb(Fraction(*_reduced_ratio(pow2, num, den)))
+    terms = [math.lgamma(x + 1) for x in num] + [pow2 * math.log(2.0)]
+    terms += [-math.lgamma(y + 1) for y in den]
+    error = len(terms) * math.ulp(max(map(abs, terms)))
+    if error > LOG_ERROR_CAP:
+        raise CapacityError(f"n={n}: the log regime's rounding bound {error:.2g} on log(p) "
+                            f"exceeds {LOG_ERROR_CAP:g}")
     logp = 0.0
-    for x in num:
-        logp += math.lgamma(x + 1)
-    logp += pow2 * math.log(2.0)
-    for y in den:
-        logp -= math.lgamma(y + 1)
+    for term in terms:  # in order: sum() compensates from Python 3.12, changing the bits
+        logp += term
     return ExactProb(logp)
 
 

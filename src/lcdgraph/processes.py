@@ -329,7 +329,8 @@ def _batch_urn(n, m, samples, rng):
     # it, for many tiny graphs.  Both single-path alternatives were slower on
     # both shapes (2-core Xeon; one graph at N = 3e5 / the (3, 2) batch of
     # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms, a
-    # stable per-row merge 65 / 166 ms.
+    # stable per-row merge 65 / 166 ms.  Batched targets plus a count took
+    # 1.56 ms per BATCH_BLOCK rows at N = 6 against 0.30 ms for this count.
     big_n = n * m
     l, a = _urn_draw(big_n, samples, rng)
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
@@ -349,6 +350,10 @@ def _batch_urn(n, m, samples, rng):
 # variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs.
 # Sequential and pairing draw row after row, so their rows do not depend on
 # BATCH_BLOCK; the urn draws one column per graph, so its rows do.
+# Pairing keeps two reductions (2-core Xeon): per BATCH_BLOCK rows at N = 6, a
+# batched pair_targets plus a count took 2.8 ms against pair_degree_rows' 0.83
+# (the (3, 2) batch of 2e5: 67-89 ms against 53), and sort-based targets of
+# one graph at N = 3e5 took 53 ms against pair_targets' 7.3.
 _BATCHES = {
     "sequential": _batch_sequential,
     "urn": _batch_urn,

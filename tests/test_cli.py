@@ -12,9 +12,9 @@ import pytest
 from lcdgraph import analysis, cli
 from lcdgraph.analysis import power_law_exponent
 from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
-from lcdgraph.lcd import enumerate_pairings
+from lcdgraph.lcd import ENUMERATION_CAP, enumerate_pairings
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
-from lcdgraph.processes import VARIANTS, ProcessParams, generate
+from lcdgraph.processes import POINT_CAP, VARIANTS, ProcessParams, generate
 from pair_tables import graph_from_pairs
 
 
@@ -378,6 +378,40 @@ def test_non_finite_float_exits_2(capsys, tmp_path, argv, named):
     assert list(tmp_path.iterdir()) == []  # no report, no manifest
 
 
+HUGE = str(10**400)  # an int too large for a float
+
+
+@pytest.mark.parametrize("argv", [
+    ("oracle", "expected-count", "--n", HUGE, "--d", "1"),
+    ("oracle", "prob-dk", "--n", HUGE, "--k", "1", "--s", "0"),
+    ("oracle", "cond-prob", "--n", HUGE, "--k", "1", "--s", "0", "--d", "0"),
+    ("oracle", "tail-bound", "--n", HUGE, "--l", "3"),
+    ("experiment", "fraction", "--n", HUGE, "--d", "1"),
+    ("experiment", "sums", "--n", HUGE, "--d", "1", "--beta", "0.5"),
+], ids=lambda argv: argv[1])
+def test_int_flag_past_int64_exits_2(capsys, tmp_path, argv):
+    if argv[0] == "experiment":
+        argv += ("--out", str(tmp_path / "r.json"))
+    code, errors = exit_and_errors(capsys, *argv)
+    assert code == 2
+    assert len(errors) == 1 and "--n" in errors[0] and "2^63 - 1" in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_int_flag_at_int64_max_is_parsed():
+    args = build_parser().parse_args(["oracle", "tail-bound", "--n", str(2**63 - 1)])
+    assert args.n == cli.INT_FLAG_MAX == 2**63 - 1
+
+
+def test_oracle_prob_dk_refuses_past_the_log_regime_bound(capsys):
+    # the old log sum printed exp(0) (log) here, a probability of 1
+    code, out, err = run(capsys, "oracle", "prob-dk", "--n", str(10**18), "--k", "1", "--s", "0")
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        f"error: n={10**18}: the log regime's rounding bound 1.3e+05 on log(p) exceeds 0.0001"]
+
+
 def test_replay_refuses_a_recorded_non_finite_flag(capsys, tmp_path):
     # a manifest written before float flags had to be finite
     manifest = tmp_path / "sums.json.manifest.json"
@@ -521,13 +555,14 @@ def test_experiment_out_ending_in_csv_is_refused(capsys, tmp_path, monkeypatch):
 
 
 def option_surface(parser, command=()):
-    """(command, flag) for every value the parser can set, positionals by name."""
+    """(command, flag, action) for every value the parser can set,
+    positionals by name."""
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 yield from option_surface(sub, (*command, name))
         elif not isinstance(action, (argparse._HelpAction, argparse._VersionAction)):
-            yield " ".join(command), (action.option_strings or [action.dest])[0]
+            yield " ".join(command), (action.option_strings or [action.dest])[0], action
 
 
 def test_option_surface_is_pinned():
@@ -545,8 +580,144 @@ def test_option_surface_is_pinned():
         "replay": "--manifest",
     }
     pinned = {(command, flag) for command, flags in surface.items() for flag in flags.split()}
-    assert set(option_surface(build_parser())) == pinned
+    assert {(command, flag) for command, flag, _ in option_surface(build_parser())} == pinned
     assert len(pinned) == 56
+
+
+# One small valid command per subcommand, and one per oracle formula; the
+# sweep changes one value of it at a time, adding a flag the command leaves
+# at its default.  {out} is the run's own directory, {inputs} holds files.
+SWEEP_BASES = {
+    "enumerate": "--n 3 --out {out}/e.csv",
+    "generate": "--n 20 --m 2 --variant pairing --replicate 1 --seed 1 --out {out}/g.csv",
+    **{f"oracle {formula}": "--n 12 --k 2 --s 1 --d 1 --m 1 --l 2" for formula in _ORACLES},
+    "experiment fraction": "--n 200 --d 1 --replicates 2 --seed 3 --out {out}/r.json",
+    "experiment gamma": "--n 3000 --dlo 1 --dhi 10 --seed 3 --out {out}/r.json",
+    "experiment concentration": "--n 100 --d 1 --replicates 100 --seed 3 --out {out}/r.json",
+    "experiment sums": "--n 1000 --d 1 --beta 1 --out {out}/r.json",
+    "experiment corollary": "--n-grid 1000,2000 --replicates 1 --seed 3 --out {out}/r.json",
+    "experiment region": "--out {out}/r.json",
+    "experiment equivalence": "--n 2 --samples 100 --seed 3 --out {out}/r.json",
+    "replay": "--manifest {inputs}/e.csv.manifest.json",
+}
+# the values of a flag that takes text, by flag
+SWEEP_TEXT = {
+    "--out": ["{out}/missing/r.json", "{out}/r.csv"],
+    "--n-grid": ["0", "-1", "1.5", "x", ",", str(2**63)],
+    "--inequalities": ["{inputs}/missing.txt", "{inputs}/empty.txt", "{inputs}/bad.txt",
+                       "{inputs}/unbounded.txt", "{inputs}/infeasible.txt"],
+    "--manifest": ["{inputs}/missing.json", "{inputs}/empty.txt", "{inputs}/bad.txt"],
+}
+POINTS = POINT_CAP // 2  # the most n * m * samples of one call
+# a value just past the cap of a size flag, given the other values of its base
+SWEEP_CAPS = {
+    ("enumerate", "--n"): ENUMERATION_CAP + 1,
+    ("generate", "--n"): POINTS // 2 + 1,
+    ("generate", "--m"): POINTS // 20 + 1,
+    ("oracle prob-dk", "--n"): 1_700_000_000,  # past the log regime's rounding bound
+    ("oracle cond-prob", "--n"): 3_300_000_000,
+    ("experiment fraction", "--n"): POINTS + 1,
+    ("experiment fraction", "--m"): POINTS // 200 + 1,
+    ("experiment fraction", "--threads"): MAX_THREADS + 1,
+    ("experiment gamma", "--n"): POINTS + 1,
+    ("experiment gamma", "--m"): POINTS // 3000 + 1,
+    ("experiment concentration", "--n"): POINTS + 1,
+    ("experiment concentration", "--m"): POINTS // 100 + 1,
+    ("experiment concentration", "--threads"): MAX_THREADS + 1,
+    ("experiment sums", "--n"): 190667349,  # analysis.S1_TERM_CAP + 1 terms at beta = 1
+    ("experiment corollary", "--m"): POINTS // 1000 + 1,
+    ("experiment corollary", "--threads"): MAX_THREADS + 1,
+    ("experiment equivalence", "--n"): POINTS // 100 + 1,
+    ("experiment equivalence", "--m"): POINTS // 200 + 1,
+    ("experiment equivalence", "--samples"): POINTS // 2 + 1,
+}
+
+
+def sweep_values(key, flag, action):
+    """The values the sweep gives one flag of one base command."""
+    if action.choices:
+        values = ["nope", *action.choices]
+    elif action.type is cli.finite_float:
+        values = ["0", "-1", "nan", "inf", "1e308"]
+    elif action.type is cli.integer:  # a count: 2^63 is refused by the parser
+        values = ["0", "-1", "1.5", str(2**63)]
+    elif action.type is int:
+        values = ["0", "-1", "1.5"]
+    else:
+        values = SWEEP_TEXT[flag]
+    cap = SWEEP_CAPS.get((key, flag))
+    return values + ([str(cap)] if cap else [])
+
+
+def strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def sweep_problems(capsys, out, argv) -> list:
+    """What is wrong with one run: an exit code other than 0, 1 or 2, a
+    traceback, an exit 2 without exactly one error line or with a file
+    written, or a JSON file that a strict parser refuses."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # an uncaught exception is a traceback
+        return [f"{argv}: raised {exc!r}"]
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    written = sorted(p for p in out.rglob("*") if p.is_file())
+    problems = []
+    if code not in (0, 1, 2) or "Traceback" in err:
+        problems.append(f"{argv}: exit {code}, stderr {err!r}")
+    elif code == 2 and (len(errors) != 1 or written):
+        problems.append(f"{argv}: exit 2 with errors {errors} and files {written}")
+    for path in written:
+        if path.suffix == ".json":
+            try:
+                strict_json(path.read_text())
+            except ValueError as exc:
+                problems.append(f"{argv}: {path.name} is not strict JSON: {exc}")
+    return problems
+
+
+@pytest.mark.parametrize("key", SWEEP_BASES)
+def test_bad_values_sweep(capsys, tmp_path, monkeypatch, key):
+    # every settable value of the command, changed one at a time to bad or
+    # boundary values; no value may end in a traceback or a non-JSON file
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for name, text in {"empty.txt": "", "bad.txt": "1 2 3\n", "unbounded.txt": "0 1 <= 1\n",
+                       "infeasible.txt": "1 0 < -1\n1 0 > 1\n"}.items():
+        (inputs / name).write_text(text)
+    assert main(["enumerate", "--n", "3", "--out", str(inputs / "e.csv")]) == 0
+    command = "oracle" if key.startswith("oracle ") else key
+    base = key.split() + SWEEP_BASES[key].split()
+    problems, runs = [], 0
+    for surface_command, flag, action in option_surface(build_parser()):
+        if surface_command != command:
+            continue
+        for value in sweep_values(key, flag, action):
+            out = tmp_path / f"run{runs}"
+            out.mkdir()
+            runs += 1
+            argv = list(base)
+            if flag == "formula":
+                argv[1] = value
+            elif flag in argv:
+                argv[argv.index(flag) + 1] = value
+            else:
+                argv += [flag, value]
+            argv = [tok.format(out=out, inputs=inputs) for tok in argv]
+            problems += sweep_problems(capsys, out, argv)
+    assert runs >= 3
+    assert problems == []
 
 
 def test_experiment_gamma_total_fits_the_total_degree_histogram(capsys, tmp_path):

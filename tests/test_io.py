@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import DomainError
-from lcdgraph.io import CHUNK_CELLS, graph_files, write_graph, write_rows
+from lcdgraph.io import CHUNK_CELLS, graph_files, write_graph, write_json, write_rows
 from lcdgraph.lcd import LcdGraph
 
 
@@ -54,6 +54,19 @@ def test_write_graph_edges_and_header(tmp_path):
     header_text = (tmp_path / "g.csv.header.json").read_text()
     assert header_text == json.dumps(header, indent=2, sort_keys=True) + "\n"
     assert sorted(tmp_path.iterdir()) == graph_files(path)  # the files written, named
+
+
+def test_write_json_bytes(tmp_path):
+    obj = {"b": [1, 2.5, None], "a": {"y": True, "x": "z"}}
+    write_json(tmp_path / "o.json", obj)
+    assert (tmp_path / "o.json").read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("value, error", [(float("nan"), ValueError), (np.int64(3), TypeError)],
+                         ids=["nan", "np.int64"])
+def test_write_json_is_strict(tmp_path, value, error):
+    with pytest.raises(error):
+        write_json(tmp_path / "o.json", {"value": value})
 
 
 def test_digit_boundaries(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcdgraph.errors import DomainError
+from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.lcd import enumerate_pairings, pairing_count
 from lcdgraph.oracles import (
     EXACT_CAP,
@@ -314,6 +314,23 @@ def test_cond_prob_log_regime_matches_exact_recomputation(n, where):
     )
     den = math.factorial(n - k - s - d) * math.factorial(2 * n - 2 * k - s)
     assert abs(p.value - exact_log(num, den)) <= 1e-10
+
+
+def test_log_regime_refuses_past_its_rounding_bound():
+    # at n = 1e18 the lgamma terms, about 8e19 each, round to 16384, so the
+    # old sum printed exp(0) for a true value of 1/(2e18 - 1)
+    n = 10**18
+    with pytest.raises(CapacityError, match="rounding bound"):
+        prob_dk(DkQuery(n, 1, 0))
+    with pytest.raises(CapacityError, match="rounding bound"):
+        cond_prob_degree(n, 1, 0, 0)
+    with pytest.raises(CapacityError):
+        prob_dk(DkQuery(10**10, 1, 0))  # error 1.3e-4, past LOG_ERROR_CAP
+
+
+def test_log_regime_serves_n_1e9():
+    n = 10**9
+    assert abs(prob_dk(DkQuery(n, 1, 0)).value + math.log(2 * n - 1)) <= 1e-6
 
 
 def test_exact_regime_reaches_the_cap():
