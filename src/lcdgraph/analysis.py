@@ -35,7 +35,12 @@ class FractionResult:
 
 def replicate_counts(params: ProcessParams, degree: int, replicates: int, threads: int) -> list:
     """Vertices of in-degree ``degree`` in ``generate(params, r)`` for
-    r = 0..replicates-1, in replicate order, on ``threads`` worker threads."""
+    r = 0..replicates-1, in replicate order, on ``threads`` worker threads;
+    ``degree`` < 0 is refused, and past m*n, the largest in-degree, no graph is drawn."""
+    if degree < 0:
+        raise DomainError(f"need in-degree d >= 0, got d={degree}")
+    if degree > params.m * params.n:
+        return [0] * replicates
 
     def one(r: int) -> int:
         return int(np.count_nonzero(generate(params, r).in_degrees == degree))
@@ -79,7 +84,7 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
     negated, for a degree -> count histogram; zero-count bins are excluded."""
     if not 1 <= d_lo <= d_hi:
         raise DomainError(f"degree window [{d_lo}, {d_hi}] needs 1 <= d_lo <= d_hi")
-    ds = [d for d in range(d_lo, d_hi + 1) if hist.get(d, 0) > 0]
+    ds = sorted(d for d, c in hist.items() if d_lo <= d <= d_hi and c > 0)
     if len(ds) < 5:
         raise InsufficientDataError(f"only {len(ds)} nonzero bins in [{d_lo}, {d_hi}]")
     x = np.log(np.array(ds, dtype=float))
@@ -268,9 +273,6 @@ def corollary_experiment(
             raise DomainError(f"exponent {exponent}: n^exponent overflows at n = {n}") from None
         d_values.append(d)
         params = ProcessParams(n=n, m=m, variant="sequential", master_seed=master_seed)
-        if d > m * n:  # an in-degree never exceeds the m*n edges
-            fracs.append(0.0)
-            continue
         per = [c / n for c in replicate_counts(params, d, replicates, threads)]
         fracs.append(float(np.mean(per)))
     decreasing = all(a > b for a, b in zip(fracs, fracs[1:]))

@@ -11,7 +11,10 @@ import numpy as np
 from .errors import DomainError
 from .lcd import LcdGraph
 
-CHUNK_CELLS = 1 << 17  # values formatted per pass: bounds the writer's buffers
+# Values formatted per pass: bounds the writer's buffers.  The 10^6 x 1 edge
+# list at 2^15 .. 2^19, medians of 31 interleaved writes (2-core Xeon, numpy
+# 2.4): 86, 83, 85, 91 and 95 ms, with buffers of 0.9, 1.7, 3.4, 6.8 and 13.6 MB.
+CHUNK_CELLS = 1 << 17
 
 
 def graph_files(path: str | Path) -> list:

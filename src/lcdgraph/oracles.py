@@ -214,8 +214,7 @@ def ratio_f(n: int, k: int, s: int) -> Fraction:
 def _mode_root(n: int, k: int, sign: int) -> int:
     """ceil((1 - 4k + sign * sqrt(16kn - 8n + 1)) / 2) in exact integers: the
     root of f(s) = 1 for sign +1 (positive) or -1 (negative)."""
-    if not 1 <= k <= n:
-        raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+    DkQuery(n, k, 0)
     disc = 16 * k * n - 8 * n + 1  # 8n(2k-1) + 1 >= 9
     # isqrt floors: ceil(sqrt(disc)) = isqrt(disc - 1) + 1 for disc >= 1
     root = math.isqrt(disc - 1) + 1 if sign > 0 else -math.isqrt(disc)

@@ -35,7 +35,12 @@ from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 # id: edge targets are int32 from each kernel to LcdGraph and the writer.
 POINT_CAP = 50_000_000
 
-# Rows of a batch that are sampled and reduced at a time.
+# Rows of a batch that are sampled and reduced at a time; the urn's batch
+# rows depend on it (tests' BATCH_DIGESTS).  The (3, 2, 2e5) batches at
+# 2^12 .. 2^16, medians of 31 interleaved runs (2-core Xeon, numpy 2.4):
+# sequential 36, 34, 32, 31, 32 ms; urn 32, 30, 31, 31, 32 ms; pairing 64,
+# 63, 63, 64, 79 ms.  The block's heap, beside the result, grows with it:
+# 1.6 MB sequential and 3.4 MB pairing at 2^14, 6.3 and 13 MB at 2^16.
 BATCH_BLOCK = 1 << 14
 
 
@@ -129,11 +134,9 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
     rows, width = block.shape
     if block.size == 0:
         return
-    per = min(rows, max(1, DRAW_CHUNK // width))  # whole rows in a chunk
+    per = min(rows, max(1, DRAW_CHUNK // width))  # whole rows in a chunk; 1 for a long row
     # the ranges of a chunk from column 0: whole rows, or a long row's start
-    table = np.arange(3, 2 * min(width, DRAW_CHUNK) + 3, 2, dtype=np.uint32)
-    if per > 1:
-        table = np.tile(table, per)
+    table = np.tile(np.arange(3, 2 * min(width, DRAW_CHUNK) + 3, 2, dtype=np.uint32), per)
     vals = np.empty(table.size, dtype=np.int32)
     state = bits.state
     # pool[hq] is the next half and pool[hq - 1] the last one used, which
@@ -142,10 +145,7 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
     hq = 1
     r = c = 0
     while r < rows:
-        if width <= DRAW_CHUNK:
-            k, w = min(per, rows - r), width
-        else:  # a piece of one long row
-            k, w = 1, min(DRAW_CHUNK, width - c)
+        k, w = min(per, rows - r), min(DRAW_CHUNK, width - c)
         span = k * w
         ranges = table[:span] + np.uint32(2 * c) if c else table[:span]
         top = 2 * (c + w) + 1  # the largest range in the chunk

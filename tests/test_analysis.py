@@ -53,6 +53,26 @@ def test_empirical_fraction_impossible_degree_is_zero():
     assert res.mean == 0.0
 
 
+def test_empirical_fraction_past_mn_draws_no_graph(monkeypatch):
+    def no_graphs(*args):
+        raise AssertionError("a graph was drawn for an unreachable in-degree")
+
+    monkeypatch.setattr(analysis, "generate", no_graphs)
+    params = ProcessParams(50, 2, "sequential", 0)
+    res = empirical_fraction(params, 2 * 50 + 1, replicates=3)
+    assert res.fractions == [0.0, 0.0, 0.0]
+    assert (res.mean, res.std) == (0.0, 0.0)
+
+
+def test_replicate_counts_refuses_a_negative_in_degree(monkeypatch):
+    def no_graphs(*args):
+        raise AssertionError("a graph was drawn for a negative in-degree")
+
+    monkeypatch.setattr(analysis, "generate", no_graphs)
+    with pytest.raises(DomainError, match="got d=-1"):
+        replicate_counts(ProcessParams(100, 1, "sequential", 3), -1, 100, 1)
+
+
 def test_empirical_fraction_validation():
     params = ProcessParams(10, 1, "sequential", 0)
     with pytest.raises(DomainError):
@@ -81,6 +101,12 @@ def test_power_law_recovers_synthetic_exponents():
     for gamma in (2.0, 3.0, 4.0):
         fit = power_law_exponent(_synthetic_histogram(gamma), 5, 50)
         assert abs(fit.gamma - gamma) <= max(0.05, 2 * fit.stderr)
+
+
+def test_power_law_reads_only_the_histograms_bins():
+    # a window past every bin fits the bins it holds, and as fast
+    hist = _synthetic_histogram(3.0)
+    assert power_law_exponent(hist, 5, 2**63 - 1) == power_law_exponent(hist, 5, 50)
 
 
 def test_power_law_too_few_bins():
@@ -205,9 +231,9 @@ def test_corollary_validation_and_impossible_degree():
 def test_corollary_skips_an_in_degree_above_mn(monkeypatch):
     # d = 1413 lies between m*n and 2mn: no in-degree reaches it, so no graph is drawn
     def no_graphs(*args):
-        raise AssertionError("replicate_counts called for an unreachable in-degree")
+        raise AssertionError("a graph was drawn for an unreachable in-degree")
 
-    monkeypatch.setattr(analysis, "replicate_counts", no_graphs)
+    monkeypatch.setattr(analysis, "generate", no_graphs)
     res = corollary_experiment([1000], 1, 1.05, replicates=2)
     assert res.d_values == [1413]
     assert res.fractions == [0.0]

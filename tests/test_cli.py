@@ -439,6 +439,28 @@ def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, stub, named", [
+    (("concentration", "--n", "100", "--d", "-1", "--replicates", "100", "--seed", "3"),
+     (analysis, "generate"), "d >= 0, got d=-1"),
+    (("sums", "--n", "1000", "--d", "0", "--beta", "1"), (cli, "sum_s1"), "d >= 1"),
+    (("gamma", "--n", "3000", "--dhi", "3001", "--seed", "3"), (cli, "generate"), "--dhi"),
+    (("gamma", "--n", "3000", "--dhi", str(2**63 - 1), "--seed", "3"), (cli, "generate"),
+     "--dhi"),
+], ids=["concentration-d-negative", "sums-d-0", "gamma-dhi-past-mn", "gamma-dhi-int64-max"])
+def test_degree_outside_its_range_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
+                                                          argv, stub, named):
+    # an in-degree lies in [0, m*n] and S2's degree is at least 1: refused
+    # before a graph is drawn or S1 is summed
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{stub[1]} ran")
+
+    monkeypatch.setattr(*stub, no_work)
+    code, errors = exit_and_errors(capsys, "experiment", *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert len(errors) == 1 and named in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of every output file of the experiments whose reports hold no
 # unseeded draw, and of every built-in region system; `gamma` is left out
 # because its fit runs through LAPACK
@@ -621,6 +643,7 @@ SWEEP_CAPS = {
     ("experiment fraction", "--threads"): MAX_THREADS + 1,
     ("experiment gamma", "--n"): POINTS + 1,
     ("experiment gamma", "--m"): POINTS // 3000 + 1,
+    ("experiment gamma", "--dhi"): 3001,  # past m*n, the largest in-degree
     ("experiment concentration", "--n"): POINTS + 1,
     ("experiment concentration", "--m"): POINTS // 100 + 1,
     ("experiment concentration", "--threads"): MAX_THREADS + 1,

@@ -156,6 +156,12 @@ def test_mode_s01_at_k_equals_n():
         assert mode_s01(n, n) == 0
 
 
+@pytest.mark.parametrize("mode, n, k", [(mode_s01, 3, 0), (mode_s02, 3, 4)])
+def test_modes_refuse_k_outside_1_to_n(mode, n, k):
+    with pytest.raises(DomainError, match=f"need 1 <= k <= n, got n={n}, k={k}"):
+        mode(n, k)
+
+
 def test_mode_s01_formula_example():
     assert mode_s01(100, 25) == 50
 

@@ -60,7 +60,6 @@ import contextlib
 import hashlib
 import importlib
 import io
-import json
 import os
 import platform
 import random
@@ -79,7 +78,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.analysis import replicate_counts  # noqa: E402
-from lcdgraph.io import write_graph, write_rows  # noqa: E402
+from lcdgraph.io import write_graph, write_json, write_rows  # noqa: E402
 from lcdgraph.processes import (  # noqa: E402
     _KERNELS,
     ProcessParams,
@@ -140,7 +139,7 @@ def write_report(name: str, layer: str, results: dict) -> None:
             "numba_imports": numba_imports(),
         },
     }
-    out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(out, report)
     for key, r in results.items():
         peak = f", heap peak {r['peak_bytes'] / 1e6:.1f} MB" if "peak_bytes" in r else ""
         print(f"{key}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms{peak}")
