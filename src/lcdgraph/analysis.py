@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError, InsufficientDataError
-from .lcd import pairing_count
-from .oracles import cond_prob_degree, expected_count
+from .oracles import cond_prob_degree, expected_count, pairing_count
 from .processes import ProcessParams, generate
 
 
@@ -76,7 +75,6 @@ def empirical_fraction(
 class ExponentFit:
     gamma: float
     stderr: float
-    n_bins: int
 
 
 def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
@@ -93,7 +91,6 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
     return ExponentFit(
         gamma=float(-slope),
         stderr=float(math.sqrt(cov[0, 0])),
-        n_bins=len(ds),
     )
 
 
@@ -102,7 +99,7 @@ def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
     to the limiting in-degree law P(k) = ``expected_count(1, m, k)``: what
     a finite-window in-degree fit should be judged against.  It tends to 3
     only as the window moves out (2.430 at m = 3 over [5, 50])."""
-    law = {k: expected_count(1, m, k) for k in range(d_lo, d_hi + 1)}
+    law = {k: expected_count(1, m, k) for k in range(max(d_lo, 1), d_hi + 1)}
     return power_law_exponent(law, d_lo, d_hi).gamma
 
 
@@ -226,7 +223,6 @@ def _s1_antiderivative(y: float, d: int) -> float:
 
 @dataclass
 class SumS2Result:
-    m_threshold: int  # M = floor(n^beta / log n)
     bound_primary: float  # M^(d+1) / (2^d n^d)
     bound_final: float  # 2n / d^3
 
@@ -238,9 +234,9 @@ def sum_s2_bound(n: int, d: int, beta: float) -> SumS2Result:
         raise DomainError("need n >= 3, d >= 1, beta in (0, 1]")
     m_thr = math.floor(n**beta / math.log(n))
     if d > m_thr:
-        return SumS2Result(m_thr, 0.0, 0.0)
+        return SumS2Result(0.0, 0.0)
     log_primary = (d + 1) * math.log(m_thr) - d * math.log(2.0) - d * math.log(n)
-    return SumS2Result(m_thr, math.exp(log_primary), 2.0 * n / d**3)
+    return SumS2Result(math.exp(log_primary), 2.0 * n / d**3)
 
 
 @dataclass

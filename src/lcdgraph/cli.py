@@ -241,13 +241,13 @@ def _exp_gamma(args) -> int:
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     if args.dhi > args.m * args.n:  # no in-degree reaches past the m*n edges
         raise DomainError(f"--dhi must be at most m*n = {args.m * args.n}, got {args.dhi}")
+    predicted = limiting_in_degree_gamma(args.m, args.dlo, args.dhi)  # checks the window
     g = generate(params)
     hist_in = degree_histogram(g)
     hist_tot = {d + args.m: c for d, c in hist_in.items()}
     fit_in = power_law_exponent(hist_in, args.dlo, args.dhi)
     fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
     hill = hill_exponent(hist_in, args.dlo)
-    predicted = limiting_in_degree_gamma(args.m, args.dlo, args.dhi)
     aggregates = {
         "gamma_in": fit_in.gamma,
         "stderr_in": fit_in.stderr,

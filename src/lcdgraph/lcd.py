@@ -19,14 +19,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import CapacityError, DomainError
-from .oracles import double_factorial
 
 ENUMERATION_CAP = 8  # 15!! = 2,027,025 pairings at n=8
-
-
-def pairing_count(n: int) -> int:
-    """Number of pairings of 2n points: (2n-1)!! = 1*3*...*(2n-1)."""
-    return double_factorial(2 * n - 1)
 
 
 def enumerate_pairings(n: int):

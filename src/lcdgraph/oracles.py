@@ -91,20 +91,10 @@ def _reduced_ratio(pow2: int, num: tuple, den: tuple) -> tuple:
     return top, math.prod(map(pow, compress(_PRIMES, down), filter(None, down)))
 
 
-def _step2_product(lo: int, hi: int) -> int:
-    """lo * (lo+2) * ... over the terms below hi, as a balanced tree, so that
-    the big multiplications pair operands of like size."""
-    if hi - lo <= 128:
-        return math.prod(range(lo, hi, 2))
-    mid = lo + (hi - lo) // 4 * 2
-    return _step2_product(lo, mid) * _step2_product(mid, hi)
-
-
-def double_factorial(x: int) -> int:
-    """x!! over odd or even x, with the empty-product values (-1)!! = 0!! = 1."""
-    if x < -1:
-        raise DomainError(f"double factorial undefined for {x}")
-    return _step2_product(x % 2 or 2, x + 1)
+def pairing_count(n: int) -> int:
+    """Number of pairings of 2n points: (2n-1)!! = (2n)! / (n! 2^n), which
+    is 1 at n = 0."""
+    return math.perm(2 * n, n) >> n
 
 
 @dataclass(frozen=True)
@@ -183,20 +173,19 @@ def prob_dk(q: DkQuery) -> ExactProb:
 def count_ns(q: DkQuery) -> int:
     """N(s): the number of pairings of 2n points with D_k = 2k+s.
 
-    Product of matching counts: s! choices interleaving the s extra chords,
-    (2k+s-1)*C(2k+s-2, s) placements on the left block, (2k-3)!! matchings
-    of the remaining left points, C(2n-2k-s, s) right attachment points and
-    (2n-2k-2s-1)!! matchings of the remaining right points.  Satisfies
-    prob_dk = N(s)/(2n-1)!! exactly.
+    Product of matching counts: s! choices interleaving the s extra chords
+    and (2k+s-1)*C(2k+s-2, s) placements on the left block, together
+    (2k+s-1)*P(2k+s-2, s); (2k-3)!! matchings of the remaining left points,
+    C(2n-2k-s, s) right attachment points and (2n-2k-2s-1)!! matchings of
+    the remaining right points.  Satisfies prob_dk = N(s)/(2n-1)!! exactly.
     """
     n, k, s = q.n, q.k, q.s
     return (
-        math.factorial(s)
+        math.perm(2 * k + s - 2, s)
         * (2 * k + s - 1)
-        * math.comb(2 * k + s - 2, s)
-        * double_factorial(2 * k - 3)
+        * pairing_count(k - 1)
         * math.comb(2 * n - 2 * k - s, s)
-        * double_factorial(2 * n - 2 * k - 2 * s - 1)
+        * pairing_count(n - k - s)
     )
 
 

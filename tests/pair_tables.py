@@ -17,8 +17,8 @@ from lcdgraph.lcd import (
     enumerate_pairings,
     pair_degree_rows,
     pair_targets,
-    pairing_count,
 )
+from lcdgraph.oracles import pairing_count
 
 
 def partner_rows(pairs: np.ndarray) -> np.ndarray:

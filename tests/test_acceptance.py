@@ -24,8 +24,8 @@ from lcdgraph.analysis import (
     sum_s2_bound,
     tv_distance,
 )
-from lcdgraph.lcd import enumerate_pairings, pairing_count
-from lcdgraph.oracles import DkQuery, expected_count, mode_s01, prob_dk, tail_bound
+from lcdgraph.lcd import enumerate_pairings
+from lcdgraph.oracles import DkQuery, expected_count, mode_s01, pairing_count, prob_dk, tail_bound
 from lcdgraph.processes import (
     ProcessParams,
     batch_total_degrees,

@@ -136,7 +136,7 @@ def test_fit_windows_must_start_at_degree_1():
     for d_min in (0, -1):
         with pytest.raises(DomainError, match=rf"\[{d_min}, inf\)"):
             hill_exponent(h, d_min)
-    assert power_law_exponent({d: 10 for d in range(1, 6)}, 1, 5).n_bins == 5
+    assert power_law_exponent({d: 10 for d in range(1, 6)}, 1, 5).gamma == pytest.approx(0.0)
     assert hill_exponent({1: 4, 2: 1}, 1) > 1.0
 
 
@@ -208,17 +208,20 @@ def test_sum_s1_case_boundary_orders_coincide():
 
 
 def test_sum_s2_bound_chain_and_zero():
-    res = sum_s2_bound(10**6, 10, 0.875)
+    n = 10**6
+    res = sum_s2_bound(n, 10, 0.875)
     assert 0 < res.bound_primary <= res.bound_final
-    big_d = res.m_threshold + 1
-    res0 = sum_s2_bound(10**6, big_d, 0.875)
+    m_thr = math.floor(n**0.875 / math.log(n))  # M
+    res0 = sum_s2_bound(n, m_thr + 1, 0.875)
     assert res0.bound_primary == res0.bound_final == 0.0
 
 
 def test_sum_s2_d1_bound():
-    res = sum_s2_bound(10**6, 1, 0.9)
-    assert res.bound_primary == pytest.approx(res.m_threshold**2 / (2 * 10**6))
-    assert res.bound_primary <= 2 * 10**6
+    n = 10**6
+    res = sum_s2_bound(n, 1, 0.9)
+    m_thr = math.floor(n**0.9 / math.log(n))  # M
+    assert res.bound_primary == pytest.approx(m_thr**2 / (2 * n))
+    assert res.bound_primary <= 2 * n
 
 
 def test_corollary_validation_and_impossible_degree():

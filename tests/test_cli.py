@@ -446,11 +446,19 @@ def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):
     (("gamma", "--n", "3000", "--dhi", "3001", "--seed", "3"), (cli, "generate"), "--dhi"),
     (("gamma", "--n", "3000", "--dhi", str(2**63 - 1), "--seed", "3"), (cli, "generate"),
      "--dhi"),
-], ids=["concentration-d-negative", "sums-d-0", "gamma-dhi-past-mn", "gamma-dhi-int64-max"])
+    (("gamma", "--n", "3000", "--dlo", "60", "--dhi", "50", "--seed", "3"), (cli, "generate"),
+     "[60, 50]"),
+    (("gamma", "--n", "3000", "--dlo", "0", "--seed", "3"), (cli, "generate"), "[0, 50]"),
+    (("gamma", "--n", "3000", "--dlo", "-1", "--seed", "3"), (cli, "generate"), "[-1, 50]"),
+    (("gamma", "--n", "3000", "--dlo", "1", "--dhi", "3", "--seed", "3"), (cli, "generate"),
+     "only 3 nonzero bins"),
+], ids=["concentration-d-negative", "sums-d-0", "gamma-dhi-past-mn", "gamma-dhi-int64-max",
+        "gamma-window-reversed", "gamma-dlo-0", "gamma-dlo-negative", "gamma-window-3-bins"])
 def test_degree_outside_its_range_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
                                                           argv, stub, named):
-    # an in-degree lies in [0, m*n] and S2's degree is at least 1: refused
-    # before a graph is drawn or S1 is summed
+    # an in-degree lies in [0, m*n], S2's degree is at least 1 and a fit
+    # window starts at 1 and holds at least 5 degrees: refused before a graph
+    # is drawn or S1 is summed
     def no_work(*args, **kwargs):
         raise AssertionError(f"{stub[1]} ran")
 

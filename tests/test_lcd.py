@@ -11,9 +11,9 @@ from lcdgraph.lcd import (
     enumerate_pairings,
     pair_degree_rows,
     pair_targets,
-    pairing_count,
     sample_pairs,
 )
+from lcdgraph.oracles import pairing_count
 from lcdgraph.processes import batch_total_degrees, replicate_rng
 from pair_tables import edge_list, graph_from_pairs, partner_rows, reference_degree_rows
 

@@ -11,18 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcdgraph.errors import CapacityError, DomainError
-from lcdgraph.lcd import enumerate_pairings, pairing_count
+from lcdgraph.lcd import enumerate_pairings
 from lcdgraph.oracles import (
     EXACT_CAP,
     DkQuery,
     ExactProb,
     cond_prob_degree,
     count_ns,
-    double_factorial,
     expected_count,
     lemma2_approx,
     mode_s01,
     mode_s02,
+    pairing_count,
     prob_dk,
     ratio_f,
     tail_bound,
@@ -31,21 +31,9 @@ from lcdgraph.oracles import _PRIMES, _fact_exponents, _reduced_ratio, _unpack
 from pair_tables import partner_rows, reference_degree_rows
 
 
-def test_double_factorial():
-    assert double_factorial(-1) == 1
-    assert double_factorial(0) == 1
-    assert double_factorial(5) == 15
-    assert double_factorial(6) == 48
-    with pytest.raises(DomainError):
-        double_factorial(-2)
-
-
-def test_double_factorial_matches_a_loop():
-    for x in [*range(-1, 600), 4095, 4096]:
-        out = 1
-        for y in range(x, 1, -2):
-            out *= y
-        assert double_factorial(x) == out
+@pytest.mark.parametrize("n", [0, 1, 2, 100, 2048, 20000])
+def test_pairing_count_is_the_product_of_the_odd_numbers(n):
+    assert pairing_count(n) == math.prod(range(1, 2 * n, 2))
 
 
 def test_dkquery_validation():
@@ -76,6 +64,21 @@ def test_normalization_exact(n):
 def test_count_ns_n2_values():
     assert count_ns(DkQuery(2, 1, 0)) == 1
     assert count_ns(DkQuery(2, 1, 1)) == 2
+
+
+# sha256 of the hex of count_ns over 69 cells at n = 512, 2048 and 20000 (the
+# last past EXACT_CAP), k and s from each end, the middle and the mode
+COUNT_NS_SHA256 = "789af682c9a699c71bfa7a9dda1ccda494312451fda47d1b8dbd4995a9e3a9ee"
+
+
+def test_count_ns_is_pinned_at_large_n():
+    h = hashlib.sha256()
+    for n in (512, 2048, 20000):
+        for k in sorted({1, 2, n // 4, n // 2, n - 1, n}):
+            for s in sorted({0, 1, mode_s01(n, k), (n - k) // 2, n - k}):
+                if s <= n - k:
+                    h.update(f"{count_ns(DkQuery(n, k, s)):x};".encode())
+    assert h.hexdigest() == COUNT_NS_SHA256
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -113,7 +116,7 @@ def test_prob_dk_matches_the_process_chain():
     # vertices, adding 1 to D, on D of its 2t-1 choices
     cells = 0
     for k in range(1, 41):
-        paths = {2 * k: double_factorial(2 * k - 1)}  # D -> choice paths
+        paths = {2 * k: pairing_count(k)}  # D -> choice paths
         for n in range(k, 41):
             if n > k:
                 step: Counter = Counter()
@@ -121,7 +124,7 @@ def test_prob_dk_matches_the_process_chain():
                     step[dk + 1] += c * dk
                     step[dk] += c * (2 * n - 1 - dk)
                 paths = step
-            total = double_factorial(2 * n - 1)
+            total = pairing_count(n)
             for s in range(n - k + 1):
                 assert prob_dk(DkQuery(n, k, s)).value == Fraction(paths[2 * k + s], total)
                 cells += 1
