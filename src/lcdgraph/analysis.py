@@ -12,15 +12,14 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError, InsufficientDataError
-from .oracles import cond_prob_degree, expected_count, pairing_count
+from .oracles import cond_prob_degree, pairing_count
 from .processes import ProcessParams, generate
 
 
-def degree_histogram(g) -> dict:
-    """In-degree -> number of vertices of that in-degree in ``g``, in
-    increasing order."""
-    values, counts = np.unique(g.in_degrees, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
+def degree_histogram(g) -> tuple:
+    """The in-degrees that occur in ``g``, in increasing order, and the
+    number of vertices of each, as the two arrays of ``np.unique``."""
+    return np.unique(g.in_degrees, return_counts=True)
 
 
 @dataclass
@@ -77,16 +76,17 @@ class ExponentFit:
     stderr: float
 
 
-def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
+def power_law_exponent(degrees, counts, d_lo: int, d_hi: int) -> ExponentFit:
     """Least-squares slope of log(count) vs log(degree) over [d_lo, d_hi],
-    negated, for a degree -> count histogram; zero-count bins are excluded."""
+    negated, for increasing ``degrees``; zero-count bins are excluded."""
     if not 1 <= d_lo <= d_hi:
         raise DomainError(f"degree window [{d_lo}, {d_hi}] needs 1 <= d_lo <= d_hi")
-    ds = sorted(d for d, c in hist.items() if d_lo <= d <= d_hi and c > 0)
-    if len(ds) < 5:
-        raise InsufficientDataError(f"only {len(ds)} nonzero bins in [{d_lo}, {d_hi}]")
-    x = np.log(np.array(ds, dtype=float))
-    y = np.log(np.array([hist[d] for d in ds], dtype=float))
+    keep = (degrees >= d_lo) & (degrees <= d_hi) & (counts > 0)
+    bins = np.count_nonzero(keep)
+    if bins < 5:
+        raise InsufficientDataError(f"only {bins} nonzero bins in [{d_lo}, {d_hi}]")
+    x = np.log(degrees[keep].astype(float))
+    y = np.log(counts[keep].astype(float))
     (slope, intercept), cov = np.polyfit(x, y, 1, cov=True)
     return ExponentFit(
         gamma=float(-slope),
@@ -94,24 +94,31 @@ def power_law_exponent(hist: dict, d_lo: int, d_hi: int) -> ExponentFit:
     )
 
 
+def _limiting_in_degree_law(m: int, degrees):
+    """``expected_count(1, m, k)`` for each k of the int array ``degrees``: the
+    same values below k ~ 9*10^7, where float rounds the three-factor product once."""
+    t = degrees + float(m)
+    return 2.0 * m * (m + 1) / (t * (t + 1) * (t + 2))
+
+
 def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
     """The exponent ``power_law_exponent`` fits over in-degrees [d_lo, d_hi]
     to the limiting in-degree law P(k) = ``expected_count(1, m, k)``: what
     a finite-window in-degree fit should be judged against.  It tends to 3
     only as the window moves out (2.430 at m = 3 over [5, 50])."""
-    law = {k: expected_count(1, m, k) for k in range(max(d_lo, 1), d_hi + 1)}
-    return power_law_exponent(law, d_lo, d_hi).gamma
+    degrees = np.arange(max(d_lo, 1), d_hi + 1)
+    return power_law_exponent(degrees, _limiting_in_degree_law(m, degrees), d_lo, d_hi).gamma
 
 
-def hill_exponent(hist: dict, d_min: int) -> float:
-    """Hill-style maximum-likelihood tail exponent of a degree -> count
-    histogram over degrees >= d_min, using the discrete-data continuity
-    correction d_min - 1/2."""
+def hill_exponent(degrees, counts, d_min: int) -> float:
+    """Hill-style maximum-likelihood tail exponent of a histogram of
+    ``degrees`` and their ``counts`` over degrees >= d_min, using the
+    discrete-data continuity correction d_min - 1/2."""
     if d_min < 1:
         raise DomainError(f"Hill window [{d_min}, inf) needs d_min >= 1")
     total = 0
     log_sum = 0.0
-    for d, c in hist.items():
+    for d, c in zip(degrees.tolist(), counts.tolist()):
         if d >= d_min:
             total += c
             log_sum += c * math.log(d / (d_min - 0.5))

@@ -243,11 +243,10 @@ def _exp_gamma(args) -> int:
         raise DomainError(f"--dhi must be at most m*n = {args.m * args.n}, got {args.dhi}")
     predicted = limiting_in_degree_gamma(args.m, args.dlo, args.dhi)  # checks the window
     g = generate(params)
-    hist_in = degree_histogram(g)
-    hist_tot = {d + args.m: c for d, c in hist_in.items()}
-    fit_in = power_law_exponent(hist_in, args.dlo, args.dhi)
-    fit_tot = power_law_exponent(hist_tot, args.dlo, args.dhi)
-    hill = hill_exponent(hist_in, args.dlo)
+    degrees, counts = degree_histogram(g)
+    fit_in = power_law_exponent(degrees, counts, args.dlo, args.dhi)
+    fit_tot = power_law_exponent(degrees + args.m, counts, args.dlo, args.dhi)  # total degree
+    hill = hill_exponent(degrees, counts, args.dlo)
     aggregates = {
         "gamma_in": fit_in.gamma,
         "stderr_in": fit_in.stderr,

@@ -10,7 +10,7 @@ optimum sits on a strict boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,42 +22,30 @@ _EMPTY = "the region is empty, even with its strict inequalities closed"
 
 @dataclass(frozen=True)
 class Inequality:
-    """a*alpha + b*beta  op  c with rational coefficients."""
+    """a*alpha + b*beta < c when ``strict``, else <= c; a, b, c rational."""
 
     a: Fraction
     b: Fraction
-    op: str
     c: Fraction
-
-    def __post_init__(self):
-        if self.op not in _OPS:
-            raise DomainError(f"unknown comparison {self.op!r}")
-
-    def normalized(self) -> "Inequality":
-        """Equivalent form with op in {<, <=}."""
-        if self.op in ("<", "<="):
-            return self
-        return Inequality(-self.a, -self.b, "<" if self.op == ">" else "<=", -self.c)
-
-    def closure(self) -> "Inequality":
-        op = {"<": "<=", ">": ">="}.get(self.op, self.op)
-        return Inequality(self.a, self.b, op, self.c)
-
-    @property
-    def strict(self) -> bool:
-        return self.op in ("<", ">")
+    strict: bool
 
 
 def parse_inequality(line: str) -> Inequality:
-    """Parse "a b cmp c" meaning a*alpha + b*beta cmp c; a, b, c rational."""
+    """Parse "a b cmp c" meaning a*alpha + b*beta cmp c, a, b, c rational;
+    a ``>`` or ``>=`` is stored negated, as ``<`` or ``<=``."""
     parts = line.split()
     if len(parts) != 4:
         raise DomainError(f"expected 'a b cmp c', got {line!r}")
     a, b, op, c = parts
-    try:
-        return Inequality(Fraction(a), Fraction(b), op, Fraction(c))
-    except ZeroDivisionError:
-        raise DomainError(f"zero denominator in {line!r}") from None
+    if op not in _OPS:
+        raise DomainError(f"unknown comparison {op!r}")
+    for x in (a, b, c):  # Fraction would raise ZeroDivisionError, not a ValueError
+        denominator = x.partition("/")[2].replace("_", "")
+        if denominator.isdecimal() and int(denominator) == 0:
+            raise DomainError(f"zero denominator in {line!r}")
+    sign = -1 if op.startswith(">") else 1
+    a, b, c = (sign * Fraction(x) for x in (a, b, c))
+    return Inequality(a, b, c, strict=op in ("<", ">"))
 
 
 @dataclass(frozen=True)
@@ -87,15 +75,15 @@ class RegionResult:
 
 
 def _interval_1d(bounds):
-    """Intersect one-variable bounds given as normalized (coef, strict, c):
-    coef*x (<|<=) c.  Returns (lo, lo_strict, hi, hi_strict) with None for
-    an absent bound, or raises InfeasibleSystemError."""
+    """Intersect one-variable bounds (coef, strict, c), each meaning
+    coef*x < c when strict, else <= c.  Returns (lo, hi) with None for an
+    absent bound, or None when no x satisfies them all."""
     lo = hi = None
     lo_strict = hi_strict = False
     for coef, strict, c in bounds:
         if coef == 0:
             if c < 0 or (strict and c == 0):
-                raise InfeasibleSystemError(_EMPTY)
+                return None
             continue
         val = c / coef
         if coef > 0:  # x <(=) val
@@ -106,26 +94,13 @@ def _interval_1d(bounds):
                 lo, lo_strict = val, strict
     if lo is not None and hi is not None:
         if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-            raise InfeasibleSystemError(_EMPTY)
-    return lo, lo_strict, hi, hi_strict
+            return None
+    return lo, hi
 
 
 def _beta_interval_at(ineqs, alpha: Fraction):
-    """Feasible beta interval at a fixed alpha (normalized inequalities)."""
-    bounds = []
-    for q in ineqs:
-        q = q.normalized()
-        bounds.append((q.b, q.strict, q.c - q.a * alpha))
-    return _interval_1d(bounds)
-
-
-def _meets(ineqs, alpha: Fraction) -> bool:
-    """True when some beta satisfies every inequality at this alpha."""
-    try:
-        _beta_interval_at(ineqs, alpha)
-    except InfeasibleSystemError:
-        return False
-    return True
+    """Feasible (lo, hi) of beta at a fixed alpha, None when no beta fits."""
+    return _interval_1d([(q.b, q.strict, q.c - q.a * alpha) for q in ineqs])
 
 
 def region_max_alpha(sys: RegionSystem) -> RegionResult:
@@ -135,18 +110,20 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
     whether the original system reaches it.  Raises InfeasibleSystemError
     when even the closure is empty, DomainError when alpha is unbounded.
     """
-    closed = [q.closure().normalized() for q in sys.inequalities]
+    closed = [replace(q, strict=False) for q in sys.inequalities]
     vertices = region_vertices(sys)
     if vertices:  # a region with a corner holds no line, so a finite sup is a corner
         sup = max(a for a, _ in vertices)
     else:  # empty, or a strip between parallel boundaries
-        lo, _, sup, _ = _interval_1d([(q.a, q.strict, q.c) for q in closed if q.b == 0])
-        if sup is None and not _meets(closed, lo or 0):
+        lo, sup = _interval_1d([(q.a, q.strict, q.c) for q in closed if q.b == 0]) or (None, None)
+        # a nonempty region without a corner is a strip between parallel
+        # boundaries, so it is empty iff alpha = sup (else lo, else 0) has no beta
+        if _beta_interval_at(closed, sup if sup is not None else lo or 0) is None:
             raise InfeasibleSystemError(_EMPTY)
     # the closure is convex, so alpha is unbounded iff it reaches past sup
-    if sup is None or _meets(closed, sup + 1):
+    if sup is None or _beta_interval_at(closed, sup + 1) is not None:
         raise DomainError("alpha is unbounded above; no finite supremum")
-    b_lo, _, b_hi, _ = _beta_interval_at(closed, sup)
+    b_lo, b_hi = _beta_interval_at(closed, sup)
     # a witnessing beta strictly inside the interval when it has interior
     if b_lo is not None and b_hi is not None:
         witness = (b_lo + b_hi) / 2
@@ -160,7 +137,7 @@ def region_max_alpha(sys: RegionSystem) -> RegionResult:
         sup_alpha=sup,
         # the original system, strictness kept, reaches alpha = sup iff its
         # beta interval there is non-empty
-        attained=_meets(sys.inequalities, sup),
+        attained=_beta_interval_at(sys.inequalities, sup) is not None,
         beta_interval=(b_lo, b_hi),
         witness_beta=witness,
         vertices=vertices,
@@ -179,15 +156,14 @@ def _angle_key(x: Fraction, y: Fraction) -> Fraction:
 def region_vertices(sys: RegionSystem) -> tuple:
     """Corner points of the closed region: pairwise boundary intersections
     that satisfy the closure, ordered counter-clockwise for plotting."""
-    closed = [q.closure().normalized() for q in sys.inequalities]
     pts = set()
-    for q1, q2 in combinations(closed, 2):
+    for q1, q2 in combinations(sys.inequalities, 2):
         det = q1.a * q2.b - q2.a * q1.b
         if det == 0:
             continue
         alpha = (q1.c * q2.b - q2.c * q1.b) / det
         beta = (q1.a * q2.c - q2.a * q1.c) / det
-        if all(q.a * alpha + q.b * beta <= q.c for q in closed):
+        if all(q.a * alpha + q.b * beta <= q.c for q in sys.inequalities):
             pts.add((alpha, beta))
     if not pts:
         return ()

@@ -3,16 +3,17 @@ direction, and sup alpha by Fourier-Motzkin elimination of beta.  The
 package finds sup alpha from the region's corners; these references check
 it by a second route."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-from lcdgraph.errors import DomainError
+from lcdgraph.errors import DomainError, InfeasibleSystemError
 from lcdgraph.regions import _interval_1d
 
 
 def holds(q, alpha, beta) -> bool:
     """True when (alpha, beta) satisfies the inequality ``q``."""
     lhs = q.a * Fraction(alpha) + q.b * Fraction(beta)
-    return {"<": lhs < q.c, "<=": lhs <= q.c, ">": lhs > q.c, ">=": lhs >= q.c}[q.op]
+    return lhs < q.c if q.strict else lhs <= q.c
 
 
 def system_holds(sys, alpha, beta) -> bool:
@@ -26,14 +27,13 @@ def feasible_along(sys, point, direction) -> bool:
     px, py = Fraction(point[0]), Fraction(point[1])
     dx, dy = Fraction(direction[0]), Fraction(direction[1])
     for q in sys.inequalities:
-        qn = q.normalized()
-        g0 = qn.a * px + qn.b * py - qn.c
-        g1 = qn.a * dx + qn.b * dy
+        g0 = q.a * px + q.b * py - q.c
+        g1 = q.a * dx + q.b * dy
         # need g0 + eps*g1 < 0 (or <= 0) for small eps > 0
         if g0 < 0:
             continue
         if g0 == 0:
-            if g1 < 0 or (g1 == 0 and not qn.strict):
+            if g1 < 0 or (g1 == 0 and not q.strict):
                 continue
         return False
     return True
@@ -42,12 +42,11 @@ def feasible_along(sys, point, direction) -> bool:
 def eliminate_beta(ineqs):
     """Fourier-Motzkin step: project the system onto alpha.
 
-    Input inequalities are normalized to a*alpha + b*beta (<|<=) c.  Returns
-    bounds on alpha as (coef, strict, c) triples meaning coef*alpha (<|<=) c.
+    Inequalities are a*alpha + b*beta (<|<=) c, as stored.  Returns bounds on
+    alpha as (coef, strict, c) triples meaning coef*alpha (<|<=) c.
     """
     uppers, lowers, pure = [], [], []
     for q in ineqs:
-        q = q.normalized()
         if q.b == 0:
             pure.append((q.a, q.strict, q.c))
         elif q.b > 0:  # beta <=(<) (c - a*alpha)/b
@@ -68,7 +67,10 @@ def reference_sup_alpha(sys) -> Fraction:
     """sup alpha of the closed region by projecting it onto alpha.  Raises
     InfeasibleSystemError when the closure is empty, DomainError when alpha
     is unbounded above."""
-    _, _, sup, _ = _interval_1d(eliminate_beta([q.closure() for q in sys.inequalities]))
+    alphas = _interval_1d(eliminate_beta([replace(q, strict=False) for q in sys.inequalities]))
+    if alphas is None:
+        raise InfeasibleSystemError("the closed region is empty")
+    _, sup = alphas
     if sup is None:
         raise DomainError("alpha is unbounded above; no finite supremum")
     return sup

@@ -15,6 +15,7 @@ from lcdgraph.analysis import (
     degree_rows_to_distribution,
     empirical_fraction,
     exact_sequential_law,
+    _limiting_in_degree_law,
     hill_exponent,
     limiting_in_degree_gamma,
     power_law_exponent,
@@ -24,6 +25,7 @@ from lcdgraph.analysis import (
     tv_distance,
 )
 from lcdgraph.errors import CapacityError, DomainError, InsufficientDataError
+from lcdgraph.oracles import expected_count
 from lcdgraph.processes import ProcessParams, generate
 from pair_tables import exact_pairing_law
 
@@ -33,16 +35,15 @@ def _loop_graph():
 
 
 def test_histogram_loop_graph():
-    g = _loop_graph()
-    assert {d + 1: c for d, c in degree_histogram(g).items()} == {2: 1}  # total degree
-    assert degree_histogram(g) == {1: 1}
+    degrees, counts = degree_histogram(_loop_graph())
+    assert degrees.tolist() == [1] and counts.tolist() == [1]  # total degree 2
 
 
 def test_histogram_totals_and_handshake():
     g = generate(ProcessParams(2000, 3, "sequential", 4))
-    h = {d + 3: c for d, c in degree_histogram(g).items()}  # total degree
-    assert sum(h.values()) == 2000
-    assert sum(d * c for d, c in h.items()) == 2 * 3 * 2000
+    degrees, counts = degree_histogram(g)
+    assert counts.sum() == 2000
+    assert ((degrees + 3) * counts).sum() == 2 * 3 * 2000  # total degree
     assert int(g.in_degrees.sum()) == 3 * 2000
     assert (np.bincount(g.src)[1:] == 3).all()
 
@@ -93,29 +94,30 @@ def test_replicate_counts_threaded_matches_serial_with_rejections():
     assert replicate_counts(params, 1, 4, threads=2) == replicate_counts(params, 1, 4, threads=1)
 
 
-def _synthetic_histogram(gamma: float, c: float = 10**9) -> dict:
-    return {d: int(c * d**-gamma) for d in range(5, 51)}
+def _synthetic_histogram(gamma: float, c: float = 10**9) -> tuple:
+    degrees = np.arange(5, 51)
+    return degrees, np.array([int(c * d**-gamma) for d in degrees.tolist()])
 
 
 def test_power_law_recovers_synthetic_exponents():
     for gamma in (2.0, 3.0, 4.0):
-        fit = power_law_exponent(_synthetic_histogram(gamma), 5, 50)
+        fit = power_law_exponent(*_synthetic_histogram(gamma), 5, 50)
         assert abs(fit.gamma - gamma) <= max(0.05, 2 * fit.stderr)
 
 
 def test_power_law_reads_only_the_histograms_bins():
     # a window past every bin fits the bins it holds, and as fast
     hist = _synthetic_histogram(3.0)
-    assert power_law_exponent(hist, 5, 2**63 - 1) == power_law_exponent(hist, 5, 50)
+    assert power_law_exponent(*hist, 5, 2**63 - 1) == power_law_exponent(*hist, 5, 50)
 
 
 def test_power_law_too_few_bins():
     with pytest.raises(InsufficientDataError):
-        power_law_exponent({5: 10, 6: 8}, 5, 50)
+        power_law_exponent(np.array([5, 6]), np.array([10, 8]), 5, 50)
 
 
 def test_hill_exponent_on_synthetic():
-    gamma = hill_exponent(_synthetic_histogram(3.0), 5)
+    gamma = hill_exponent(*_synthetic_histogram(3.0), 5)
     assert 2.6 <= gamma <= 3.4
 
 
@@ -128,16 +130,22 @@ def test_limiting_in_degree_gamma_values():
         limiting_in_degree_gamma(3, 0, 50)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_limiting_law_array_is_the_expected_count_formula(m):
+    law = _limiting_in_degree_law(m, np.arange(1, 201))
+    assert law.tolist() == [expected_count(1, m, k) for k in range(1, 201)]
+
+
 def test_fit_windows_must_start_at_degree_1():
     h = _synthetic_histogram(3.0)
     for lo, hi in ((0, 50), (-3, 50), (20, 10)):
         with pytest.raises(DomainError, match=rf"\[{lo}, {hi}\]"):
-            power_law_exponent(h, lo, hi)
+            power_law_exponent(*h, lo, hi)
     for d_min in (0, -1):
         with pytest.raises(DomainError, match=rf"\[{d_min}, inf\)"):
-            hill_exponent(h, d_min)
-    assert power_law_exponent({d: 10 for d in range(1, 6)}, 1, 5).gamma == pytest.approx(0.0)
-    assert hill_exponent({1: 4, 2: 1}, 1) > 1.0
+            hill_exponent(*h, d_min)
+    assert power_law_exponent(np.arange(1, 6), np.full(5, 10), 1, 5).gamma == pytest.approx(0.0)
+    assert hill_exponent(np.array([1, 2]), np.array([4, 1]), 1) > 1.0
 
 
 def test_concentration_degenerate_n1():

@@ -758,9 +758,7 @@ def test_experiment_gamma_total_fits_the_total_degree_histogram(capsys, tmp_path
     run(capsys, "experiment", "gamma", "--n", "20000", "--m", "2", "--seed", "1",
         "--out", str(out))
     g = generate(ProcessParams(20000, 2, "sequential", 1))
-    values, counts = np.unique(g.total_degrees, return_counts=True)
-    hist = dict(zip(values.tolist(), counts.tolist()))
-    fit = power_law_exponent(hist, 5, 50)
+    fit = power_law_exponent(*np.unique(g.total_degrees, return_counts=True), 5, 50)
     aggregates = json.loads(out.read_text())["aggregates"]
     assert aggregates["gamma_total"] == fit.gamma
     assert aggregates["stderr_total"] == fit.stderr

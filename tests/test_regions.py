@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -17,16 +18,19 @@ from region_reference import feasible_along, holds, reference_sup_alpha, system_
 
 
 def test_parse_inequality():
-    q = parse_inequality("3 1 <= 1")
-    assert (q.a, q.b, q.op, q.c) == (Fraction(3), Fraction(1), "<=", Fraction(1))
-    q = parse_inequality("-1 2 > 3/2")
-    assert q.a == -1 and q.c == Fraction(3, 2) and q.strict
+    # stored as a*alpha + b*beta (<|<=) c: a > or >= line is negated
+    for line, stored in [("3 1 <= 1", (3, 1, 1, False)),
+                         ("-1 2 < 3/2", (-1, 2, Fraction(3, 2), True)),
+                         ("-1 2 > 3/2", (1, -2, Fraction(-3, 2), True)),
+                         ("1 0 >= 0", (-1, 0, 0, False))]:
+        q = parse_inequality(line)
+        assert (q.a, q.b, q.c, q.strict) == stored
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(DomainError):
         parse_inequality("1 2 3")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="unknown comparison '=='"):
         parse_inequality("1 2 == 3")
     with pytest.raises(DomainError, match="1/0"):
         parse_inequality("1 0 <= 1/0")
@@ -36,7 +40,7 @@ def test_inequality_holds_and_closure():
     q = parse_inequality("1 0 < 1/3")
     assert holds(q, Fraction(1, 4), Fraction(0))
     assert not holds(q, Fraction(1, 3), Fraction(0))
-    assert holds(q.closure(), Fraction(1, 3), Fraction(0))
+    assert holds(replace(q, strict=False), Fraction(1, 3), Fraction(0))
 
 
 def test_first_theorem_sup_alpha_is_exactly_1_14():
@@ -107,6 +111,15 @@ def test_beta_bounded_on_one_side(lines, interval):
 
 def test_infeasible_system():
     sys = RegionSystem.from_lines(["1 0 >= 1", "1 0 <= 0"])
+    with pytest.raises(InfeasibleSystemError):
+        region_max_alpha(sys)
+
+
+def test_corner_free_empty_system_with_a_finite_sup():
+    # parallel boundaries alpha + beta >= 1 and <= 1/2, with alpha <= 1:
+    # no corner, and alpha's range has a finite sup, yet no point fits
+    sys = RegionSystem.from_lines(["-2 -2 < -2", "-2 -2 > -1", "-2 0 > -2"])
+    assert region_vertices(sys) == ()
     with pytest.raises(InfeasibleSystemError):
         region_max_alpha(sys)
 

@@ -92,20 +92,41 @@ def names_read(source: str) -> set:
     return read
 
 
+def method_names(source: str) -> list:
+    """The methods and properties that a module's top-level classes define,
+    dunder methods aside.  Dataclass fields are not counted: a report may
+    read them only through ``asdict``."""
+    return [
+        item.name
+        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and not item.name.startswith("__")
+    ]
+
+
 def test_top_level_names_are_found():
     source = "X = 1\nY: int = 2\ndef f():\n    return X\nclass C:\n    pass\n"
     assert top_level_names(source) == ["X", "Y", "f", "C"]
     assert {"X"} <= names_read(source) and not {"Y", "f", "C"} & names_read(source)
 
 
+def test_method_names_are_found():
+    source = ("class C:\n    x: int = 0\n    def __post_init__(self):\n        pass\n"
+              "    def m(self):\n        pass\n    @property\n    def p(self):\n"
+              "        return self.x\n"
+              "def f():\n    pass\n")
+    assert method_names(source) == ["m", "p"]
+
+
 def test_every_top_level_name_is_read():
-    # a definition that no module and no test names is dead code
+    # a definition, method or property that no module and no test names is
+    # dead code
     files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "tests").glob("*.py"))
     read = set().union(*(names_read(p.read_text()) for p in files))
     unread = [
         f"{path.name}:{name}"
         for path in sorted(SRC.glob("*.py"))
-        for name in top_level_names(path.read_text())
+        for name in top_level_names(path.read_text()) + method_names(path.read_text())
         if name not in read
     ]
     assert unread == []
