@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CapacityError, DomainError, InsufficientDataError
-from .oracles import cond_prob_degree, pairing_count
+from .oracles import cond_prob_degree, expected_count, pairing_count
 from .processes import ProcessParams, generate
 
 
@@ -94,20 +94,13 @@ def power_law_exponent(degrees, counts, d_lo: int, d_hi: int) -> ExponentFit:
     )
 
 
-def _limiting_in_degree_law(m: int, degrees):
-    """``expected_count(1, m, k)`` for each k of the int array ``degrees``: the
-    same values below k ~ 9*10^7, where float rounds the three-factor product once."""
-    t = degrees + float(m)
-    return 2.0 * m * (m + 1) / (t * (t + 1) * (t + 2))
-
-
 def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
     """The exponent ``power_law_exponent`` fits over in-degrees [d_lo, d_hi]
     to the limiting in-degree law P(k) = ``expected_count(1, m, k)``: what
     a finite-window in-degree fit should be judged against.  It tends to 3
     only as the window moves out (2.430 at m = 3 over [5, 50])."""
-    degrees = np.arange(max(d_lo, 1), d_hi + 1)
-    return power_law_exponent(degrees, _limiting_in_degree_law(m, degrees), d_lo, d_hi).gamma
+    degrees = np.arange(max(d_lo, 1), d_hi + 1, dtype=np.float64)
+    return power_law_exponent(degrees, expected_count(1, m, degrees), d_lo, d_hi).gamma
 
 
 def hill_exponent(degrees, counts, d_min: int) -> float:
@@ -262,22 +255,22 @@ def corollary_experiment(
     threads: int = 1,
 ) -> CorollaryResult:
     """Fraction of vertices at in-degree d = ceil(n^exponent) for each n in the
-    grid, averaged over replicates; reports whether the sequence decreases."""
+    grid, averaged over replicates; reports whether the sequence decreases.
+    Every grid point's d and run are checked before any graph is drawn."""
     n_grid = list(n_grid)
     if any(n < 10**3 for n in n_grid):
         raise DomainError("every n in the grid must be >= 10^3")
     if replicates < 1:
         raise DomainError(f"need at least 1 replicate, got {replicates}")
-    d_values, fracs = [], []
+    d_values, runs = [], []
     for n in n_grid:
         try:
-            d = math.ceil(n**exponent)
+            d_values.append(math.ceil(n**exponent))
         except OverflowError:
             raise DomainError(f"exponent {exponent}: n^exponent overflows at n = {n}") from None
-        d_values.append(d)
-        params = ProcessParams(n=n, m=m, variant="sequential", master_seed=master_seed)
-        per = [c / n for c in replicate_counts(params, d, replicates, threads)]
-        fracs.append(float(np.mean(per)))
+        runs.append(ProcessParams(n=n, m=m, variant="sequential", master_seed=master_seed))
+    fracs = [float(np.mean([c / p.n for c in replicate_counts(p, d, replicates, threads)]))
+             for p, d in zip(runs, d_values)]
     decreasing = all(a > b for a, b in zip(fracs, fracs[1:]))
     return CorollaryResult(
         d_values=d_values,

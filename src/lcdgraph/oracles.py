@@ -256,11 +256,12 @@ def cond_prob_degree(n: int, k: int, s: int, d: int) -> ExactProb:
     )
 
 
-def expected_count(n: int, m: int, d: int) -> float:
+def expected_count(n: int, m: int, d):
     """Leading-term approximation to E[#vertices of total degree d+m]:
     2m(m+1)n / ((d+m)(d+m+1)(d+m+2)) for in-degree d >= 0 (2n/(m+2) at d = 0).
-    At m=1 this is 4n/((d+1)(d+2)(d+3))."""
-    if n < 1 or m < 1 or d < 0:
+    At m=1 this is 4n/((d+1)(d+2)(d+3)); at n = 1, the limiting in-degree law.
+    ``d`` is an int, or a float array of in-degrees, each refused below 0."""
+    if n < 1 or m < 1 or (d < 0 if isinstance(d, int) else (d < 0).any()):
         raise DomainError(f"need n, m >= 1 and d >= 0, got n={n}, m={m}, d={d}")
     return 2.0 * m * (m + 1) * n / ((d + m) * (d + m + 1) * (d + m + 2))
 

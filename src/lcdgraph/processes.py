@@ -47,7 +47,7 @@ BATCH_BLOCK = 1 << 14
 @dataclass(frozen=True)
 class ProcessParams:
     """One generation run: n vertices, m edges per vertex, construction
-    variant and the 64-bit master seed."""
+    variant and master seed, each checked here, before any graph is drawn."""
 
     n: int
     m: int
@@ -56,9 +56,12 @@ class ProcessParams:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise DomainError("n and m must be >= 1")
+            raise DomainError(f"n and m must be >= 1, got {self.n}, {self.m}")
         if self.variant not in VARIANTS:
-            raise DomainError(f"variant must be one of {VARIANTS}")
+            raise DomainError(f"unknown variant {self.variant!r}, not one of {VARIANTS}")
+        _check_points(self.n, self.m)
+        if self.master_seed < 0:
+            raise DomainError(f"--seed and --replicate must be >= 0, got --seed {self.master_seed}")
 
 
 def replicate_rng(master_seed: int, replicate: int = 0) -> np.random.Generator:
@@ -275,10 +278,9 @@ VARIANTS = tuple(_KERNELS)
 
 def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
     """Generate one graph; replicates with distinct indices are independent.
-    Raises CapacityError, before allocating, when 2mn exceeds POINT_CAP.
+    ``params`` has checked the run, 2mn within POINT_CAP included.
     The kernel draws primed edges t -> tgt[t-1], identified in blocks of m."""
     n, m = params.n, params.m
-    _check_points(n, m)
     rng = replicate_rng(params.master_seed, replicate)
     tgt = _KERNELS[params.variant](n * m, rng)
     if m > 1:  # the kernel's targets are its own: collapse them in place
@@ -298,12 +300,11 @@ def batch_total_degrees(
     """Total-degree sequences of many independent small graphs, one int64
     row per sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's
     row kernel in ``_BATCHES``.  Intended for n*m small (distribution
-    tests); memory is that of one block plus the (samples, n) result, and
-    2 * samples * n * m may not exceed POINT_CAP."""
-    if variant not in VARIANTS:
-        raise DomainError(f"unknown variant {variant!r}")
-    if min(n, m, samples) < 1:
-        raise DomainError(f"n, m and samples must be >= 1, got {n}, {m}, {samples}")
+    tests); memory is that of one block plus the (samples, n) result.  n, m
+    and the variant are checked by ``ProcessParams``, 2 * samples * n * m here."""
+    ProcessParams(n, m, variant)
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
     _check_points(n, m, samples)
     rows = np.empty((samples, n), dtype=np.int64)
     for start in range(0, samples, BATCH_BLOCK):

@@ -19,6 +19,7 @@ from lcdgraph.analysis import (
     degree_histogram,
     degree_rows_to_distribution,
     exact_sequential_law,
+    limiting_in_degree_gamma,
     power_law_exponent,
     sum_s1,
     sum_s2_bound,
@@ -140,7 +141,8 @@ def test_criterion_4_power_law_exponent():
         ok,
         f"in-degree log-log fit over [5,50] gives gamma={fit_in.gamma:.3f} "
         f"(se {fit_in.stderr:.3f}), band [2.8, 3.2]; total-degree fit gives "
-        f"gamma={fit_tot.gamma:.3f} for reference",
+        f"gamma={fit_tot.gamma:.3f} for reference; the limiting law's slope over "
+        f"[5,50] is {limiting_in_degree_gamma(3, 5, 50):.4f}",
     )
 
 
@@ -269,6 +271,11 @@ def test_criterion_9_conditional_degree_comparison():
         if r["d"] >= 1 and r["enumerated"] is not None and r["enumerated"] > 0
     ]
     dpos_bad = [r for r in dpos_mass if not r["match"]]
+    # the expression with (s+d)! replaced by (s+d)
+    corrected = sum(
+        r["formula"] * (r["s"] + r["d"]) / math.factorial(r["s"] + r["d"]) == r["enumerated"]
+        for r in dpos_mass
+    )
     sample = "; ".join(
         f"(n={r['n']},k={r['k']},s={r['s']},d={r['d']}): "
         f"formula {r['formula']} vs enumerated {r['enumerated']}"
@@ -278,5 +285,7 @@ def test_criterion_9_conditional_degree_comparison():
         f"recorded {len(d0_discrepancies)} d=0 discrepancy cells; "
         f"{len(dpos_bad)}/{len(dpos_mass)} d>=1 feasible-mass cells disagree"
         + (f" (e.g. {sample})" if dpos_bad else "")
+        + f"; with (s+d)! replaced by (s+d) it equals the exact law on "
+        f"{corrected}/{len(dpos_mass)}"
     )
     _report(9, not dpos_bad, detail)

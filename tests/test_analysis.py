@@ -15,7 +15,6 @@ from lcdgraph.analysis import (
     degree_rows_to_distribution,
     empirical_fraction,
     exact_sequential_law,
-    _limiting_in_degree_law,
     hill_exponent,
     limiting_in_degree_gamma,
     power_law_exponent,
@@ -132,7 +131,8 @@ def test_limiting_in_degree_gamma_values():
 
 @pytest.mark.parametrize("m", [1, 3])
 def test_limiting_law_array_is_the_expected_count_formula(m):
-    law = _limiting_in_degree_law(m, np.arange(1, 201))
+    # the float-array path, which limiting_in_degree_gamma fits, is the int path
+    law = expected_count(1, m, np.arange(1, 201, dtype=np.float64))
     assert law.tolist() == [expected_count(1, m, k) for k in range(1, 201)]
 
 
@@ -146,6 +146,13 @@ def test_fit_windows_must_start_at_degree_1():
             hill_exponent(*h, d_min)
     assert power_law_exponent(np.arange(1, 6), np.full(5, 10), 1, 5).gamma == pytest.approx(0.0)
     assert hill_exponent(np.array([1, 2]), np.array([4, 1]), 1) > 1.0
+
+
+def test_hill_exponent_needs_5_tail_vertices():
+    # 4 vertices at degree 3 or more: too few for a tail estimate
+    with pytest.raises(InsufficientDataError, match="only 4 vertices with degree >= 3"):
+        hill_exponent(np.array([1, 3, 7]), np.array([50, 3, 1]), 3)
+    assert hill_exponent(np.array([1, 3, 7]), np.array([50, 4, 1]), 3) > 1.0
 
 
 def test_concentration_degenerate_n1():
@@ -180,6 +187,14 @@ def test_sum_s1_precondition_violated():
     # operation's stated domain
     with pytest.raises(DomainError):
         sum_s1(10**6, 3, 0.5)
+
+
+@pytest.mark.parametrize("n, d, beta", [(2, 1, 0.5), (10**6, -1, 0.8), (10**6, 1, 0.0),
+                                        (10**6, 1, 1.5)],
+                         ids=["n-below-3", "d-negative", "beta-0", "beta-above-1"])
+def test_sum_s1_refuses_arguments_outside_its_domain(n, d, beta):
+    with pytest.raises(DomainError, match="need n >= 3, d >= 0, beta in"):
+        sum_s1(n, d, beta)
 
 
 def test_sum_s1_case_classification():
@@ -361,6 +376,11 @@ def test_cond_prob_discrepancy_table_reads_the_chain(monkeypatch):
         "ac31312907426ee30d6f5926867a1f328561a64db8af1f34e6be920515a9e774"
     )
     assert read == [2, 3, 4, 5, 6]
+
+
+def test_exact_law_refuses_n_below_1():
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        exact_sequential_law(0)
 
 
 def test_exact_law_cap_refuses_before_any_state(monkeypatch):

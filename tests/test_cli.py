@@ -93,6 +93,13 @@ def test_oracle_domain_error_exit_code(capsys):
     assert "error:" in err
 
 
+def test_oracle_cond_prob_at_k_equal_n_exits_2(capsys):
+    code, errors = exit_and_errors(capsys, "oracle", "cond-prob", "--n", "3", "--k", "3",
+                                   "--s", "0", "--d", "0")
+    assert code == 2
+    assert len(errors) == 1 and "k = n" in errors[0]
+
+
 def test_generate_n1_single_loop_line(capsys, tmp_path):
     out = tmp_path / "g.csv"
     code, _, _ = run(capsys, "generate", "--n", "1", "--m", "1", "--seed", "0",
@@ -423,6 +430,29 @@ def test_replay_refuses_a_recorded_non_finite_flag(capsys, tmp_path):
     code, errors = exit_and_errors(capsys, "replay", "--manifest", str(manifest))
     assert code == 2
     assert errors[-1] == f"error: cannot replay {manifest}: the parser stopped its command"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("fraction", "--n", "30000000", "--d", "40000000", "--replicates", "2", "--seed", "1"),
+     "exceed the cap"),
+    (("concentration", "--n", "30000000", "--d", "40000000", "--replicates", "100",
+      "--seed", "1"), "exceed the cap"),
+    (("fraction", "--n", "100", "--d", "500", "--replicates", "2", "--seed", "-1"), "--seed"),
+    (("corollary", "--n-grid", "1000000,30000000", "--seed", "1"), "exceed the cap"),
+], ids=["fraction-past-cap", "concentration-past-cap", "fraction-negative-seed",
+        "corollary-last-point-past-cap"])
+def test_a_run_that_generate_refuses_exits_2_whatever_d(capsys, tmp_path, monkeypatch,
+                                                         argv, named):
+    # the run is refused when it is described, though d > m*n draws no graph
+    # and corollary's over-cap point comes after one it could draw
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was drawn")
+
+    monkeypatch.setattr(analysis, "generate", no_graph)
+    code, errors = exit_and_errors(capsys, "experiment", *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 2
+    assert len(errors) == 1 and named in errors[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):

@@ -239,6 +239,8 @@ def test_cond_prob_domain_errors():
         cond_prob_degree(2, 1, 0, 2)
     with pytest.raises(DomainError):
         cond_prob_degree(3, 1, 3, 0)
+    with pytest.raises(DomainError, match="k = n"):  # (2n-2k-s-d-1)! at k = n is (-1)!
+        cond_prob_degree(3, 3, 0, 0)
 
 
 def test_expected_count_m1_identity():

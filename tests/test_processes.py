@@ -43,8 +43,15 @@ def test_params_validation():
         ProcessParams(0, 1)
     with pytest.raises(DomainError):
         ProcessParams(1, 0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="'magic'"):
         ProcessParams(1, 1, variant="magic")
+    # the point cap and the seed are checked when the run is described, not
+    # when its first graph is drawn
+    with pytest.raises(CapacityError, match="exceed the cap"):
+        ProcessParams(POINT_CAP // 2 + 1, 1)
+    ProcessParams(POINT_CAP // 2, 1)
+    with pytest.raises(DomainError, match="--seed"):
+        ProcessParams(5, 1, "sequential", -1)
 
 
 def test_one_connection_n1_deterministic():
@@ -342,9 +349,12 @@ def test_batch_rejects_unknown_variant():
 
 
 def test_batch_rejects_nonpositive_sizes():
+    # n and m are checked as a run's, by ProcessParams; samples by the batch
     for variant in VARIANTS:
-        for n, m, samples in ((3, 1, 0), (3, 1, -5), (0, 1, 10), (3, 0, 10), (3, -1, 10)):
-            with pytest.raises(DomainError, match="samples"):
+        for n, m, samples, named in ((3, 1, 0, "samples"), (3, 1, -5, "samples"),
+                                     (0, 1, 10, "n and m"), (3, 0, 10, "n and m"),
+                                     (3, -1, 10, "n and m")):
+            with pytest.raises(DomainError, match=named):
                 batch_total_degrees(variant, n, m, samples, replicate_rng(0))
 
 

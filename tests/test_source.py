@@ -130,3 +130,37 @@ def test_every_top_level_name_is_read():
         if name not in read
     ]
     assert unread == []
+
+
+def callers_of(source: str, callee: str) -> set:
+    """The functions of a module that call ``callee`` by name, a method as
+    ``Class.method``; a call outside any function is named by its line."""
+    callers = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == callee):
+            callers.add(scope or f"line {node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return callers
+
+
+def test_callers_are_found():
+    source = ("class C:\n    def __post_init__(self):\n        f(1)\n"
+              "def g():\n    return [f(x) for x in (1, 2)]\n"
+              "def h():\n    return f\n"
+              "f(3)\n")
+    assert callers_of(source, "f") == {"C.__post_init__", "g", "line 8"}
+
+
+def test_the_point_cap_is_checked_where_a_run_is_described():
+    # generate and the replicate loops rely on ProcessParams; only a batch,
+    # whose points grow with its samples, checks the cap again
+    callers = set().union(*(callers_of(path.read_text(), "_check_points")
+                            for path in sorted(SRC.glob("*.py"))))
+    assert callers == {"ProcessParams.__post_init__", "batch_total_degrees"}
