@@ -17,6 +17,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -29,25 +30,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analysis import (
-    concentration_experiment,
-    corollary_experiment,
-    degree_histogram,
-    degree_rows_to_distribution,
-    empirical_fraction,
-    hill_exponent,
-    limiting_in_degree_gamma,
-    power_law_exponent,
-    sum_s1,
-    sum_s2_bound,
-    tv_distance,
-)
 from .errors import DomainError
-from .io import graph_files, write_graph, write_json, write_rows
-from .lcd import enumerate_pairings, pair_degree_rows
 from .oracles import (
     DkQuery,
     cond_prob_degree,
@@ -60,13 +44,6 @@ from .oracles import (
     ratio_f,
     tail_bound,
 )
-from .processes import (
-    VARIANTS,
-    ProcessParams,
-    batch_total_degrees,
-    generate,
-    replicate_rng,
-)
 from .regions import (
     BUILTIN_SYSTEMS,
     RegionSystem,
@@ -74,10 +51,55 @@ from .regions import (
     region_max_alpha,
 )
 
+# The names that the sampling, writing and enumerating commands read, by the
+# module that defines them.  Importing these modules imports numpy, so they
+# are bound into this module's globals, with numpy as ``np``, only when
+# ``main`` runs a command other than ``oracle`` or when outside code reads
+# one as ``cli.<name>``.  ``import lcdgraph.cli`` and ``oracle`` load no numpy.
+_SAMPLING = {
+    ".analysis": (
+        "concentration_experiment",
+        "corollary_experiment",
+        "degree_histogram",
+        "degree_rows_to_distribution",
+        "empirical_fraction",
+        "hill_exponent",
+        "limiting_in_degree_gamma",
+        "power_law_exponent",
+        "sum_s1",
+        "sum_s2_bound",
+        "tv_distance",
+    ),
+    ".io": ("graph_files", "write_graph", "write_json", "write_rows"),
+    ".lcd": ("enumerate_pairings", "pair_degree_rows"),
+    ".processes": ("VARIANTS", "ProcessParams", "batch_total_degrees", "generate",
+                   "replicate_rng"),
+}
+
 MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
 INT_FLAG_MAX = 2**63 - 1  # an int flag above this is refused: it may overflow a float
 # parsed values that are not flags: the command path, its handler, its start time
 _NOT_FLAGS = ("subcommand", "experiment_name", "func", "started")
+
+
+def _bind_sampling() -> None:
+    """Bind numpy as ``np`` and every ``_SAMPLING`` name into this module.
+    A name already bound keeps its value, so a wrapper that a caller swapped
+    onto ``cli.<name>`` before the first command stays in place."""
+    names = globals()
+    names.setdefault("np", importlib.import_module("numpy"))
+    for module, attrs in _SAMPLING.items():
+        source = importlib.import_module(module, __package__)
+        for attr in attrs:
+            names.setdefault(attr, getattr(source, attr))
+
+
+def __getattr__(name: str):
+    """``cli.<name>`` of a sampling name not bound yet (PEP 562)."""
+    if name == "np" or any(name in attrs for attrs in _SAMPLING.values()):
+        _bind_sampling()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x) -> str:
@@ -440,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="generate one graph")
     p.add_argument("--n", type=integer, required=True)
     p.add_argument("--m", type=integer, default=1)
-    p.add_argument("--variant", choices=VARIANTS, default="sequential")
+    p.add_argument("--variant", default="sequential",  # ProcessParams checks it
+                   help="the construction: sequential, urn or pairing")
     p.add_argument("--replicate", type=int, default=0)
     _add_common(p, cmd_generate)
 
@@ -521,6 +544,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.started = time.time()
+    if args.subcommand != "oracle":  # the oracles are pure Python
+        _bind_sampling()
     if "seed" in vars(args) and args.seed is None:
         args.seed = secrets.randbits(63)
     try:

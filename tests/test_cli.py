@@ -1,7 +1,10 @@
 import argparse
 import hashlib
 import json
+import os
 import platform
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -108,6 +111,18 @@ def test_generate_n1_single_loop_line(capsys, tmp_path):
     assert out.read_text() == "1,1\n"
     header = json.loads((tmp_path / "g.csv.header.json").read_text())
     assert header == {"n": 1, "m": 1, "variant": "sequential", "seed": 0}
+
+
+def test_generate_unknown_variant_is_refused(capsys, tmp_path):
+    # ProcessParams refuses the construction before any file is opened
+    code, stdout, err = run(capsys, "generate", "--n", "5", "--variant", "nope", "--seed", "1",
+                            "--out", str(tmp_path / "g.csv"))
+    assert code == 2 and stdout == ""
+    assert err == f"error: unknown variant 'nope', not one of {VARIANTS}\n"
+    assert list(tmp_path.iterdir()) == []
+    # the parser lists no choices, so the help names the constructions
+    actions = {(command, flag): a for command, flag, a in option_surface(build_parser())}
+    assert all(v in actions["generate", "--variant"].help for v in VARIANTS)
 
 
 # sha256 of the edge-list CSV of `generate --n 200 --m 2 --seed 42`, as the
@@ -667,6 +682,7 @@ SWEEP_TEXT = {
     "--inequalities": ["{inputs}/missing.txt", "{inputs}/empty.txt", "{inputs}/bad.txt",
                        "{inputs}/unbounded.txt", "{inputs}/infeasible.txt"],
     "--manifest": ["{inputs}/missing.json", "{inputs}/empty.txt", "{inputs}/bad.txt"],
+    "--variant": ["nope", *VARIANTS],
 }
 POINTS = POINT_CAP // 2  # the most n * m * samples of one call
 # a value just past the cap of a size flag, given the other values of its base
@@ -1064,3 +1080,58 @@ def test_benchmark_hooks_stay_exposed(capsys, tmp_path, monkeypatch):
         code, _, _ = run(capsys, "oracle", formula, "--n", "12", "--k", "2", "--s", "1")
         assert code == 0
         assert counts == {**before, name: before[name] + 1}, formula
+
+
+# Run in a fresh interpreter: the modules loaded, as JSON on the last line
+STARTUP_PRELUDE = """
+import json, sys
+import lcdgraph.cli as cli
+SAMPLING = ("numpy", "lcdgraph.analysis", "lcdgraph.io", "lcdgraph.lcd", "lcdgraph.processes")
+def loaded():
+    return [name for name in SAMPLING if name in sys.modules]
+"""
+STARTUP_CHECKS = {
+    # the parser and the oracles load no sampling module; generate binds them
+    "start": """
+cli.build_parser()
+facts = {"parser": loaded()}
+cli.main(["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"])
+facts["oracle"] = loaded()
+cli.main(["generate", "--n", "2", "--seed", "0", "--out", sys.argv[1] + "/g.csv"])
+from lcdgraph import processes
+facts |= {"generate": loaded(), "bound": cli.generate is processes.generate}
+""",
+    # a wrapper set before the first command, as perfbench's capture does, is kept
+    "wrapper": """
+from lcdgraph.processes import batch_total_degrees
+calls = []
+def wrapper(variant, *args):
+    calls.append(variant)
+    return batch_total_degrees(variant, *args)
+cli.batch_total_degrees = wrapper
+# at n = 1 every construction gives the row (2), so every TV is 0
+code = cli.main(["experiment", "equivalence", "--n", "1", "--samples", "100", "--seed", "1",
+                 "--out", sys.argv[1] + "/eq.json"])
+facts = {"code": code, "calls": calls, "kept": cli.batch_total_degrees is wrapper}
+""",
+}
+
+
+def startup_facts(tmp_path, check: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = STARTUP_PRELUDE + STARTUP_CHECKS[check] + "print(json.dumps(facts))\n"
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_starts_without_the_sampling_layers(tmp_path):
+    facts = startup_facts(tmp_path, "start")
+    assert facts == {"parser": [], "oracle": [], "bound": True,
+                     "generate": ["numpy", "lcdgraph.analysis", "lcdgraph.io", "lcdgraph.lcd",
+                                  "lcdgraph.processes"]}
+    facts = startup_facts(tmp_path, "wrapper")
+    assert facts == {"code": 0, "calls": list(VARIANTS), "kept": True}
+    with pytest.raises(AttributeError, match="nope"):
+        cli.__getattr__("nope")

@@ -164,3 +164,40 @@ def test_the_point_cap_is_checked_where_a_run_is_described():
     callers = set().union(*(callers_of(path.read_text(), "_check_points")
                             for path in sorted(SRC.glob("*.py"))))
     assert callers == {"ProcessParams.__post_init__", "batch_total_degrees"}
+
+
+def start_imports(source: str) -> set:
+    """The modules a module imports when it is loaded, outside any function;
+    a module of this package as ``.name``."""
+    modules = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                modules.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                modules.add("." * child.level + child.module)
+            elif isinstance(child, ast.ImportFrom):  # from . import name
+                modules.update("." * child.level + alias.name for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return {"." + m.removeprefix("lcdgraph.") if m.startswith("lcdgraph.") else m
+            for m in modules}
+
+
+def test_start_imports_are_found():
+    source = ("import numpy as np\nfrom . import io\nfrom .lcd import x\n"
+              "from lcdgraph.processes import y\nif True:\n    import csv\n"
+              "def f():\n    import json\n")
+    assert start_imports(source) == {"numpy", ".io", ".lcd", ".processes", "csv"}
+
+
+def test_cli_loads_no_sampling_layer_at_import():
+    # numpy and the layers that import it are bound when a command needs
+    # them (cli._SAMPLING), so that the parser and ``oracle`` start fast
+    sampling = {"numpy", ".analysis", ".io", ".lcd", ".processes"}
+    imported = start_imports((SRC / "cli.py").read_text())
+    assert [m for m in imported if m in sampling or m.split(".")[0] == "numpy"] == []

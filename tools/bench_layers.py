@@ -1,13 +1,15 @@
-"""Time three layers on fixed work and write one ``BENCH_*.json`` for each
+"""Time four layers on fixed work and write one ``BENCH_*.json`` for each
 at the repository root.
 
-    python3 tools/bench_layers.py
+    python3 tools/bench_layers.py [writer|oracles|kernels|startup ...]
 
-Seeds, sizes and repeat counts are fixed, so two checkouts run the same
-work.  The package is imported from this checkout's ``src/``.  Each JSON
-holds, per input, the min and median seconds over the repeats, a sha256 of
-the output (equal digests mean equal output across checkouts), and the
-machine: cores, Python and numpy versions, and whether numba imports.
+With no argument every layer runs.  Seeds, sizes and repeat counts are
+fixed, so two checkouts run the same work.  The package is imported from
+this checkout's ``src/``.  Each JSON holds, per input, the min and median
+seconds over the repeats, a sha256 of the output (equal digests mean equal
+output across checkouts) where there is one, and the machine: cores, Python
+and numpy versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE``
+(when it is set, every fresh interpreter compiles ``src/`` again).
 
 ``BENCH_writer.json`` times the edge-list text writer,
 ``lcdgraph.io.write_rows``, on its three kinds of input, each built once
@@ -52,6 +54,19 @@ Besides the times, each input records ``peak_bytes``, the peak of the heap
 that ``tracemalloc`` sees (numpy's buffers included) over one untimed call.
 The digest is of the output as little-endian int64, whatever its dtype, and
 for ``generate_write_<shape>`` of the edge-list bytes written.
+
+``BENCH_startup.json`` times fresh interpreters, each running one command
+of ``STARTUP`` from start to exit, the three commands interleaved:
+
+- ``import_parser``: ``import lcdgraph.cli`` and ``build_parser()``, what
+  the benchmark's ``setup_s`` times;
+- ``oracle_prob_dk``: ``lcdgraph oracle prob-dk --n 100 --k 3 --s 2``;
+- ``generate_n2``: ``lcdgraph generate --n 2 --seed 0``, into a temporary
+  directory.
+
+Each records ``peak_rss_bytes``, the median of the child's peak resident
+memory at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
+loaded.
 """
 
 from __future__ import annotations
@@ -60,10 +75,12 @@ import contextlib
 import hashlib
 import importlib
 import io
+import json
 import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -91,6 +108,22 @@ from lcdgraph.processes import (  # noqa: E402
 REPEATS = 21
 ORACLE_NS = (2, 8, 32, 128, 512, 2048)
 ORACLE_CELLS = 20  # per formula and n
+# input name -> (code, argv) of one fresh interpreter; {tmp} is a scratch directory
+_MAIN = "from lcdgraph.cli import main\nif main():\n    raise SystemExit('the command failed')\n"
+STARTUP = {
+    "import_parser": ("import lcdgraph.cli\nlcdgraph.cli.build_parser()\n", []),
+    "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
+    "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
+}
+# appended to each start: whether numpy was loaded, and the peak RSS in KiB.
+# VmHWM is the peak of the child's own image; its ru_maxrss would start from
+# this process's peak, which it inherits through the fork.
+_STARTUP_TAIL = """
+import json, sys
+with open("/proc/self/status") as status:
+    hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+sys.stderr.write(json.dumps(["numpy" in sys.modules, hwm]))
+"""
 
 
 def edge_list(n: int, m: int, variant: str) -> list:
@@ -137,11 +170,14 @@ def write_report(name: str, layer: str, results: dict) -> None:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "numba_imports": numba_imports(),
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
     }
     write_json(out, report)
     for key, r in results.items():
         peak = f", heap peak {r['peak_bytes'] / 1e6:.1f} MB" if "peak_bytes" in r else ""
+        if "peak_rss_bytes" in r:
+            peak = f", peak RSS {r['peak_rss_bytes'] / 1e6:.1f} MB, numpy {r['numpy_imported']}"
         print(f"{key}: min {r['min_s'] * 1e3:.1f} ms, median {r['median_s'] * 1e3:.1f} ms{peak}")
     print(f"wrote {out}")
 
@@ -283,11 +319,49 @@ def bench_kernels() -> None:
                  "processes.generate + io.write_graph", results)
 
 
+def start(code: str, argv: list, env: dict) -> tuple:
+    """(seconds, numpy imported, peak RSS in KiB) of one fresh interpreter."""
+    begin = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code + _STARTUP_TAIL, *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
+    seconds = time.perf_counter() - begin
+    return (seconds, *json.loads(proc.stderr))
+
+
+def bench_startup() -> None:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
+    runs = {name: [] for name in STARTUP}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(REPEATS):  # commands interleaved, so host load hits each alike
+            for name, (code, argv) in STARTUP.items():
+                runs[name].append(start(code, [a.format(tmp=tmp) for a in argv], env))
+    results = {}
+    for name, rs in runs.items():
+        seconds, numpy_flags, rss = zip(*rs)
+        results[name] = {
+            "min_s": min(seconds),
+            "median_s": statistics.median(seconds),
+            "repeats": len(seconds),
+            "peak_rss_bytes": statistics.median(rss) * 1024,
+            "numpy_imported": any(numpy_flags),
+        }
+    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate", results)
+
+
+LAYERS = {"writer": bench_writer, "oracles": bench_oracles, "kernels": bench_kernels,
+          "startup": bench_startup}
+
+
 def main() -> int:
+    names = sys.argv[1:]
+    unknown = [name for name in names if name not in LAYERS]
+    if unknown:
+        print(f"unknown layer {unknown[0]!r}, not one of {tuple(LAYERS)}", file=sys.stderr)
+        return 2
     sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
-    bench_writer()
-    bench_oracles()
-    bench_kernels()
+    for name in names or LAYERS:
+        LAYERS[name]()
     return 0
 
 
