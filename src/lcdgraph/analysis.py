@@ -318,15 +318,22 @@ def count_rows(rows: np.ndarray) -> dict:
     """Occurrences of each distinct row of a 2-D array of non-negative ints,
     keyed by the row as a tuple of ints, in increasing row-code order.
 
-    Rows are counted through a mixed-radix int64 code over (max + 1,) * width;
-    rows whose code space exceeds int64 raise DomainError."""
-    shape = (int(rows.max()) + 1,) * rows.shape[1]
-    try:
-        codes = np.ravel_multi_index(rows.T, shape)
-    except ValueError:
+    Rows are counted through a mixed-radix code over (max + 1,) * width,
+    built column by column by Horner's rule in the narrowest signed type
+    that holds every code below (max + 1)^width; rows whose code space
+    exceeds int64 raise DomainError."""
+    base = int(rows.max()) + 1
+    shape = (base,) * rows.shape[1]
+    space = base ** rows.shape[1]
+    if space > np.iinfo(np.int64).max:
         raise DomainError(
             f"rows of shape {rows.shape} are too wide for an int64 row code"
-        ) from None
+        )
+    # signed: an unsigned code plus a signed column would promote past it
+    codes = rows[:, 0].astype(np.min_scalar_type(-space))
+    for col in rows.T[1:]:
+        codes *= base
+        codes += col
     seqs, counts = np.unique(codes, return_counts=True)
     return {
         tuple(int(x) for x in s): c

@@ -22,7 +22,6 @@ import json
 import math
 import os
 import platform
-import resource
 import secrets
 import sys
 import tempfile
@@ -135,6 +134,20 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _peak_rss_bytes() -> int | None:
+    """This process's own peak resident memory, ``VmHWM`` (Linux), or None
+    where /proc/self/status is absent.  Not ``ru_maxrss``: on Linux that
+    starts from the peak of the process that forked this one."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) * 1024  # in kB
+    except OSError:
+        pass
+    return None
+
+
 def _write_manifest(args, out_path: Path, outputs) -> None:
     """Record the resolved invocation next to its outputs, the seconds since
     ``main`` parsed it, the process's peak resident memory and the Python
@@ -151,8 +164,7 @@ def _write_manifest(args, out_path: Path, outputs) -> None:
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "wall_clock_seconds": time.time() - args.started,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_bytes": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024,
+        "peak_rss_bytes": _peak_rss_bytes(),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "outputs": {p.name: _sha256(p) for p in outputs},

@@ -33,6 +33,9 @@ from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 # before anything is allocated, for every variant.  Half of it, the most
 # primed vertices of one call, stays below 2^31, so int32 holds every vertex
 # id: edge targets are int32 from each kernel to LcdGraph and the writer.
+# It also bounds a batch's (samples, n) result, held in the narrowest type
+# that holds m*(n+1): at most 25 MB in int8 (m = 1, n <= 126) and 100 MB in
+# int32 (m = 1, n >= 32767), where int64 rows took up to 200 MB.
 POINT_CAP = 50_000_000
 
 # Rows of a batch that are sampled and reduced at a time; the urn's batch
@@ -297,16 +300,20 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
 def batch_total_degrees(
     variant: str, n: int, m: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Total-degree sequences of many independent small graphs, one int64
-    row per sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's
-    row kernel in ``_BATCHES``.  Intended for n*m small (distribution
-    tests); memory is that of one block plus the (samples, n) result.  n, m
-    and the variant are checked by ``ProcessParams``, 2 * samples * n * m here."""
+    """Total-degree sequences of many independent small graphs, one row per
+    sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's row kernel
+    in ``_BATCHES`` and cast as each block is stored.  The rows are in the
+    narrowest signed type that holds m*(n+1), the largest total degree (m
+    out-edges and all m*n in-edges): int8 up to 127.  Intended for n*m small
+    (distribution tests); memory is that of one block plus the (samples, n)
+    result.  n, m and the variant are checked by ``ProcessParams``,
+    2 * samples * n * m here."""
     ProcessParams(n, m, variant)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     _check_points(n, m, samples)
-    rows = np.empty((samples, n), dtype=np.int64)
+    top = m * (n + 1)
+    rows = np.empty((samples, n), dtype=np.min_scalar_type(-top - 1))  # signed, holds top
     for start in range(0, samples, BATCH_BLOCK):
         block = rows[start : start + BATCH_BLOCK]
         block[...] = _BATCHES[variant](n, m, len(block), rng)
@@ -348,7 +355,8 @@ def _batch_urn(n, m, samples, rng):
     return rows
 
 
-# variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs.
+# variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs,
+# which batch_total_degrees narrows.
 # Sequential and pairing draw row after row, so their rows do not depend on
 # BATCH_BLOCK; the urn draws one column per graph, so its rows do.
 # Pairing keeps two reductions (2-core Xeon): per BATCH_BLOCK rows at N = 6, a

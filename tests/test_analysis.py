@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from lcdgraph.analysis import (
 )
 from lcdgraph.errors import CapacityError, DomainError, InsufficientDataError
 from lcdgraph.oracles import expected_count
-from lcdgraph.processes import ProcessParams, generate
+from lcdgraph.processes import ProcessParams, batch_total_degrees, generate, replicate_rng
 from pair_tables import exact_pairing_law
 
 
@@ -343,6 +344,30 @@ def test_count_rows_rejects_rows_too_wide_for_a_code():
     with pytest.raises(DomainError, match="too wide"):
         count_rows(np.full((2, 18), 17))
     assert count_rows(np.full((2, 15), 17)) == {(17,) * 15: 2}  # 18**15 codes fit
+
+
+# at width 2, 181**2 codes fit an int16 and 182**2 need an int32
+@pytest.mark.parametrize("top", [180, 181])
+def test_count_rows_is_np_unique(top):
+    rows = np.random.default_rng(top).integers(0, top + 1, size=(5000, 2), dtype=np.int16)
+    rows[0] = top
+    seqs, counts = np.unique(rows, axis=0, return_counts=True)
+    reference = [(tuple(s), c) for s, c in zip(seqs.tolist(), counts.tolist())]
+    assert list(count_rows(rows).items()) == reference
+
+
+# Heap peak with a margin over the 6.0 MB that numpy 2.4 gives here: the
+# int16 row codes and np.unique's sorted copy.  Intp codes took 18.0 MB.
+def test_degree_rows_to_distribution_heap_peak():
+    rows = batch_total_degrees("sequential", 4, 1, 10**6, replicate_rng(0))
+    tracemalloc.start()
+    try:
+        dist = degree_rows_to_distribution(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(dist.values()) == pytest.approx(1.0)
+    assert peak < 8e6, peak
 
 
 def test_cond_prob_discrepancy_table():

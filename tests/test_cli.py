@@ -923,6 +923,33 @@ def test_manifest_records_peak_memory_and_versions(capsys, tmp_path):
     assert "replay PASS" in stdout
 
 
+def test_manifest_records_this_process_peak_memory(tmp_path):
+    # on Linux a child's ru_maxrss starts from the peak of the process that
+    # forked it; the manifest records the child's own
+    held = np.ones(200 << 17)  # 200 MiB, every page touched
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = "import sys\nfrom lcdgraph.cli import main\nraise SystemExit(main(sys.argv[1:]))\n"
+    proc = subprocess.run([sys.executable, "-c", code, "generate", "--n", "2", "--seed", "0",
+                           "--out", str(tmp_path / "g.csv")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    del held
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert 1 << 20 < manifest["peak_rss_bytes"] < 100 << 20
+
+
+def test_manifest_peak_memory_is_null_without_proc(capsys, tmp_path, monkeypatch):
+    def no_proc(path, *args, **kwargs):  # a host without /proc
+        if str(path).startswith("/proc/"):
+            raise FileNotFoundError(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    run(capsys, "generate", "--n", "2", "--seed", "0", "--out", str(tmp_path / "g.csv"))
+    manifest = json.loads((tmp_path / "g.csv.manifest.json").read_text())
+    assert manifest["peak_rss_bytes"] is None
+
+
 def test_replay_reproduces_experiment(capsys, tmp_path):
     out = tmp_path / "sums.json"
     run(capsys, "experiment", "sums", "--n", "100000", "--d", "3", "--beta", "0.8",

@@ -366,12 +366,13 @@ def test_negative_seed_or_replicate_rejected():
             generate(ProcessParams(5, 1, "sequential", seed), replicate)
 
 
-# sha256 of the little-endian int64 rows of batch_total_degrees(variant, n,
-# m, samples, replicate_rng(17, 10 * n + m)), recorded before the pairing
-# rows came from right-endpoint gaps and the sequential pointer setup lost
-# its np.where: the seed-to-bytes contract of the batch path.  The urn draws
-# one column per graph, so its rows above BATCH_BLOCK samples depend on the
-# block size; the (3, 2, 20000) case pins them.
+# sha256 of the rows of batch_total_degrees(variant, n, m, samples,
+# replicate_rng(17, 10 * n + m)), widened to little-endian int64, recorded
+# before the pairing rows came from right-endpoint gaps, the sequential
+# pointer setup lost its np.where and the rows were narrowed to int8: the
+# seed-to-bytes contract of the batch path.  The urn draws one column per
+# graph, so its rows above BATCH_BLOCK samples depend on the block size; the
+# (3, 2, 20000) case pins them.
 BATCH_DIGESTS = {
     ("sequential", 3, 2, 2000): "ce17acb93ea9db3e3f4f849147c059d0be6db0cc9b7f5bb753a820881d6ef153",
     ("sequential", 4, 1, 1500): "df6b728570827947ad50122fad919688f712c327987168766d2c23b6e304f332",
@@ -389,7 +390,7 @@ BATCH_DIGESTS = {
 @pytest.mark.parametrize("variant, n, m, samples", sorted(BATCH_DIGESTS))
 def test_batch_rows_keep_their_bytes(variant, n, m, samples):
     rows = batch_total_degrees(variant, n, m, samples, replicate_rng(17, 10 * n + m))
-    assert rows.dtype == np.int64 and rows.shape == (samples, n)
+    assert rows.dtype == np.int8 and rows.shape == (samples, n)
     digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
     assert digest == BATCH_DIGESTS[variant, n, m, samples]
 
@@ -401,8 +402,20 @@ def test_batch_blocks_are_one_draw(variant):
     samples = 2 * BATCH_BLOCK + 1234
     rows = batch_total_degrees(variant, 3, 2, samples, replicate_rng(23, 1))
     whole = _BATCHES[variant](3, 2, samples, replicate_rng(23, 1))
-    assert rows.dtype == whole.dtype == np.int64
+    assert rows.dtype == np.int8
     assert np.array_equal(rows, whole)
+
+
+# m*(n+1), the largest total degree, picks the rows' type: at n = 1 the one
+# vertex has degree 2m, 126 and 128 on either side of int8's top, 32766 and
+# 32768 on either side of int16's
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("m, dtype", [(63, np.int8), (64, np.int16), (16383, np.int16),
+                                      (16384, np.int32)])
+def test_batch_rows_take_the_narrowest_type(variant, m, dtype):
+    rows = batch_total_degrees(variant, 1, m, 3, replicate_rng(8))
+    assert rows.dtype == dtype
+    assert (rows == 2 * m).all()
 
 
 def traced_peak_mb(call):
@@ -430,13 +443,16 @@ def test_generate_pairing_heap_peak():
     assert peak < 15.0, peak
 
 
-# tracemalloc peaks at (3, 2, 2e5) are 7.1, 8.2 and 6.6 MB: the 4.8 MB
-# result and one BATCH_BLOCK of rows
-@pytest.mark.parametrize("variant, bound", [("sequential", 8.5), ("pairing", 10.0),
-                                            ("urn", 8.0)])
-def test_batch_heap_peak(variant, bound):
+# tracemalloc peaks at (3, 2, 2e5) are 2.2 (2.9 as the first call in a
+# process), 4.0 and 2.4 MB: the 0.6 MB int8 result and one BATCH_BLOCK of
+# rows.  An int64 result, 4.8 MB, breaks every bound.
+BATCH_HEAP_BOUNDS = {"sequential": 3.5, "pairing": 5.5, "urn": 3.5}
+
+
+@pytest.mark.parametrize("variant", sorted(BATCH_HEAP_BOUNDS))
+def test_batch_heap_peak(variant):
     peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
-    assert peak < bound, peak
+    assert peak < BATCH_HEAP_BOUNDS[variant], peak
 
 
 def test_batch_handshake_all_variants():

@@ -1,7 +1,7 @@
-"""Time four layers on fixed work and write one ``BENCH_*.json`` for each
+"""Time five layers on fixed work and write one ``BENCH_*.json`` for each
 at the repository root.
 
-    python3 tools/bench_layers.py [writer|oracles|kernels|startup ...]
+    python3 tools/bench_layers.py [writer|oracles|kernels|startup|equivalence ...]
 
 With no argument every layer runs.  Seeds, sizes and repeat counts are
 fixed, so two checkouts run the same work.  The package is imported from
@@ -67,6 +67,11 @@ of ``STARTUP`` from start to exit, the three commands interleaved:
 Each records ``peak_rss_bytes``, the median of the child's peak resident
 memory at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
 loaded.
+
+``BENCH_equivalence.json`` does the same for the two commands of
+``EQUIVALENCE``, interleaved: ``lcdgraph experiment equivalence`` at
+(n, m, samples) = (3, 2, 2 * 10^5) and (4, 1, 10^6), whose peak is that of
+the three batches of degree rows and their counts.
 """
 
 from __future__ import annotations
@@ -114,6 +119,12 @@ STARTUP = {
     "import_parser": ("import lcdgraph.cli\nlcdgraph.cli.build_parser()\n", []),
     "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
     "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
+}
+EQUIVALENCE = {
+    f"equivalence_{n}x{m}_{name}": (_MAIN, [
+        "experiment", "equivalence", "--n", str(n), "--m", str(m), "--samples", str(samples),
+        "--seed", "3", "--out", "{tmp}/eq.json"])
+    for name, n, m, samples in (("2e5", 3, 2, 200_000), ("1e6", 4, 1, 10**6))
 }
 # appended to each start: whether numpy was loaded, and the peak RSS in KiB.
 # VmHWM is the peak of the child's own image; its ru_maxrss would start from
@@ -328,13 +339,15 @@ def start(code: str, argv: list, env: dict) -> tuple:
     return (seconds, *json.loads(proc.stderr))
 
 
-def bench_startup() -> None:
+def fresh_starts(commands: dict) -> dict:
+    """input name -> the min and median seconds, median peak RSS and whether
+    numpy was imported, over ``REPEATS`` fresh interpreters of each command."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    runs = {name: [] for name in STARTUP}
+    runs = {name: [] for name in commands}
     with tempfile.TemporaryDirectory() as tmp:
         for _ in range(REPEATS):  # commands interleaved, so host load hits each alike
-            for name, (code, argv) in STARTUP.items():
+            for name, (code, argv) in commands.items():
                 runs[name].append(start(code, [a.format(tmp=tmp) for a in argv], env))
     results = {}
     for name, rs in runs.items():
@@ -346,11 +359,21 @@ def bench_startup() -> None:
             "peak_rss_bytes": statistics.median(rss) * 1024,
             "numpy_imported": any(numpy_flags),
         }
-    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate", results)
+    return results
+
+
+def bench_startup() -> None:
+    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate",
+                 fresh_starts(STARTUP))
+
+
+def bench_equivalence() -> None:
+    write_report("equivalence", "fresh interpreters: experiment equivalence",
+                 fresh_starts(EQUIVALENCE))
 
 
 LAYERS = {"writer": bench_writer, "oracles": bench_oracles, "kernels": bench_kernels,
-          "startup": bench_startup}
+          "startup": bench_startup, "equivalence": bench_equivalence}
 
 
 def main() -> int:
