@@ -442,23 +442,22 @@ def cmd_replay(args) -> int:
 # argument parsing
 
 
-def _add_common(p, func, seed=True, threads=False):
-    """The flags that file-writing commands share, and the command's handler."""
-    if seed:
-        p.add_argument("--seed", type=int, default=None,
-                       help="master seed; drawn from entropy when omitted")
-    p.add_argument("--out", required=True, help="output file path")
-    if threads:
-        p.add_argument("--threads", type=int, default=1,
-                       help=f"worker threads, 1..{MAX_THREADS} (default 1)")
-    p.set_defaults(func=func)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: every ``parse_args``
     returns a fresh namespace, so calls of ``main`` share it, nested ones
     (``replay``) included."""
+    # A flag that several commands take with the same type and default is
+    # declared once, in a parent parser that each of them lists; argparse
+    # refuses a command that declares it again.
+    n, m, seed, out, threads = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    n.add_argument("--n", type=integer, required=True, help="vertices of the graph")
+    m.add_argument("--m", type=integer, default=1, help="edges sent by each vertex (default 1)")
+    seed.add_argument("--seed", type=int, default=None,
+                      help="master seed; drawn from entropy when omitted")
+    out.add_argument("--out", required=True, help="output file path")
+    threads.add_argument("--threads", type=int, default=1,
+                         help=f"worker threads, 1..{MAX_THREADS} (default 1)")
     parser = argparse.ArgumentParser(
         prog="lcdgraph",
         description="Preferential-attachment graphs via chord diagrams: "
@@ -467,80 +466,65 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("enumerate", help="list all pairings of 2n points")
-    p.add_argument("--n", type=integer, required=True)
-    _add_common(p, cmd_enumerate, seed=False)
+    p = sub.add_parser("enumerate", parents=[n, out], help="list all pairings of 2n points")
+    p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("generate", help="generate one graph")
-    p.add_argument("--n", type=integer, required=True)
-    p.add_argument("--m", type=integer, default=1)
+    p = sub.add_parser("generate", parents=[n, m, seed, out], help="generate one graph")
     p.add_argument("--variant", default="sequential",  # ProcessParams checks it
                    help="the construction: sequential, urn or pairing")
     p.add_argument("--replicate", type=int, default=0)
-    _add_common(p, cmd_generate)
+    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("oracle", help="evaluate one closed-form quantity")
+    p = sub.add_parser("oracle", parents=[n, m], help="evaluate one closed-form quantity")
     p.add_argument("formula", choices=tuple(_ORACLES))
-    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--k", type=integer, default=1)
     p.add_argument("--s", type=integer, default=0)
     p.add_argument("--d", type=integer, default=1)
-    p.add_argument("--m", type=integer, default=1)
     p.add_argument("--l", type=integer, default=1)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("experiment", help="run a named experiment")
     exp = p.add_subparsers(dest="experiment_name", required=True)
 
-    e = exp.add_parser("fraction")
-    e.add_argument("--n", type=integer, required=True)
-    e.add_argument("--m", type=integer, default=1)
+    e = exp.add_parser("fraction", parents=[n, m, seed, out, threads])
     e.add_argument("--d", type=integer, required=True)
     e.add_argument("--replicates", type=integer, default=50)
-    _add_common(e, _exp_fraction, threads=True)
+    e.set_defaults(func=_exp_fraction)
 
-    e = exp.add_parser("gamma")
-    e.add_argument("--n", type=integer, required=True)
-    e.add_argument("--m", type=integer, default=1)
+    e = exp.add_parser("gamma", parents=[n, m, seed, out])
     e.add_argument("--dlo", type=integer, default=5)
     e.add_argument("--dhi", type=integer, default=50)
-    _add_common(e, _exp_gamma)
+    e.set_defaults(func=_exp_gamma)
 
-    e = exp.add_parser("concentration")
-    e.add_argument("--n", type=integer, required=True)
-    e.add_argument("--m", type=integer, default=1)
+    e = exp.add_parser("concentration", parents=[n, m, seed, out, threads])
     e.add_argument("--d", type=integer, required=True)
     e.add_argument("--replicates", type=integer, default=200)
-    _add_common(e, _exp_concentration, threads=True)
+    e.set_defaults(func=_exp_concentration)
 
-    e = exp.add_parser("sums")
-    e.add_argument("--n", type=integer, required=True)
+    e = exp.add_parser("sums", parents=[n, out])
     e.add_argument("--d", type=integer, required=True)
     e.add_argument("--beta", type=finite_float, required=True)
     e.add_argument("--alpha", type=finite_float, default=None)
-    _add_common(e, _exp_sums, seed=False)
+    e.set_defaults(func=_exp_sums)
 
-    e = exp.add_parser("corollary")
+    e = exp.add_parser("corollary", parents=[m, seed, out, threads])
     e.add_argument("--n-grid", default="10000,100000,1000000")
-    e.add_argument("--m", type=integer, default=1)
     e.add_argument("--exponent", type=finite_float, default=0.25)
     e.add_argument("--replicates", type=integer, default=8)
-    _add_common(e, _exp_corollary, threads=True)
+    e.set_defaults(func=_exp_corollary)
 
-    e = exp.add_parser("region")
+    e = exp.add_parser("region", parents=[out])
     system = e.add_mutually_exclusive_group()
     system.add_argument("--system", choices=tuple(BUILTIN_SYSTEMS) + ("combined",),
                         help="built-in system (theorem1 when neither flag is given)")
     # absolute, so that argv and the report name the file read, from any directory
     system.add_argument("--inequalities", type=os.path.abspath,
                         help="file with one 'a b cmp c' inequality per line")
-    _add_common(e, _exp_region, seed=False)
+    e.set_defaults(func=_exp_region)
 
-    e = exp.add_parser("equivalence")
-    e.add_argument("--n", type=integer, required=True)
-    e.add_argument("--m", type=integer, default=1)
+    e = exp.add_parser("equivalence", parents=[n, m, seed, out])
     e.add_argument("--samples", type=integer, default=10**6)
-    _add_common(e, _exp_equivalence)
+    e.set_defaults(func=_exp_equivalence)
 
     p = sub.add_parser("replay", help="re-run a manifest and verify digests")
     p.add_argument("--manifest", required=True)

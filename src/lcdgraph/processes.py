@@ -63,15 +63,21 @@ class ProcessParams:
         if self.variant not in VARIANTS:
             raise DomainError(f"unknown variant {self.variant!r}, not one of {VARIANTS}")
         _check_points(self.n, self.m)
-        if self.master_seed < 0:
-            raise DomainError(f"--seed and --replicate must be >= 0, got --seed {self.master_seed}")
+        _check_stream(self.master_seed)
 
 
 def replicate_rng(master_seed: int, replicate: int = 0) -> np.random.Generator:
     """Independent stream keyed by (master_seed, replicate); order-free."""
-    if master_seed < 0 or replicate < 0:
-        raise DomainError(f"--seed and --replicate must be >= 0, got {master_seed}, {replicate}")
+    _check_stream(master_seed, replicate)
     return np.random.default_rng(np.random.SeedSequence([master_seed, replicate]))
+
+
+def _check_stream(master_seed: int, replicate: int = 0) -> None:
+    """A stream's key is two integers >= 0; the message names the flag of the
+    first one that is negative."""
+    for flag, value in (("--seed", master_seed), ("--replicate", replicate)):
+        if value < 0:
+            raise DomainError(f"{flag} must be >= 0, got {value}")
 
 
 def _check_points(n: int, m: int, samples: int = 1) -> None:
@@ -332,6 +338,11 @@ def _batch_sequential(n, m, samples, rng):
 
 
 def _batch_urn(n, m, samples, rng):
+    # The urn draws one column per graph, not each graph's draws in turn as
+    # its kernel does.  One draw per block laid out graph after graph, which
+    # gives the kernel's graphs, took 36 ms against 25 ms for the (3, 2)
+    # batch of 2e5 and peaked at 5.2 MB of heap against 2.4 MB, above the
+    # urn's 3.5 MB in the tests' BATCH_HEAP_BOUNDS (2-core Xeon, numpy 2.4).
     # The urn keeps two searches: urn_targets bisects the sorted keys of one
     # large graph, and this path counts, per block boundary, the keys beyond
     # it, for many tiny graphs.  Both single-path alternatives were slower on
@@ -357,8 +368,11 @@ def _batch_urn(n, m, samples, rng):
 
 # variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs,
 # which batch_total_degrees narrows.
-# Sequential and pairing draw row after row, so their rows do not depend on
-# BATCH_BLOCK; the urn draws one column per graph, so its rows do.
+# Sequential and pairing draw graph after graph: row i is the total degrees
+# of the graph that _KERNELS[variant](n * m, rng) draws i-th from the same
+# stream, which the batch leaves where those draws leave it, so their rows do
+# not depend on BATCH_BLOCK.  The urn draws one column per graph across a
+# block (see _batch_urn), so its rows do, and they are not its kernel's.
 # Pairing keeps two reductions (2-core Xeon): per BATCH_BLOCK rows at N = 6, a
 # batched pair_targets plus a count took 2.8 ms against pair_degree_rows' 0.83
 # (the (3, 2) batch of 2e5: 67-89 ms against 53), and sort-based targets of

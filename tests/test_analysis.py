@@ -130,6 +130,29 @@ def test_limiting_in_degree_gamma_values():
         limiting_in_degree_gamma(3, 0, 50)
 
 
+@pytest.mark.parametrize("m, d_lo", [(1, 1), (3, 5)])
+def test_limiting_in_degree_gamma_is_the_fit_of_the_law(m, d_lo):
+    # summed over chunks of the window, the slope is the one power_law_exponent
+    # fits to the law held whole, over a window of several chunks
+    d_hi = 2 * analysis.FIT_CHUNK + 7
+    degrees = np.arange(d_lo, d_hi + 1, dtype=np.float64)
+    fit = power_law_exponent(degrees, expected_count(1, m, degrees), d_lo, d_hi)
+    assert limiting_in_degree_gamma(m, d_lo, d_hi) == pytest.approx(fit.gamma, rel=1e-12)
+
+
+def test_limiting_in_degree_gamma_heap_peak():
+    # 10^7 degrees, a chunk at a time: the whole window as float arrays and
+    # the fit's temporaries took about 81 B a degree, 810 MB here
+    tracemalloc.start()
+    try:
+        gamma = limiting_in_degree_gamma(3, 5, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 2.99 < gamma < 3.0
+    assert peak < 8e6, peak
+
+
 @pytest.mark.parametrize("m", [1, 3])
 def test_limiting_law_array_is_the_expected_count_formula(m):
     # the float-array path, which limiting_in_degree_gamma fits, is the int path

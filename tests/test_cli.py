@@ -470,6 +470,18 @@ def test_a_run_that_generate_refuses_exits_2_whatever_d(capsys, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv", [
+    ("equivalence", "--n", "3", "--seed", "-1", "--samples", "10"),
+    ("fraction", "--n", "100", "--d", "1", "--replicates", "2", "--seed", "-1"),
+], ids=["equivalence", "fraction"])
+def test_a_negative_seed_is_refused_by_its_own_flag(capsys, tmp_path, argv):
+    # neither command takes --replicate, so the one error line names --seed alone
+    code, stdout, err = run(capsys, "experiment", *argv, "--out", str(tmp_path / "e.json"))
+    assert code == 2 and stdout == ""
+    assert err == "error: --seed must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):
     # at beta = 1 this n gives S1_TERM_CAP + 1 terms, 80 MB in one float64 array
     assert analysis.S1_TERM_CAP == 10**7

@@ -9,6 +9,7 @@ import pytest
 
 from lcdgraph import processes
 from lcdgraph.errors import CapacityError, DomainError
+from lcdgraph.lcd import LcdGraph
 from lcdgraph.processes import (
     BATCH_BLOCK,
     DRAW_CHUNK,
@@ -359,10 +360,12 @@ def test_batch_rejects_nonpositive_sizes():
 
 
 def test_negative_seed_or_replicate_rejected():
-    for seed, replicate in ((-1, 0), (0, -1)):
-        with pytest.raises(DomainError, match="--seed"):
+    # each message names the one flag that is negative, and its value
+    for seed, replicate, flag in ((-1, 0, "--seed"), (0, -2, "--replicate")):
+        message = rf"^{flag} must be >= 0, got {min(seed, replicate)}$"
+        with pytest.raises(DomainError, match=message):
             replicate_rng(seed, replicate)
-        with pytest.raises(DomainError, match="--replicate"):
+        with pytest.raises(DomainError, match=message):
             generate(ProcessParams(5, 1, "sequential", seed), replicate)
 
 
@@ -393,6 +396,21 @@ def test_batch_rows_keep_their_bytes(variant, n, m, samples):
     assert rows.dtype == np.int8 and rows.shape == (samples, n)
     digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
     assert digest == BATCH_DIGESTS[variant, n, m, samples]
+
+
+@pytest.mark.parametrize("variant", ["sequential", "pairing"])
+@pytest.mark.parametrize("n, m, samples", [(3, 2, 300), (4, 1, 200), (2, 3, 100), (30, 1, 50)])
+def test_batch_is_its_kernel_drawn_in_turn(monkeypatch, variant, n, m, samples):
+    # row i is the total degrees of the graph that the variant's kernel draws
+    # i-th from the same stream, in blocks of 16 with a ragged last one; the batch
+    # leaves the stream where the kernel draws leave it
+    monkeypatch.setattr(processes, "BATCH_BLOCK", 16)
+    batch_rng, kernel_rng = replicate_rng(29, n), replicate_rng(29, n)
+    rows = batch_total_degrees(variant, n, m, samples, batch_rng)
+    drawn = [LcdGraph(n, m, (_KERNELS[variant](n * m, kernel_rng) - 1) // m + 1).total_degrees
+             for _ in range(samples)]
+    assert np.array_equal(rows, drawn)
+    assert batch_rng.bit_generator.state == kernel_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("variant", ["sequential", "pairing"])
