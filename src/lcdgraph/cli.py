@@ -8,55 +8,47 @@ line, once, and sha256 digests of the outputs; ``lcdgraph replay --manifest
 <file>`` re-executes the recorded command and verifies byte-identical
 outputs.  An experiment's report records as its parameters the parsed flags
 other than ``--out`` and ``--threads``, plus any value it derives from them.
+
+Importing this module and building its parser load only ``errors`` and the
+standard library that parsing needs.  A command imports what it runs when
+``main`` starts it: ``oracle`` the ``oracles`` module, every other command
+every module of the package and numpy (``_BINDINGS``); a standard-library
+module that only some commands use is imported inside the function that
+uses it.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
-import dataclasses
 import functools
-import hashlib
 import importlib
-import json
 import math
 import os
-import platform
-import secrets
 import sys
-import tempfile
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .errors import DomainError
-from .oracles import (
-    DkQuery,
-    cond_prob_degree,
-    count_ns,
-    expected_count,
-    lemma2_approx,
-    mode_s01,
-    mode_s02,
-    prob_dk,
-    ratio_f,
-    tail_bound,
-)
-from .regions import (
-    BUILTIN_SYSTEMS,
-    RegionSystem,
-    combined_max_alpha,
-    region_max_alpha,
-)
 
-# The names that the sampling, writing and enumerating commands read, by the
-# module that defines them.  Importing these modules imports numpy, so they
-# are bound into this module's globals, with numpy as ``np``, only when
-# ``main`` runs a command other than ``oracle`` or when outside code reads
-# one as ``cli.<name>``.  ``import lcdgraph.cli`` and ``oracle`` load no numpy.
-_SAMPLING = {
-    ".analysis": (
+# The names that the command handlers read from the other modules of the
+# package, by module; ``np`` is numpy, as ``io`` imports it.  ``main`` binds
+# a module's names into this module's globals when a command first needs
+# them (``oracle`` binds ``.oracles`` alone, every other command all of
+# them), and so does outside code reading one as ``cli.<name>``.
+_BINDINGS = {
+    ".oracles": {
+        "DkQuery",
+        "cond_prob_degree",
+        "count_ns",
+        "expected_count",
+        "lemma2_approx",
+        "mode_s01",
+        "mode_s02",
+        "prob_dk",
+        "ratio_f",
+        "tail_bound",
+    },
+    ".regions": {"RegionSystem", "builtin_max_alpha", "region_max_alpha"},
+    ".analysis": {
         "concentration_experiment",
         "corollary_experiment",
         "degree_histogram",
@@ -68,11 +60,11 @@ _SAMPLING = {
         "sum_s1",
         "sum_s2_bound",
         "tv_distance",
-    ),
-    ".io": ("graph_files", "write_graph", "write_json", "write_rows"),
-    ".lcd": ("enumerate_pairings", "pair_degree_rows"),
-    ".processes": ("VARIANTS", "ProcessParams", "batch_total_degrees", "generate",
-                   "replicate_rng"),
+    },
+    ".io": {"graph_files", "np", "write_csv", "write_graph", "write_json", "write_rows"},
+    ".lcd": {"enumerate_pairings", "pair_degree_rows"},
+    ".processes": {"VARIANTS", "ProcessParams", "batch_total_degrees", "generate",
+                   "replicate_rng"},
 }
 
 MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
@@ -81,29 +73,35 @@ INT_FLAG_MAX = 2**63 - 1  # an int flag above this is refused: it may overflow a
 _NOT_FLAGS = ("subcommand", "experiment_name", "func", "started")
 
 
-def _bind_sampling() -> None:
-    """Bind numpy as ``np`` and every ``_SAMPLING`` name into this module.
-    A name already bound keeps its value, so a wrapper that a caller swapped
-    onto ``cli.<name>`` before the first command stays in place."""
+def _bind(modules) -> None:
+    """Import each of ``modules``, keys of ``_BINDINGS``, and bind its names
+    into this module, unless all of them are bound: after the first command
+    that needs a module, a call only checks its names.  A name already bound
+    keeps its value, so a wrapper that a caller swapped onto ``cli.<name>``
+    before the first command stays in place."""
     names = globals()
-    names.setdefault("np", importlib.import_module("numpy"))
-    for module, attrs in _SAMPLING.items():
+    for module in modules:
+        if names.keys() >= _BINDINGS[module]:
+            continue
         source = importlib.import_module(module, __package__)
-        for attr in attrs:
+        for attr in _BINDINGS[module]:
             names.setdefault(attr, getattr(source, attr))
 
 
 def __getattr__(name: str):
-    """``cli.<name>`` of a sampling name not bound yet (PEP 562)."""
-    if name == "np" or any(name in attrs for attrs in _SAMPLING.values()):
-        _bind_sampling()
-        return globals()[name]
+    """``cli.<name>`` of a name of ``_BINDINGS`` not bound yet (PEP 562)."""
+    for module, attrs in _BINDINGS.items():
+        if name in attrs:
+            _bind((module,))
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _fmt(x) -> str:
     """Numeric formatting for stdout: rationals as p/q, floats via the
     shortest round-trip representation (15+ significant digits)."""
+    from fractions import Fraction  # loaded with the oracles and regions
+
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     return str(x)
@@ -127,6 +125,8 @@ def integer(text: str) -> int:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -152,6 +152,8 @@ def _write_manifest(args, out_path: Path, outputs) -> None:
     """Record the resolved invocation next to its outputs, the seconds since
     ``main`` parsed it, the process's peak resident memory and the Python
     and numpy versions.  ``replay`` compares only the output digests."""
+    import platform
+
     argv = [args.subcommand]
     if getattr(args, "experiment_name", None):
         argv.append(args.experiment_name)
@@ -246,10 +248,7 @@ def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=
     write_json(out, report)
     csv_path = out.with_suffix(".csv")
     rows = report["replicates"] or [aggregates]
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=sorted({k for row in rows for k in row}))
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(csv_path, sorted({k for row in rows for k in row}), rows)
     _write_manifest(args, out, [out, csv_path, *extra_outputs])
     for name, passed, detail in verdicts:
         print(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
@@ -299,6 +298,8 @@ def _exp_gamma(args) -> int:
 
 
 def _exp_concentration(args) -> int:
+    import dataclasses
+
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     res = concentration_experiment(params, args.d, args.replicates, threads=args.threads)
     verdict = ("exceedance_below_0.05", res.exceedance_rate <= 0.05,
@@ -353,13 +354,10 @@ def _exp_corollary(args) -> int:
 def _exp_region(args) -> int:
     if args.inequalities:
         lines = Path(args.inequalities).read_text().splitlines()
-        system = RegionSystem.from_lines(lines)
-        result = region_max_alpha(system)
-    elif args.system == "combined":
-        result = combined_max_alpha()
+        result = region_max_alpha(RegionSystem.from_lines(lines))
     else:
         args.system = args.system or "theorem1"  # the system when neither flag is given
-        result = region_max_alpha(BUILTIN_SYSTEMS[args.system])
+        result = builtin_max_alpha(args.system)  # refuses an unknown name
     aggregates = {
         "sup_alpha": str(result.sup_alpha),
         "attained": result.attained,
@@ -368,8 +366,8 @@ def _exp_region(args) -> int:
     }
     # the region's corner points, as an (alpha, beta) CSV for plotting
     corners = Path(args.out).with_suffix(".vertices.csv")
-    with open(corners, "w", newline="") as fh:
-        csv.writer(fh).writerows([("alpha", "beta")] + [(str(a), str(b)) for a, b in result.vertices])
+    write_csv(corners, ("alpha", "beta"),
+              [{"alpha": str(a), "beta": str(b)} for a, b in result.vertices])
     attained = "attained" if result.attained else "sup, not attained"
     verdict = ("region_solved", True, f"sup alpha = {_fmt(result.sup_alpha)} ({attained}), "
                f"witness beta = {_fmt(result.witness_beta)}")
@@ -395,6 +393,9 @@ def _exp_equivalence(args) -> int:
 def cmd_replay(args) -> int:
     """Re-run a manifest's command into a scratch directory and verify the
     recorded output digests byte-for-byte."""
+    import json
+    import tempfile
+
     try:
         manifest = json.loads(Path(args.manifest).read_text())
     except ValueError:  # not JSON, or not text
@@ -515,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = exp.add_parser("region", parents=[out])
     system = e.add_mutually_exclusive_group()
-    system.add_argument("--system", choices=tuple(BUILTIN_SYSTEMS) + ("combined",),
-                        help="built-in system (theorem1 when neither flag is given)")
+    system.add_argument("--system",  # regions.builtin_max_alpha checks it
+                        help="built-in system: theorem1, theorem2-case1, theorem2-case2, "
+                        "theorem2-case3 or combined (theorem1 when neither flag is given)")
     # absolute, so that argv and the report name the file read, from any directory
     system.add_argument("--inequalities", type=os.path.abspath,
                         help="file with one 'a b cmp c' inequality per line")
@@ -540,9 +542,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.started = time.time()
-    if args.subcommand != "oracle":  # the oracles are pure Python
-        _bind_sampling()
+    _bind((".oracles",) if args.subcommand == "oracle" else _BINDINGS)
     if "seed" in vars(args) and args.seed is None:
+        import secrets
+
         args.seed = secrets.randbits(63)
     try:
         threads = getattr(args, "threads", 1)

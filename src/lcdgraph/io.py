@@ -1,8 +1,10 @@
 """Persistence: a graph's edge-list CSV and JSON header, the numpy text
-writer behind it and ``lcdgraph enumerate``, and the one strict JSON writer."""
+writer behind it and ``lcdgraph enumerate``, the one strict JSON writer and
+the CSV writer of the experiment tables."""
 
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -41,6 +43,15 @@ def write_json(path: str | Path, obj) -> None:
     """Write ``obj`` as JSON with indent 2, sorted keys and a final newline.
     NaN or an infinity raises ValueError, a non-JSON type (np.int64) TypeError."""
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_csv(path: str | Path, fieldnames, rows) -> None:
+    """Write ``rows``, dicts keyed by ``fieldnames``, to ``path`` as CSV
+    under a header row; a key a row lacks is an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def write_rows(fh, columns, seps: bytes) -> None:

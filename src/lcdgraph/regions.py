@@ -210,3 +210,13 @@ def combined_max_alpha() -> RegionResult:
     the first case's on a tie."""
     results = (region_max_alpha(BUILTIN_SYSTEMS[name]) for name in COMBINED_CASES)
     return max(results, key=lambda res: res.sup_alpha)
+
+
+def builtin_max_alpha(name: str) -> RegionResult:
+    """``region_max_alpha`` of the built-in system ``name``, or
+    ``combined_max_alpha()`` when ``name`` is ``combined``."""
+    if name == "combined":
+        return combined_max_alpha()
+    if name not in BUILTIN_SYSTEMS:
+        raise DomainError(f"unknown system {name!r}, not one of {(*BUILTIN_SYSTEMS, 'combined')}")
+    return region_max_alpha(BUILTIN_SYSTEMS[name])

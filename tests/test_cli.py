@@ -18,6 +18,7 @@ from lcdgraph.cli import _ORACLES, MAX_THREADS, build_parser, main
 from lcdgraph.lcd import ENUMERATION_CAP, enumerate_pairings
 from lcdgraph.oracles import DkQuery, cond_prob_degree, count_ns
 from lcdgraph.processes import POINT_CAP, VARIANTS, ProcessParams, generate
+from lcdgraph.regions import BUILTIN_SYSTEMS
 from pair_tables import graph_from_pairs
 
 
@@ -318,6 +319,20 @@ def test_experiment_region_refuses_system_and_inequalities(capsys, tmp_path):
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [ineq]  # no report
+
+
+def test_experiment_region_unknown_system_is_refused(capsys, tmp_path):
+    # regions refuses the name before any file, the corners CSV included, is opened
+    code, stdout, err = run(capsys, "experiment", "region", "--system", "nope",
+                            "--out", str(tmp_path / "region.json"))
+    names = (*BUILTIN_SYSTEMS, "combined")
+    assert code == 2 and stdout == ""
+    assert err == f"error: unknown system 'nope', not one of {names}\n"
+    assert list(tmp_path.iterdir()) == []
+    # the parser lists no choices, so the help names the systems, in order
+    actions = {(command, flag): a for command, flag, a in option_surface(build_parser())}
+    listed = actions["experiment region", "--system"].help.split(": ")[1].split(" (")[0]
+    assert tuple(listed.replace(" or ", ", ").split(", ")) == names
 
 
 @pytest.mark.parametrize("text", [
@@ -695,6 +710,7 @@ SWEEP_TEXT = {
                        "{inputs}/unbounded.txt", "{inputs}/infeasible.txt"],
     "--manifest": ["{inputs}/missing.json", "{inputs}/empty.txt", "{inputs}/bad.txt"],
     "--variant": ["nope", *VARIANTS],
+    "--system": ["nope", *BUILTIN_SYSTEMS, "combined"],
 }
 POINTS = POINT_CAP // 2  # the most n * m * samples of one call
 # a value just past the cap of a size flag, given the other values of its base
@@ -1125,12 +1141,13 @@ def test_benchmark_hooks_stay_exposed(capsys, tmp_path, monkeypatch):
 STARTUP_PRELUDE = """
 import json, sys
 import lcdgraph.cli as cli
-SAMPLING = ("numpy", "lcdgraph.analysis", "lcdgraph.io", "lcdgraph.lcd", "lcdgraph.processes")
 def loaded():
-    return [name for name in SAMPLING if name in sys.modules]
+    return sorted(name for name in sys.modules
+                  if name == "numpy" or name.partition(".")[0] == "lcdgraph")
 """
 STARTUP_CHECKS = {
-    # the parser and the oracles load no sampling module; generate binds them
+    # the parser loads no other module of the package; oracle adds the
+    # oracles alone, and generate binds them all
     "start": """
 cli.build_parser()
 facts = {"parser": loaded()}
@@ -1153,6 +1170,17 @@ code = cli.main(["experiment", "equivalence", "--n", "1", "--samples", "100", "-
                  "--out", sys.argv[1] + "/eq.json"])
 facts = {"code": code, "calls": calls, "kept": cli.batch_total_degrees is wrapper}
 """,
+    # the same for an oracle, as perfbench's tracer wraps it, over two commands
+    "oracle_wrapper": """
+from lcdgraph.oracles import prob_dk
+calls = []
+def wrapper(query):
+    calls.append(query.n)
+    return prob_dk(query)
+cli.prob_dk = wrapper
+codes = [cli.main(["oracle", "prob-dk", "--n", str(n), "--k", "1", "--s", "1"]) for n in (2, 3)]
+facts = {"codes": codes, "calls": calls, "kept": cli.prob_dk is wrapper}
+""",
 }
 
 
@@ -1167,10 +1195,15 @@ def startup_facts(tmp_path, check: str) -> dict:
 
 def test_cli_starts_without_the_sampling_layers(tmp_path):
     facts = startup_facts(tmp_path, "start")
-    assert facts == {"parser": [], "oracle": [], "bound": True,
-                     "generate": ["numpy", "lcdgraph.analysis", "lcdgraph.io", "lcdgraph.lcd",
-                                  "lcdgraph.processes"]}
+    parser = ["lcdgraph", "lcdgraph.cli", "lcdgraph.errors"]
+    assert facts == {"parser": parser, "oracle": sorted(parser + ["lcdgraph.oracles"]),
+                     "bound": True,
+                     "generate": sorted(parser + ["numpy", "lcdgraph.analysis", "lcdgraph.io",
+                                                  "lcdgraph.lcd", "lcdgraph.oracles",
+                                                  "lcdgraph.processes", "lcdgraph.regions"])}
     facts = startup_facts(tmp_path, "wrapper")
     assert facts == {"code": 0, "calls": list(VARIANTS), "kept": True}
+    facts = startup_facts(tmp_path, "oracle_wrapper")
+    assert facts == {"codes": [0, 0], "calls": [2, 3], "kept": True}
     with pytest.raises(AttributeError, match="nope"):
         cli.__getattr__("nope")

@@ -2,8 +2,9 @@
 at the repository root.
 
     python3 tools/bench_layers.py [writer|oracles|kernels|startup|equivalence ...]
+    python3 tools/bench_layers.py --against <tree> [startup|equivalence ...]
 
-With no argument every layer runs.  Seeds, sizes and repeat counts are
+With no layer named every layer runs.  Seeds, sizes and repeat counts are
 fixed, so two checkouts run the same work.  The package is imported from
 this checkout's ``src/``.  Each JSON holds, per input, the min and median
 seconds over the repeats, a sha256 of the output (equal digests mean equal
@@ -72,10 +73,23 @@ loaded.
 ``EQUIVALENCE``, interleaved: ``lcdgraph experiment equivalence`` at
 (n, m, samples) = (3, 2, 2 * 10^5) and (4, 1, 10^6), whose peak is that of
 the three batches of degree rows and their counts.
+
+Both fresh-interpreter files record, per input, the median, quartiles and
+min of the seconds.  With ``--against <tree>``, another checkout of this
+repository, only those two layers run, and each start of this checkout is
+paired with one of ``<tree>`` right before or after it (the two alternate
+which goes first), each child importing the package from its own tree's
+``src/``.  Each input then records both trees' figures, under ``this`` and
+``against``, and ``wins``, the number of pairs in which this checkout's
+start was the faster; the file records each tree's commit and whether its
+tracked files differ from it, read without changing any git state.  Two
+copies of one tree should win about half of the ``REPEATS`` pairs: a fair
+coin lands in 6..15 of 21 with probability 0.97.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -171,7 +185,7 @@ def numba_imports() -> bool:
     return True
 
 
-def write_report(name: str, layer: str, results: dict) -> None:
+def write_report(name: str, layer: str, results: dict, against: Path | None = None) -> None:
     out = ROOT / f"BENCH_{name}.json"
     report = {
         "layer": layer,
@@ -184,8 +198,15 @@ def write_report(name: str, layer: str, results: dict) -> None:
             "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
     }
+    if against:
+        report["trees"] = {"this": git_state(ROOT), "against": git_state(against)}
     write_json(out, report)
     for key, r in results.items():
+        if against:
+            print(f"{key}: median {r['this']['median_s'] * 1e3:.1f} ms here, "
+                  f"{r['against']['median_s'] * 1e3:.1f} ms against; "
+                  f"faster here in {r['wins']} of {r['this']['repeats']} pairs")
+            continue
         peak = f", heap peak {r['peak_bytes'] / 1e6:.1f} MB" if "peak_bytes" in r else ""
         if "peak_rss_bytes" in r:
             peak = f", peak RSS {r['peak_rss_bytes'] / 1e6:.1f} MB, numpy {r['numpy_imported']}"
@@ -339,52 +360,97 @@ def start(code: str, argv: list, env: dict) -> tuple:
     return (seconds, *json.loads(proc.stderr))
 
 
-def fresh_starts(commands: dict) -> dict:
-    """input name -> the min and median seconds, median peak RSS and whether
-    numpy was imported, over ``REPEATS`` fresh interpreters of each command."""
+def tree_env(tree: Path) -> dict:
+    """The environment of a child that imports the package from ``tree``."""
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + path if path else ""))
-    runs = {name: [] for name in commands}
+    return dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + path if path else ""))
+
+
+def git_state(tree: Path) -> dict:
+    """The commit checked out in ``tree`` and whether its tracked files
+    differ from it; None outside a git checkout.  ``--no-optional-locks``
+    keeps ``git status`` from refreshing the index."""
+    def git(*argv):
+        return subprocess.run(["git", "--no-optional-locks", "-C", str(tree), *argv],
+                              capture_output=True, text=True).stdout.strip()
+
+    if git("rev-parse", "--show-toplevel") != str(tree.resolve()):
+        return {"commit": None, "modified": None}
+    return {"commit": git("rev-parse", "HEAD"),
+            "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
+
+
+def start_summary(runs: list) -> dict:
+    """The seconds, median peak RSS and numpy flag of one command's starts."""
+    seconds, numpy_flags, rss = zip(*runs)
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    return {
+        "min_s": min(seconds),
+        "q1_s": q1,
+        "median_s": statistics.median(seconds),
+        "q3_s": q3,
+        "repeats": len(seconds),
+        "peak_rss_bytes": statistics.median(rss) * 1024,
+        "numpy_imported": any(numpy_flags),
+    }
+
+
+def fresh_starts(commands: dict, against: Path | None = None) -> dict:
+    """input name -> the summary of ``REPEATS`` fresh interpreters of each
+    command, or with ``against`` of each tree and the pairs this one won."""
+    envs = [tree_env(ROOT)] + ([tree_env(against)] if against else [])
+    order = list(range(len(envs)))
+    runs = {name: [[] for _ in envs] for name in commands}
     with tempfile.TemporaryDirectory() as tmp:
-        for _ in range(REPEATS):  # commands interleaved, so host load hits each alike
+        for repeat in range(REPEATS):  # commands interleaved, so host load hits each alike
             for name, (code, argv) in commands.items():
-                runs[name].append(start(code, [a.format(tmp=tmp) for a in argv], env))
-    results = {}
-    for name, rs in runs.items():
-        seconds, numpy_flags, rss = zip(*rs)
-        results[name] = {
-            "min_s": min(seconds),
-            "median_s": statistics.median(seconds),
-            "repeats": len(seconds),
-            "peak_rss_bytes": statistics.median(rss) * 1024,
-            "numpy_imported": any(numpy_flags),
-        }
-    return results
+                argv = [a.format(tmp=tmp) for a in argv]
+                # the trees take turns to start first, so neither always follows the other
+                for tree in order if repeat % 2 == 0 else order[::-1]:
+                    runs[name][tree].append(start(code, argv, envs[tree]))
+    if against is None:
+        return {name: start_summary(rs) for name, (rs,) in runs.items()}
+    return {name: {"this": start_summary(this), "against": start_summary(other),
+                   "wins": sum(a[0] < b[0] for a, b in zip(this, other))}
+            for name, (this, other) in runs.items()}
 
 
-def bench_startup() -> None:
+def bench_startup(against: Path | None = None) -> None:
     write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate",
-                 fresh_starts(STARTUP))
+                 fresh_starts(STARTUP, against), against)
 
 
-def bench_equivalence() -> None:
+def bench_equivalence(against: Path | None = None) -> None:
     write_report("equivalence", "fresh interpreters: experiment equivalence",
-                 fresh_starts(EQUIVALENCE))
+                 fresh_starts(EQUIVALENCE, against), against)
 
 
 LAYERS = {"writer": bench_writer, "oracles": bench_oracles, "kernels": bench_kernels,
           "startup": bench_startup, "equivalence": bench_equivalence}
+FRESH_LAYERS = ("startup", "equivalence")  # the layers that --against compares
 
 
 def main() -> int:
-    names = sys.argv[1:]
-    unknown = [name for name in names if name not in LAYERS]
+    parser = argparse.ArgumentParser(description="Time layers of lcdgraph on fixed work.")
+    parser.add_argument("layers", nargs="*", metavar="layer", help=f"any of {tuple(LAYERS)}")
+    parser.add_argument("--against", type=Path, metavar="TREE",
+                        help=f"another checkout to pair with this one's starts, {FRESH_LAYERS} only")
+    args = parser.parse_args()
+    allowed = FRESH_LAYERS if args.against else tuple(LAYERS)
+    names = args.layers or allowed
+    unknown = [name for name in names if name not in allowed]
     if unknown:
-        print(f"unknown layer {unknown[0]!r}, not one of {tuple(LAYERS)}", file=sys.stderr)
+        print(f"unknown layer {unknown[0]!r}, not one of {allowed}", file=sys.stderr)
+        return 2
+    if args.against and not (args.against / "src" / "lcdgraph" / "cli.py").is_file():
+        print(f"--against {args.against} holds no src/lcdgraph/cli.py", file=sys.stderr)
         return 2
     sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
-    for name in names or LAYERS:
-        LAYERS[name]()
+    for name in names:
+        if args.against:
+            LAYERS[name](args.against)
+        else:
+            LAYERS[name]()
     return 0
 
 
