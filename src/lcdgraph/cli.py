@@ -59,8 +59,8 @@ _BINDINGS = {
         "power_law_exponent",
         "sum_s1",
         "sum_s2_bound",
-        "tv_distance",
     },
+    ".exact": {"tv_distance"},
     ".io": {"graph_files", "np", "write_csv", "write_graph", "write_json", "write_rows"},
     ".lcd": {"enumerate_pairings", "pair_degree_rows"},
     ".processes": {"VARIANTS", "ProcessParams", "batch_total_degrees", "generate",

@@ -13,13 +13,11 @@ and the negative prime powers into a numerator and a denominator that are
 coprime by construction, so no big gcd reduces them.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import struct
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
@@ -97,8 +95,7 @@ def pairing_count(n: int) -> int:
     return math.perm(2 * n, n) >> n
 
 
-@dataclass(frozen=True)
-class ExactProb:
+class ExactProb(namedtuple("ExactProb", "value")):
     """A probability, either exact rational or as log(p).
 
     ``tag`` is "exact" (value is a non-negative Fraction) or "log" (value is
@@ -107,11 +104,12 @@ class ExactProb:
     n (a documented discrepancy), so only non-negativity is enforced here.
     """
 
-    value: Fraction | float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag == "exact" and self.value < 0:
+    def __new__(cls, value):
+        if isinstance(value, Fraction) and value < 0:
             raise DomainError("exact probability must be non-negative")
+        return super().__new__(cls, value)
 
     @property
     def tag(self) -> str:
@@ -123,20 +121,18 @@ class ExactProb:
         return f"exp({self.value:.15g}) (log)"
 
 
-@dataclass(frozen=True)
-class DkQuery:
+class DkQuery(namedtuple("DkQuery", "n k s")):
     """Ask for Pr[D_k = 2k+s]: degree sum of the first k vertices overshoots
     its 2k minimum by s."""
 
-    n: int
-    k: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1 or not 1 <= self.k <= self.n:
-            raise DomainError(f"need 1 <= k <= n, got n={self.n}, k={self.k}")
-        if not 0 <= self.s <= self.n - self.k:
-            raise DomainError(f"need 0 <= s <= n-k = {self.n - self.k}, got s={self.s}")
+    def __new__(cls, n, k, s):
+        if n < 1 or not 1 <= k <= n:
+            raise DomainError(f"need 1 <= k <= n, got n={n}, k={k}")
+        if not 0 <= s <= n - k:
+            raise DomainError(f"need 0 <= s <= n-k = {n - k}, got s={s}")
+        return super().__new__(cls, n, k, s)
 
 
 def _factorial_ratio(n: int, pow2: int, num: tuple, den: tuple) -> ExactProb:
@@ -244,7 +240,7 @@ def cond_prob_degree(n: int, k: int, s: int, d: int) -> ExactProb:
     Evaluated verbatim and NOT renormalized.  It disagrees with exhaustive
     enumeration on d = 0 and d >= 1 cells alike (for n <= 6, on 35 of the 70
     d >= 1 cells with enumerated mass), and the sum over d can exceed 1; the
-    comparison table lives in the analysis layer.
+    comparison table is ``exact.cond_prob_discrepancy_table``.
     """
     DkQuery(n, k, s)
     if not 0 <= d <= n - k - s:

@@ -14,17 +14,15 @@ import pytest
 
 from lcdgraph.analysis import (
     concentration_experiment,
-    cond_prob_discrepancy_table,
     corollary_experiment,
     degree_histogram,
     degree_rows_to_distribution,
-    exact_sequential_law,
     limiting_in_degree_gamma,
     power_law_exponent,
     sum_s1,
     sum_s2_bound,
-    tv_distance,
 )
+from lcdgraph.exact import cond_prob_discrepancy_table, exact_sequential_law, tv_distance
 from lcdgraph.lcd import enumerate_pairings
 from lcdgraph.oracles import DkQuery, expected_count, mode_s01, pairing_count, prob_dk, tail_bound
 from lcdgraph.processes import (

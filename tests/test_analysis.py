@@ -6,25 +6,23 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lcdgraph import analysis
+from lcdgraph import analysis, exact
 from lcdgraph.analysis import (
     concentration_experiment,
-    cond_prob_discrepancy_table,
     corollary_experiment,
     count_rows,
     degree_histogram,
     degree_rows_to_distribution,
     empirical_fraction,
-    exact_sequential_law,
     hill_exponent,
     limiting_in_degree_gamma,
     power_law_exponent,
     replicate_counts,
     sum_s1,
     sum_s2_bound,
-    tv_distance,
 )
 from lcdgraph.errors import CapacityError, DomainError, InsufficientDataError
+from lcdgraph.exact import cond_prob_discrepancy_table, exact_sequential_law, tv_distance
 from lcdgraph.oracles import expected_count
 from lcdgraph.processes import ProcessParams, batch_total_degrees, generate, replicate_rng
 from pair_tables import exact_pairing_law
@@ -419,7 +417,7 @@ def test_cond_prob_discrepancy_table_reads_the_chain(monkeypatch):
         read.append(n)
         return exact_sequential_law(n)
 
-    monkeypatch.setattr(analysis, "exact_sequential_law", spy)
+    monkeypatch.setattr(exact, "exact_sequential_law", spy)
     assert sha256_of_repr(cond_prob_discrepancy_table(6)) == (
         "ac31312907426ee30d6f5926867a1f328561a64db8af1f34e6be920515a9e774"
     )
@@ -436,8 +434,8 @@ def test_exact_law_cap_refuses_before_any_state(monkeypatch):
     def no_states(*args):
         raise AssertionError("a chain state was built")
 
-    monkeypatch.setattr(analysis, "Counter", no_states)
+    monkeypatch.setattr(exact, "Counter", no_states)
     with pytest.raises(CapacityError, match="cap 12"):
-        exact_sequential_law(analysis.EXACT_LAW_CAP + 1)
+        exact_sequential_law(exact.EXACT_LAW_CAP + 1)
     with pytest.raises(CapacityError, match="cap 12"):
         cond_prob_discrepancy_table(13)

@@ -1143,16 +1143,19 @@ import json, sys
 import lcdgraph.cli as cli
 def loaded():
     return sorted(name for name in sys.modules
-                  if name == "numpy" or name.partition(".")[0] == "lcdgraph")
+                  if name in ("numpy", "dataclasses") or name.partition(".")[0] == "lcdgraph")
 """
 STARTUP_CHECKS = {
     # the parser loads no other module of the package; oracle adds the
-    # oracles alone, and generate binds them all
+    # oracles alone, import lcdgraph.exact adds exact alone, and generate
+    # binds them all
     "start": """
 cli.build_parser()
 facts = {"parser": loaded()}
 cli.main(["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"])
 facts["oracle"] = loaded()
+import lcdgraph.exact
+facts["exact"] = loaded()
 cli.main(["generate", "--n", "2", "--seed", "0", "--out", sys.argv[1] + "/g.csv"])
 from lcdgraph import processes
 facts |= {"generate": loaded(), "bound": cli.generate is processes.generate}
@@ -1196,10 +1199,11 @@ def startup_facts(tmp_path, check: str) -> dict:
 def test_cli_starts_without_the_sampling_layers(tmp_path):
     facts = startup_facts(tmp_path, "start")
     parser = ["lcdgraph", "lcdgraph.cli", "lcdgraph.errors"]
-    assert facts == {"parser": parser, "oracle": sorted(parser + ["lcdgraph.oracles"]),
-                     "bound": True,
-                     "generate": sorted(parser + ["numpy", "lcdgraph.analysis", "lcdgraph.io",
-                                                  "lcdgraph.lcd", "lcdgraph.oracles",
+    oracle = sorted(parser + ["lcdgraph.oracles"])
+    assert facts == {"parser": parser, "oracle": oracle,
+                     "exact": sorted(oracle + ["lcdgraph.exact"]), "bound": True,
+                     "generate": sorted(oracle + ["dataclasses", "numpy", "lcdgraph.analysis",
+                                                  "lcdgraph.exact", "lcdgraph.io", "lcdgraph.lcd",
                                                   "lcdgraph.processes", "lcdgraph.regions"])}
     facts = startup_facts(tmp_path, "wrapper")
     assert facts == {"code": 0, "calls": list(VARIANTS), "kept": True}

@@ -43,6 +43,12 @@ def test_dkquery_validation():
         DkQuery(2, 1, 2)  # s > n - k
     with pytest.raises(DomainError):
         DkQuery(2, 1, -1)
+    # a query is immutable: no field can be set, and no attribute added
+    q = DkQuery(4, 2, 1)
+    assert (q.n, q.k, q.s) == (4, 2, 1)
+    for attr in ("n", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(q, attr, 3)
 
 
 def test_prob_dk_n2_values():
@@ -435,6 +441,9 @@ def test_exact_prob_validation():
     # the tag follows the value's type
     assert ExactProb(Fraction(1, 2)).tag == "exact"
     assert ExactProb(-0.5).tag == "log"
+    for attr in ("value", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ExactProb(-0.5), attr, 0.0)
 
 
 @settings(max_examples=100, deadline=None)

@@ -318,11 +318,8 @@ def test_urn_variant_d1_probability():
 
 
 def test_batch_matches_exact_law_sequential_and_pairing():
-    from lcdgraph.analysis import (
-        degree_rows_to_distribution,
-        exact_sequential_law,
-        tv_distance,
-    )
+    from lcdgraph.analysis import degree_rows_to_distribution
+    from lcdgraph.exact import exact_sequential_law, tv_distance
 
     exact = {k: float(v) for k, v in exact_sequential_law(3).items()}
     for variant in ("sequential", "pairing"):
@@ -332,11 +329,8 @@ def test_batch_matches_exact_law_sequential_and_pairing():
 
 
 def test_urn_matches_sequential_at_n3():
-    from lcdgraph.analysis import (
-        degree_rows_to_distribution,
-        exact_sequential_law,
-        tv_distance,
-    )
+    from lcdgraph.analysis import degree_rows_to_distribution
+    from lcdgraph.exact import exact_sequential_law, tv_distance
 
     exact = {k: float(v) for k, v in exact_sequential_law(3).items()}
     rows = batch_total_degrees("urn", 3, 1, 10**5, replicate_rng(2, 0))

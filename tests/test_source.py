@@ -205,3 +205,16 @@ CLI_START_IMPORTS = {"argparse", "functools", "importlib", "math", "os", "sys", 
 
 def test_cli_start_imports_are_allowlisted():
     assert start_imports((SRC / "cli.py").read_text()) <= CLI_START_IMPORTS
+
+
+# What the exact side may import when it is loaded: the standard library it
+# uses and the package's own stdlib-only modules, so that ``oracle`` and
+# ``import lcdgraph.exact`` start without numpy or ``dataclasses`` (which
+# loads ``inspect``).
+EXACT_START_IMPORTS = {"bisect", "collections", "fractions", "functools", "itertools", "math",
+                       "struct", "sys", ".errors", ".oracles"}
+
+
+@pytest.mark.parametrize("name", ["exact.py", "oracles.py"])
+def test_exact_start_imports_are_allowlisted(name):
+    assert start_imports((SRC / name).read_text()) <= EXACT_START_IMPORTS

@@ -57,13 +57,18 @@ The digest is of the output as little-endian int64, whatever its dtype, and
 for ``generate_write_<shape>`` of the edge-list bytes written.
 
 ``BENCH_startup.json`` times fresh interpreters, each running one command
-of ``STARTUP`` from start to exit, the three commands interleaved:
+of ``STARTUP`` from start to exit, the five commands interleaved:
 
 - ``import_parser``: ``import lcdgraph.cli`` and ``build_parser()``, what
   the benchmark's ``setup_s`` times;
 - ``oracle_prob_dk``: ``lcdgraph oracle prob-dk --n 100 --k 3 --s 2``;
 - ``generate_n2``: ``lcdgraph generate --n 2 --seed 0``, into a temporary
-  directory.
+  directory;
+- ``import_exact``: ``import lcdgraph.exact``, the home of the exact laws
+  (in a tree without ``exact.py``, ``import lcdgraph.analysis``, where
+  they lived before);
+- ``import_analysis``: ``import lcdgraph.analysis``, the sampled
+  experiments.
 
 Each records ``peak_rss_bytes``, the median of the child's peak resident
 memory at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
@@ -133,6 +138,9 @@ STARTUP = {
     "import_parser": ("import lcdgraph.cli\nlcdgraph.cli.build_parser()\n", []),
     "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
     "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
+    "import_exact": ("try:\n    import lcdgraph.exact\n"
+                     "except ModuleNotFoundError:\n    import lcdgraph.analysis\n", []),
+    "import_analysis": ("import lcdgraph.analysis\n", []),
 }
 EQUIVALENCE = {
     f"equivalence_{n}x{m}_{name}": (_MAIN, [
@@ -416,7 +424,8 @@ def fresh_starts(commands: dict, against: Path | None = None) -> dict:
 
 
 def bench_startup(against: Path | None = None) -> None:
-    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate",
+    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate, "
+                 "import lcdgraph.exact, import lcdgraph.analysis",
                  fresh_starts(STARTUP, against), against)
 
 
