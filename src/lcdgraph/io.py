@@ -34,7 +34,9 @@ def write_graph(g: LcdGraph, path: str | Path, header: dict) -> Path:
     """
     path, header_path = graph_files(path)
     with open(path, "wb") as fh:
-        write_rows(fh, (g.src, g.tgt), b",\n")
+        for lo in range(0, g.n_edges, CHUNK_CELLS // 2):  # g.src, a chunk at a time
+            src = np.arange(lo, min(lo + CHUNK_CELLS // 2, g.n_edges), dtype=np.int32) // g.m + 1
+            write_rows(fh, (src, g.tgt[lo : lo + src.size]), b",\n")
     write_json(header_path, header)
     return path
 

@@ -195,6 +195,13 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
     bits.state = state
 
 
+# Entries that sequential_targets resolves at a time, and urn_targets' block.
+# Resolving, 2^13 .. 2^17, medians of 31 interleaved runs (2-core Xeon, numpy
+# 2.4): N = 1e6 12.4, 11.5, 11.4, 12.1, 12.9 ms (26.3 unblocked); N = 3e5 3.5,
+# 3.3, 3.5, 3.8, 4.4 ms; 2^14 rows of N = 6 1.55, 1.35, 1.23, 1.22, 1.15 ms.
+TARGET_CHUNK = 1 << 15
+
+
 def sequential_targets(choices: np.ndarray) -> np.ndarray:
     """Edge targets of the sequential process, one row per sample.
 
@@ -202,11 +209,13 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     itself at slot 2t-2 and then copies slot ``choices[t-1]`` into slot
     2t-1, the target of its edge, so it self-loops when it draws its own
     slot and otherwise hits a vertex with probability proportional to its
-    degree.  A copy of an even slot 2s-2 is vertex s at once; the others
-    are resolved by pointer jumping, ``ptr[p] = ptr[ptr[p]]`` on the
-    pending odd slots only, in O(log N) rounds.  Returns an array of the
-    shape and dtype of ``choices``, which is left as it is; the dtype must
-    hold samples * big_n.
+    degree.  A copy of an even slot 2s-2 is vertex s at once; the others,
+    copies of an earlier vertex's odd slot, are resolved in vertex order a
+    ``TARGET_CHUNK`` block at a time, by pointer jumping on the block's
+    pending entries only, ``ptr[p] = ptr[ptr[p]]``: all entries before the
+    block are resolved, so most finish in one jump.  Returns an array of
+    the shape and dtype of ``choices``, which is left as it is; the dtype
+    must hold samples * big_n.
     """
     samples, big_n = choices.shape
     # ptr holds one entry per primed vertex, row after row.  Pending: the
@@ -222,11 +231,13 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
     ptr ^= even  # even choice: x ^ -1 = ~x
     del even
     ptr = ptr.ravel()
-    pending = np.flatnonzero(ptr >= 0)
-    while pending.size:
-        nxt = ptr[ptr[pending]]
-        ptr[pending] = nxt
-        pending = pending[nxt >= 0]
+    for lo in range(0, ptr.size, TARGET_CHUNK):  # every entry before lo is resolved
+        block = ptr[lo : lo + TARGET_CHUNK]
+        pending = np.flatnonzero(block >= 0)
+        while pending.size:
+            nxt = ptr[block[pending]]
+            block[pending] = nxt
+            pending = pending[nxt >= 0]
     ptr = ptr.reshape(samples, big_n)
     np.invert(ptr, out=ptr)
     ptr -= base - 1
@@ -242,7 +253,7 @@ def _urn_draw(big_n: int, samples: int, rng: np.random.Generator):
     of factors in (0, 1], so it is non-decreasing in k even after rounding,
     and its last row is exactly 1.  Primed vertex k's key is uniform on [0, l_k].
     """
-    b = 2.0 * np.arange(1, big_n)[:, None]
+    b = np.arange(2.0, 2.0 * big_n, 2.0)[:, None]
     f = rng.random((big_n - 1, samples))  # V, then 1 - psi_k, in place
     np.negative(f, out=f)
     np.log1p(f, out=f)
@@ -265,10 +276,12 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     order = np.argsort(a)
     if a.size and not 0.0 <= a[order[0]] <= a[order[-1]] <= l[-1]:
         raise DomainError("urn keys must lie in [0, l_N]")
-    hit = np.searchsorted(l, a[order], side="left")
-    hit += 1
     tgt = np.empty(a.size, dtype=np.int32)
-    tgt[order] = hit
+    for lo in range(0, a.size, TARGET_CHUNK):  # sorted keys and hits, a block at a time
+        block = order[lo : lo + TARGET_CHUNK]
+        hit = np.searchsorted(l, a[block], side="left")
+        hit += 1
+        tgt[block] = hit
     return tgt
 
 

@@ -103,6 +103,14 @@ def test_matches_reference_writer(tmp_path_factory, edges):
     assert written(tmp_path_factory.mktemp("io"), src, tgt) == reference_csv(src, tgt)
 
 
+@pytest.mark.parametrize("n, m", [(CHUNK_EDGES // 3, 3), (CHUNK_EDGES // 3 + 1, 3)])
+def test_write_graph_builds_sources_per_chunk(tmp_path, n, m):
+    # a chunk of CHUNK_EDGES edges ends inside vertex 21846's three edges
+    g = LcdGraph(n, m, np.random.default_rng(n).integers(1, n + 1, n * m))
+    path = write_graph(g, tmp_path / "g.csv", {})
+    assert path.read_bytes() == reference_csv(g.src.tolist(), g.tgt.tolist())
+
+
 def test_rows_of_1_to_19_digits_across_a_chunk(tmp_path):
     rng = np.random.default_rng(7)
     size = CHUNK_EDGES + 5

@@ -14,6 +14,7 @@ from lcdgraph.processes import (
     BATCH_BLOCK,
     DRAW_CHUNK,
     POINT_CAP,
+    TARGET_CHUNK,
     VARIANTS,
     _BATCHES,
     _KERNELS,
@@ -86,6 +87,32 @@ def test_sequential_kernel_matches_reference_loop():
         tgt = np.array(reference_targets(stream.tolist()))
         assert g.src.tolist() == np.repeat(np.arange(1, n + 1), 3).tolist()
         assert g.tgt.tolist() == ((tgt - 1) // 3 + 1).tolist()
+
+
+# rows that end just before, at and just after a block edge, a row over two
+# edges, and rows that cross edges inside them
+@pytest.mark.parametrize("big_n, samples", [(TARGET_CHUNK - 1, 1), (TARGET_CHUNK, 1),
+                                            (TARGET_CHUNK + 1, 1), (2 * TARGET_CHUNK + 3, 1),
+                                            (7000, 5)])
+def test_sequential_targets_across_blocks(big_n, samples):
+    choices = sequential_choices(big_n, samples, replicate_rng(13, big_n))
+    assert sequential_targets(choices).tolist() == [reference_targets(c) for c in choices.tolist()]
+
+
+def test_sequential_targets_in_tiny_blocks(monkeypatch):
+    # all 945 choice vectors of N = 5 in blocks of 7 entries: block edges at
+    # every position of a row
+    choices = np.array(list(itertools.product(*(range(2 * t - 1) for t in range(1, 6)))))
+    whole = sequential_targets(choices)
+    monkeypatch.setattr(processes, "TARGET_CHUNK", 7)
+    assert np.array_equal(sequential_targets(choices), whole)
+
+
+def test_urn_targets_in_tiny_blocks(monkeypatch):
+    l, a = (c[:, 0] for c in _urn_draw(1000, 1, replicate_rng(2)))
+    whole = urn_targets(l, a)
+    monkeypatch.setattr(processes, "TARGET_CHUNK", 7)
+    assert np.array_equal(urn_targets(l, a), whole)
 
 
 def words_drawn(seed, replicate, draw, at_least):
@@ -441,10 +468,13 @@ def traced_peak_mb(call):
         tracemalloc.stop()
 
 
-# Heap peak with a margin over the 17.1 MB that numpy 2.4 gives here.
+# Heap peak with a margin over the 9.0 MB that numpy 2.4 gives here: the
+# int32 choices and pointers and the int8 parity, with one block of
+# TARGET_CHUNK pending entries.  One pending list of all N/2 odd copies took
+# it to 16.5 MB.
 def test_generate_1e6_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**6, 1)))
-    assert peak < 20.0, peak
+    assert peak < 11.0, peak
 
 
 # Heap peak with a margin over the 12.7 MB that numpy 2.4 gives here (13.4 MB
@@ -453,6 +483,15 @@ def test_generate_1e6_heap_peak():
 def test_generate_pairing_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**5, 3, "pairing")))
     assert peak < 15.0, peak
+
+
+# Heap peak with a margin over the 9.2 MB that numpy 2.4 gives here (10.0 MB
+# as the first call in a process): the sticks, the keys and their argsort,
+# with one TARGET_CHUNK block of sorted keys and hits.  Searching every key
+# at once, with divisors from an int64 arange, took it to 12.0 MB.
+def test_generate_urn_heap_peak():
+    peak = traced_peak_mb(lambda: generate(ProcessParams(10**5, 3, "urn")))
+    assert peak < 11.0, peak
 
 
 # tracemalloc peaks at (3, 2, 2e5) are 2.2 (2.9 as the first call in a

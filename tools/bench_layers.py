@@ -2,7 +2,7 @@
 at the repository root.
 
     python3 tools/bench_layers.py [writer|oracles|kernels|startup|equivalence ...]
-    python3 tools/bench_layers.py --against <tree> [startup|equivalence ...]
+    python3 tools/bench_layers.py --against <tree> [kernels|startup|equivalence ...]
 
 With no layer named every layer runs.  Seeds, sizes and repeat counts are
 fixed, so two checkouts run the same work.  The package is imported from
@@ -33,7 +33,8 @@ caches; ``cold_min_s`` and ``cold_median_s`` summarise those.  A warm sweep
 repeats the cells in the same process.  The digest is of the printed values.
 
 ``BENCH_kernels.json`` times the construction kernels of
-``lcdgraph.processes``, each from a fresh ``replicate_rng(0)``:
+``lcdgraph.processes``, each from a fresh ``replicate_rng(0)``, in one child
+process that imports the package and makes each call on request:
 
 - ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
   vertices of n = 10^5, m = 3, before the blocks of m are identified;
@@ -51,10 +52,11 @@ repeats the cells in the same process.  The digest is of the printed values.
   ``generate`` workload: each variant at n = 10^5, m = 3, and sequential
   at n = 10^6, m = 1, master seed 0.
 
-Besides the times, each input records ``peak_bytes``, the peak of the heap
-that ``tracemalloc`` sees (numpy's buffers included) over one untimed call.
-The digest is of the output as little-endian int64, whatever its dtype, and
-for ``generate_write_<shape>`` of the edge-list bytes written.
+Besides the median, quartiles and min of the seconds, each input records
+``peak_bytes``, the peak of the heap that ``tracemalloc`` sees (numpy's
+buffers included) over one untimed call.  The digest is of the output as
+little-endian int64, whatever its dtype, and for ``generate_write_<shape>``
+of the edge-list bytes written.
 
 ``BENCH_startup.json`` times fresh interpreters, each running one command
 of ``STARTUP`` from start to exit, the five commands interleaved:
@@ -80,16 +82,19 @@ loaded.
 the three batches of degree rows and their counts.
 
 Both fresh-interpreter files record, per input, the median, quartiles and
-min of the seconds.  With ``--against <tree>``, another checkout of this
-repository, only those two layers run, and each start of this checkout is
-paired with one of ``<tree>`` right before or after it (the two alternate
-which goes first), each child importing the package from its own tree's
-``src/``.  Each input then records both trees' figures, under ``this`` and
-``against``, and ``wins``, the number of pairs in which this checkout's
-start was the faster; the file records each tree's commit and whether its
-tracked files differ from it, read without changing any git state.  Two
-copies of one tree should win about half of the ``REPEATS`` pairs: a fair
-coin lands in 6..15 of 21 with probability 0.97.
+min of the seconds.
+
+With ``--against <tree>``, another checkout of this repository, only
+``kernels`` and the two fresh-interpreter layers run, and each run of this
+checkout is paired with one of ``<tree>`` right before or after it (the two
+alternate which goes first), each in a child that imports the package from
+its own tree's ``src/``: a start is one fresh interpreter, a kernel call one
+call in its tree's kernel child.  Each input then records both trees'
+figures, under ``this`` and ``against``, and ``wins``, the number of pairs
+in which this checkout's run was the faster; the file records each tree's
+commit and whether its tracked files differ from it, read without changing
+any git state.  Two copies of one tree should win about half of the
+``REPEATS`` pairs: a fair coin lands in 6..15 of 21 with probability 0.97.
 """
 
 from __future__ import annotations
@@ -157,6 +162,17 @@ with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 sys.stderr.write(json.dumps(["numpy" in sys.modules, hwm]))
 """
+# A child that serves kernel_calls from the tree whose src/ is argv[1]: that
+# tree's package is imported before this file, whose own src/ then comes too
+# late to shadow it.
+_KERNEL_SERVER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lcdgraph
+sys.path.insert(0, sys.argv[2])
+import bench_layers
+bench_layers.serve_kernels()
+"""
 
 
 def edge_list(n: int, m: int, variant: str) -> list:
@@ -211,9 +227,12 @@ def write_report(name: str, layer: str, results: dict, against: Path | None = No
     write_json(out, report)
     for key, r in results.items():
         if against:
+            heap = (f"; heap peak {r['this']['peak_bytes'] / 1e6:.1f} MB here, "
+                    f"{r['against']['peak_bytes'] / 1e6:.1f} MB against"
+                    if "peak_bytes" in r["this"] else "")
             print(f"{key}: median {r['this']['median_s'] * 1e3:.1f} ms here, "
                   f"{r['against']['median_s'] * 1e3:.1f} ms against; "
-                  f"faster here in {r['wins']} of {r['this']['repeats']} pairs")
+                  f"faster here in {r['wins']} of {r['this']['repeats']} pairs{heap}")
             continue
         peak = f", heap peak {r['peak_bytes'] / 1e6:.1f} MB" if "peak_bytes" in r else ""
         if "peak_rss_bytes" in r:
@@ -337,26 +356,74 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def bench_kernels() -> None:
+def kernel_outputs(calls: dict) -> dict:
+    """input name -> the digest of one call's output and the heap peak of
+    another; the first call is also the warm-up."""
     results = {}
+    for name, call in calls.items():
+        out = call()
+        data = out.read_bytes() if isinstance(out, Path) else out.astype("<i8").tobytes()
+        results[name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                         "peak_bytes": traced_peak(call)}
+    return results
+
+
+def timed(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def serve_kernels() -> None:
+    """Print one JSON line of ``kernel_outputs``, then, for each input name
+    read from stdin, the seconds of one call of it."""
     with tempfile.TemporaryDirectory() as tmp:
         calls = kernel_calls(Path(tmp))
-        for name, call in calls.items():  # warm-up, the output and the heap peak
-            out = call()
-            data = out.read_bytes() if isinstance(out, Path) else out.astype("<i8").tobytes()
-            results[name] = {"sha256": hashlib.sha256(data).hexdigest(),
-                             "peak_bytes": traced_peak(call)}
-        times = {name: [] for name in calls}
-        for _ in range(REPEATS):  # inputs interleaved, so host load hits each alike
-            for name, call in calls.items():
-                start = time.perf_counter()
-                call()
-                times[name].append(time.perf_counter() - start)
-    for name, ts in times.items():
-        results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
+        print(json.dumps(kernel_outputs(calls)), flush=True)
+        for line in sys.stdin:
+            print(json.dumps(timed(calls[line.strip()])), flush=True)
+
+
+def served_kernels(trees: list) -> tuple:
+    """Each tree's ``kernel_outputs`` and, per input, the seconds of its
+    ``REPEATS`` calls.  Each tree's calls run in one child that imports that
+    tree's ``src/``; each call of one tree is paired with one of the next,
+    and the trees take turns to go first."""
+    servers, outputs = [], []
+    try:
+        for tree in trees:  # one at a time, so the warm-ups do not overlap
+            servers.append(subprocess.Popen(
+                [sys.executable, "-c", _KERNEL_SERVER, str(tree / "src"), str(ROOT / "tools")],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
+            outputs.append(json.loads(servers[-1].stdout.readline()))
+        names = [name for name in outputs[0] if all(name in out for out in outputs)]
+        times = [{name: [] for name in names} for _ in servers]
+        order = list(range(len(servers)))
+        for repeat in range(REPEATS):  # inputs interleaved, so host load hits each alike
+            for name in names:
+                for tree in order if repeat % 2 == 0 else order[::-1]:
+                    servers[tree].stdin.write(name + "\n")
+                    servers[tree].stdin.flush()
+                    times[tree][name].append(json.loads(servers[tree].stdout.readline()))
+    finally:
+        for server in servers:
+            server.stdin.close()
+            server.wait()
+    return outputs, times
+
+
+def bench_kernels(against: Path | None = None) -> None:
+    outputs, times = served_kernels([ROOT] + ([against] if against else []))
+    summaries = [{name: dict(out[name], **time_summary(ts)) for name, ts in tree_times.items()}
+                 for out, tree_times in zip(outputs, times)]
+    results = summaries[0]
+    if against:
+        results = {name: {"this": summaries[0][name], "against": summaries[1][name],
+                          "wins": sum(a < b for a, b in zip(times[0][name], times[1][name]))}
+                   for name in results}
     write_report("kernels", "processes._KERNELS, processes.batch_total_degrees, "
                  "processes.sequential_choices, analysis.replicate_counts, "
-                 "processes.generate + io.write_graph", results)
+                 "processes.generate + io.write_graph", results, against)
 
 
 def start(code: str, argv: list, env: dict) -> tuple:
@@ -388,19 +455,18 @@ def git_state(tree: Path) -> dict:
             "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
+def time_summary(seconds) -> dict:
+    """The min, quartiles and median of one input's seconds."""
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    return {"min_s": min(seconds), "q1_s": q1, "median_s": statistics.median(seconds),
+            "q3_s": q3, "repeats": len(seconds)}
+
+
 def start_summary(runs: list) -> dict:
     """The seconds, median peak RSS and numpy flag of one command's starts."""
     seconds, numpy_flags, rss = zip(*runs)
-    q1, _, q3 = statistics.quantiles(seconds, n=4)
-    return {
-        "min_s": min(seconds),
-        "q1_s": q1,
-        "median_s": statistics.median(seconds),
-        "q3_s": q3,
-        "repeats": len(seconds),
-        "peak_rss_bytes": statistics.median(rss) * 1024,
-        "numpy_imported": any(numpy_flags),
-    }
+    return dict(time_summary(seconds), peak_rss_bytes=statistics.median(rss) * 1024,
+                numpy_imported=any(numpy_flags))
 
 
 def fresh_starts(commands: dict, against: Path | None = None) -> dict:
@@ -436,16 +502,16 @@ def bench_equivalence(against: Path | None = None) -> None:
 
 LAYERS = {"writer": bench_writer, "oracles": bench_oracles, "kernels": bench_kernels,
           "startup": bench_startup, "equivalence": bench_equivalence}
-FRESH_LAYERS = ("startup", "equivalence")  # the layers that --against compares
+AGAINST_LAYERS = ("kernels", "startup", "equivalence")  # the layers that --against compares
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="Time layers of lcdgraph on fixed work.")
     parser.add_argument("layers", nargs="*", metavar="layer", help=f"any of {tuple(LAYERS)}")
     parser.add_argument("--against", type=Path, metavar="TREE",
-                        help=f"another checkout to pair with this one's starts, {FRESH_LAYERS} only")
+                        help=f"another checkout to pair with this one's runs, {AGAINST_LAYERS} only")
     args = parser.parse_args()
-    allowed = FRESH_LAYERS if args.against else tuple(LAYERS)
+    allowed = AGAINST_LAYERS if args.against else tuple(LAYERS)
     names = args.layers or allowed
     unknown = [name for name in names if name not in allowed]
     if unknown:
