@@ -188,8 +188,9 @@ def cmd_enumerate(args) -> int:
     with open(out, "wb") as fh:
         fh.write(b"pairing,total_degrees\n")
         for pairs in blocks:
-            pair_cols = pairs.reshape(len(pairs), 2 * n)
-            table = np.concatenate([pair_cols, pair_degree_rows(pairs)], axis=1)
+            table = np.empty((len(pairs), 3 * n), dtype=pairs.dtype)
+            table[:, : 2 * n] = pairs.reshape(len(pairs), 2 * n)
+            pair_degree_rows(pairs, out=table[:, 2 * n :])
             write_rows(fh, table.T, seps)
             rows += len(pairs)
     _write_manifest(args, out, [out])

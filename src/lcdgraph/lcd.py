@@ -60,11 +60,14 @@ def sample_pairs(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     Each row shuffles the 2n points uniformly and pairs consecutive entries.
     A pairing arises from exactly 2^n n! of the (2n)! orders (its n pairs in
     any order, each either way round), so each has probability
-    2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.
+    2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.  The points are int64,
+    which ``rng.permuted`` shuffles faster than int32, filled by
+    broadcasting one row of 1..2n and shuffled in place.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
-    points = np.tile(np.arange(1, 2 * n + 1, dtype=np.int64), (samples, 1))
+    points = np.empty((samples, 2 * n), dtype=np.int64)
+    points[...] = np.arange(1, 2 * n + 1, dtype=np.int64)  # one row, broadcast
     pairs = rng.permuted(points, axis=1, out=points).reshape(samples, n, 2)
     a, b = pairs[..., 0], pairs[..., 1]  # made (min, max) in place
     hi = np.maximum(a, b)
@@ -73,15 +76,25 @@ def sample_pairs(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     return pairs
 
 
-def pair_degree_rows(pairs: np.ndarray, m: int = 1) -> np.ndarray:
-    """Total-degree rows, in the pair tables' dtype, of the graphs of the
-    pairings of a pair table (shape (rows, mn, 2)), with primed vertices
-    identified in blocks of m.  The b of the pairs are the right endpoints
-    R_1 < .. < R_mn once sorted; primed vertex j closes at R_j and holds the
-    points R_{j-1}+1..R_j (each point counts once for the vertex that holds
-    it), so block v has total degree R_{vm} - R_{(v-1)m}, with R_0 = 0."""
+def pair_degree_rows(pairs: np.ndarray, m: int = 1, out: np.ndarray | None = None) -> np.ndarray:
+    """Total-degree rows of the graphs of the pairings of a pair table
+    (shape (rows, mn, 2)), with primed vertices identified in blocks of m.
+    The b of the pairs are the right endpoints R_1 < .. < R_mn once sorted;
+    primed vertex j closes at R_j and holds the points R_{j-1}+1..R_j (each
+    point counts once for the vertex that holds it), so block v has total
+    degree R_{vm} - R_{(v-1)m}, with R_0 = 0.
+
+    The rows are written into ``out``, shape (rows, n), of any integer
+    dtype that holds them (a view of a wider table will do), and returned;
+    without it, into a new array in the pair table's dtype.  The sorted
+    right endpoints are the one temporary."""
     right = np.sort(pairs[..., 1], axis=1)
-    return np.diff(right[:, m - 1 :: m], axis=1, prepend=right.dtype.type(0))
+    ends = right[:, m - 1 :: m]  # R_m, R_2m, .., R_mn
+    if out is None:
+        out = np.empty(ends.shape, dtype=pairs.dtype)
+    out[:, 0] = ends[:, 0]
+    np.subtract(ends[:, 1:], ends[:, :-1], out=out[:, 1:])
+    return out
 
 
 def pair_targets(pairs: np.ndarray) -> np.ndarray:

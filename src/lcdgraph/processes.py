@@ -101,6 +101,14 @@ DRAW_CHUNK = 1 << 13
 # runs past it; no benchmark workload does.
 DRAW_HANDOFF = 1 << 22
 
+# Columns past DRAW_HANDOFF that one rng.integers call draws, each block with
+# its own highs; numpy draws element after element, so the split keeps the
+# values and the generator's end state.  At big_n = 1e7 on a 2-core Xeon,
+# numpy 2.4, blocks of 2^16 .. 2^21 took 142, 136, 132, 140, 146 and 155 ms
+# (medians of 21, interleaved) with tracemalloc peaks of 41.1, 42.1, 44.2,
+# 48.4, 56.8 and 73.6 MB; the whole tail in one call, 162 ms and 132.9 MB.
+DRAW_TAIL_BLOCK = 1 << 18
+
 
 def sequential_choices(big_n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform int32 choices of ``samples`` sequential processes on big_n
@@ -113,11 +121,12 @@ def sequential_choices(big_n: int, samples: int, rng: np.random.Generator) -> np
     Lemire's multiply-and-reject (Lemire, "Fast random integer generation in
     an interval", ACM TOMACS 29(1), 2019).  ``_lemire_rows`` applies that
     rule to whole chunks, up to vertex ``DRAW_HANDOFF`` of each row; the
-    rest of a longer row is left to ``rng.integers``.  Only a PCG64
-    generator, as ``replicate_rng`` makes, is accepted.  The call reads and
-    sets the generator's state in several steps, not under its lock, so no
-    other thread may draw from ``rng`` meanwhile.  ``POINT_CAP`` keeps
-    2t-1 and every flat pointer of ``sequential_targets`` below 2^31."""
+    rest of a longer row is left to ``rng.integers``, ``DRAW_TAIL_BLOCK``
+    columns a call.  Only a PCG64 generator, as ``replicate_rng`` makes, is
+    accepted.  The call reads and sets the generator's state in several
+    steps, not under its lock, so no other thread may draw from ``rng``
+    meanwhile.  ``POINT_CAP`` keeps 2t-1 and every flat pointer of
+    ``sequential_targets`` below 2^31."""
     bits = rng.bit_generator
     if type(bits) is not np.random.PCG64:
         raise DomainError(f"the sequential draw needs a PCG64 generator, got {type(bits).__name__}")
@@ -125,10 +134,12 @@ def sequential_choices(big_n: int, samples: int, rng: np.random.Generator) -> np
     if big_n <= DRAW_HANDOFF:
         _lemire_rows(bits, choices[:, 1:])
         return choices
-    highs = 2 * np.arange(DRAW_HANDOFF + 1, big_n + 1, dtype=np.int32) - 1
     for row in choices:
         _lemire_rows(bits, row[None, 1:DRAW_HANDOFF])
-        row[DRAW_HANDOFF:] = rng.integers(0, highs, dtype=np.int32)
+        for lo in range(DRAW_HANDOFF, big_n, DRAW_TAIL_BLOCK):
+            hi = min(lo + DRAW_TAIL_BLOCK, big_n)
+            highs = 2 * np.arange(lo + 1, hi + 1, dtype=np.int32) - 1
+            row[lo:hi] = rng.integers(0, highs, dtype=np.int32)
     return choices
 
 
@@ -195,7 +206,8 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
     bits.state = state
 
 
-# Entries that sequential_targets resolves at a time, and urn_targets' block.
+# Entries that sequential_targets resolves at a time, and urn_targets' block
+# of boundaries and of keys.
 # Resolving, 2^13 .. 2^17, medians of 31 interleaved runs (2-core Xeon, numpy
 # 2.4): N = 1e6 12.4, 11.5, 11.4, 12.1, 12.9 ms (26.3 unblocked); N = 3e5 3.5,
 # 3.3, 3.5, 3.8, 4.4 ms; 2^14 rows of N = 6 1.55, 1.35, 1.23, 1.22, 1.15 ms.
@@ -271,17 +283,47 @@ def _urn_draw(big_n: int, samples: int, rng: np.random.Generator):
 def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Urn edge targets: key ``a[k]`` in [0, l_N] goes to the smallest
     vertex i (1-indexed) with l_i >= a[k].  Primed vertex k's key is uniform
-    on [0, l_k], its own segment included, so k self-loops w.p. psi_k."""
-    # sorted keys keep the bisections in cache: 3x faster at N = 3e6 (2-core Xeon)
-    order = np.argsort(a)
-    if a.size and not 0.0 <= a[order[0]] <= a[order[-1]] <= l[-1]:
+    on [0, l_k], its own segment included, so k self-loops w.p. psi_k.
+
+    ``l`` is non-decreasing in [0, 1], as ``_urn_draw`` makes it.  A value
+    x lies in bucket floor(x * N), which is monotone in x in floating point:
+    a boundary in a lower bucket than a key lies below it, one in a higher
+    bucket above it.  So a key's target is 1 + the boundaries below its
+    bucket, from a table of counts, + those of its own bucket below it,
+    which a few vectorised passes step through.  Under the stick-breaking
+    law (l_k is near sqrt(k / N)) a bucket that holds any boundary holds
+    about 2, at most 10 at N = 3e5, so the passes are few.  Keys and table
+    are built ``TARGET_CHUNK`` at a time."""
+    if a.size and not 0.0 <= a.min() <= a.max() <= l[-1]:
         raise DomainError("urn keys must lie in [0, l_N]")
+    big_n = l.size
+    # lo[b] counts the boundaries in buckets below b, for b = 0 .. N + 1
+    lo = np.zeros(big_n + 2, dtype=np.int32)
+    for start in range(0, big_n, TARGET_CHUNK):  # sorted buckets, one span each
+        bucket = (l[start : start + TARGET_CHUNK] * big_n).astype(np.int32)
+        first = int(bucket[0])
+        bucket -= first
+        count = np.bincount(bucket)
+        lo[first + 1 : first + 1 + count.size] += count
+    np.cumsum(lo, out=lo)
     tgt = np.empty(a.size, dtype=np.int32)
-    for lo in range(0, a.size, TARGET_CHUNK):  # sorted keys and hits, a block at a time
-        block = order[lo : lo + TARGET_CHUNK]
-        hit = np.searchsorted(l, a[block], side="left")
-        hit += 1
-        tgt[block] = hit
+    for start in range(0, a.size, TARGET_CHUNK):
+        key = a[start : start + TARGET_CHUNK]
+        bucket = (key * big_n).astype(np.int32)
+        pos, end = lo[bucket], lo[1:][bucket]  # the key's bucket holds l[pos:end]
+        # each pass steps every key past one more boundary of its bucket below
+        # it, over the whole block: passes over only the keys still moving
+        # made ever smaller arrays, and raised the generate benchmark's peak
+        # RSS by about 1.4 MB on 2 of 16 seeds, where this form raised none
+        last = big_n - 1
+        while True:
+            more = pos < end
+            more &= l[np.minimum(pos, last)] < key
+            if not more.any():
+                break
+            pos += more
+        pos += 1
+        tgt[start : start + TARGET_CHUNK] = pos
     return tgt
 
 
@@ -321,12 +363,12 @@ def batch_total_degrees(
 ) -> np.ndarray:
     """Total-degree sequences of many independent small graphs, one row per
     sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's row kernel
-    in ``_BATCHES`` and cast as each block is stored.  The rows are in the
-    narrowest signed type that holds m*(n+1), the largest total degree (m
-    out-edges and all m*n in-edges): int8 up to 127.  Intended for n*m small
-    (distribution tests); memory is that of one block plus the (samples, n)
-    result.  n, m and the variant are checked by ``ProcessParams``,
-    2 * samples * n * m here."""
+    in ``_BATCHES``, which writes each block straight into the result.  The
+    rows are in the narrowest signed type that holds m*(n+1), the largest
+    total degree (m out-edges and all m*n in-edges): int8 up to 127.
+    Intended for n*m small (distribution tests); memory is that of one block
+    plus the (samples, n) result.  n, m and the variant are checked by
+    ``ProcessParams``, 2 * samples * n * m here."""
     ProcessParams(n, m, variant)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
@@ -334,53 +376,55 @@ def batch_total_degrees(
     top = m * (n + 1)
     rows = np.empty((samples, n), dtype=np.min_scalar_type(-top - 1))  # signed, holds top
     for start in range(0, samples, BATCH_BLOCK):
-        block = rows[start : start + BATCH_BLOCK]
-        block[...] = _BATCHES[variant](n, m, len(block), rng)
+        _BATCHES[variant](n, m, rows[start : start + BATCH_BLOCK], rng)
     return rows
 
 
-def _batch_sequential(n, m, samples, rng):
+def _batch_sequential(n, m, out, rng):
+    samples = len(out)
     tgt = sequential_targets(sequential_choices(n * m, samples, rng))
     # count each row's primed targets per block of m, row r's in bins r*n..
     tgt -= 1
     tgt //= m
     tgt += n * np.arange(samples, dtype=tgt.dtype)[:, None]
-    rows = np.bincount(tgt.ravel(), minlength=samples * n).reshape(samples, n)
-    rows += m  # every primed vertex is the source of one edge: out-degree m
-    return rows
+    counts = np.bincount(tgt.ravel(), minlength=samples * n).reshape(samples, n)
+    # every primed vertex is the source of one edge: out-degree m
+    np.add(counts, m, out=out)
 
 
-def _batch_urn(n, m, samples, rng):
+def _batch_urn(n, m, out, rng):
     # The urn draws one column per graph, not each graph's draws in turn as
     # its kernel does.  One draw per block laid out graph after graph, which
     # gives the kernel's graphs, took 36 ms against 25 ms for the (3, 2)
     # batch of 2e5 and peaked at 5.2 MB of heap against 2.4 MB, above the
-    # urn's 3.5 MB in the tests' BATCH_HEAP_BOUNDS (2-core Xeon, numpy 2.4).
-    # The urn keeps two searches: urn_targets bisects the sorted keys of one
-    # large graph, and this path counts, per block boundary, the keys beyond
-    # it, for many tiny graphs.  Both single-path alternatives were slower on
+    # urn's 3.0 MB in the tests' BATCH_HEAP_BOUNDS (2-core Xeon, numpy 2.4).
+    # The urn keeps two searches: urn_targets buckets the keys of one large
+    # graph, and this path counts, per block boundary, the keys beyond it,
+    # for many tiny graphs.  Both single-path alternatives were slower on
     # both shapes (2-core Xeon; one graph at N = 3e5 / the (3, 2) batch of
-    # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms, a
-    # stable per-row merge 65 / 166 ms.  Batched targets plus a count took
-    # 1.56 ms per BATCH_BLOCK rows at N = 6 against 0.30 ms for this count.
+    # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms
+    # for a bisection of the sorted keys / this count, a stable per-row
+    # merge 65 / 166 ms.  Batched targets plus a count took 1.56 ms per
+    # BATCH_BLOCK rows at N = 6 against 0.30 ms for this count.
     big_n = n * m
-    l, a = _urn_draw(big_n, samples, rng)
+    l, a = _urn_draw(big_n, len(out), rng)
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
-    # rows[:, v] counts the keys beyond l_{vm} (all of them for v = 0), less
+    # out[:, v] counts the keys beyond l_{vm} (all of them for v = 0), less
     # those beyond l_{vm+m}; only these n - 1 inner boundaries of l are kept
     l = l[m - 1 : big_n - 1 : m].copy()
-    rows = np.empty((samples, n), dtype=np.int64)
-    rows[:, 0] = big_n
+    out[:, 0] = big_n
     for v, bound in enumerate(l):
-        rows[:, v + 1] = (a > bound).sum(axis=0)
-        rows[:, v] -= rows[:, v + 1]
-    rows += m  # in-degree plus out-degree m
-    return rows
+        out[:, v + 1] = (a > bound).sum(axis=0)
+        out[:, v] -= out[:, v + 1]
+    out += m  # in-degree plus out-degree m
 
 
-# variant -> (n, m, rows, rng) -> int64 total-degree rows of that many graphs,
-# which batch_total_degrees narrows.
+# variant -> (n, m, out, rng) -> None: fill ``out``, a block of
+# batch_total_degrees' narrow rows, with the total degrees of len(out) graphs.
+# Each kernel stores into the block as it reduces, so no int64 rows are held:
+# sequential adds m to its bincount into it, the urn counts its boundaries
+# into its columns and pairing subtracts its block ends into it.
 # Sequential and pairing draw graph after graph: row i is the total degrees
 # of the graph that _KERNELS[variant](n * m, rng) draws i-th from the same
 # stream, which the batch leaves where those draws leave it, so their rows do
@@ -389,9 +433,10 @@ def _batch_urn(n, m, samples, rng):
 # Pairing keeps two reductions (2-core Xeon): per BATCH_BLOCK rows at N = 6, a
 # batched pair_targets plus a count took 2.8 ms against pair_degree_rows' 0.83
 # (the (3, 2) batch of 2e5: 67-89 ms against 53), and sort-based targets of
-# one graph at N = 3e5 took 53 ms against pair_targets' 7.3.
+# one graph at N = 3e5 took 53 ms against pair_targets' 7.3.  A pairing block
+# holds its int64 points and one sorted copy of their right endpoints.
 _BATCHES = {
     "sequential": _batch_sequential,
     "urn": _batch_urn,
-    "pairing": lambda n, m, rows, rng: pair_degree_rows(sample_pairs(n * m, rows, rng), m),
+    "pairing": lambda n, m, out, rng: pair_degree_rows(sample_pairs(n * m, len(out), rng), m, out),
 }

@@ -160,6 +160,12 @@ def test_partner_degree_rows_every_pairing_and_block(big_n):
         assert rows.dtype == np.int8
         assert rows.shape == (len(partner), big_n // m)
         assert (rows == reference_degree_rows(partner, m)).all()
+        # written into a strided view of a wider table, as enumerate does
+        table = np.full((len(pairs), 2 * big_n + big_n // m), -1, dtype=np.int8)
+        view = table[:, 2 * big_n :]
+        assert pair_degree_rows(pairs, m, out=view) is view
+        assert (view == rows).all()
+        assert (table[:, : 2 * big_n] == -1).all()
 
 
 @pytest.mark.parametrize("n, samples", [(1, 4), (3, 500), (10, 200)])

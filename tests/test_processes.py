@@ -224,6 +224,16 @@ def test_draw_stream_hands_long_rows_to_numpy(monkeypatch, big_n):
         same_stream(big_n, 3, draws_from(big_n, 7, spare_half))
 
 
+# tail blocks of 1 and 3 columns, one that ends at a row's end and one
+# longer than the tail: block edges at every position, and none
+@pytest.mark.parametrize("block", [1, 3, 750, 4000])
+def test_draw_stream_tail_in_blocks(monkeypatch, block):
+    monkeypatch.setattr(processes, "DRAW_HANDOFF", 1000)
+    monkeypatch.setattr(processes, "DRAW_TAIL_BLOCK", block)
+    for spare_half in (False, True):
+        same_stream(2500, 2, draws_from(block, 9, spare_half))
+
+
 @pytest.mark.parametrize("bits", [np.random.MT19937, np.random.Philox, np.random.SFC64,
                                   np.random.PCG64DXSM])
 def test_draw_needs_pcg64(bits):
@@ -437,10 +447,11 @@ def test_batch_is_its_kernel_drawn_in_turn(monkeypatch, variant, n, m, samples):
 @pytest.mark.parametrize("variant", ["sequential", "pairing"])
 def test_batch_blocks_are_one_draw(variant):
     # three blocks, the last one ragged: the same rows as one call of the
-    # row kernel, since these two draw row after row
+    # row kernel into an int64 block, since these two draw row after row
     samples = 2 * BATCH_BLOCK + 1234
     rows = batch_total_degrees(variant, 3, 2, samples, replicate_rng(23, 1))
-    whole = _BATCHES[variant](3, 2, samples, replicate_rng(23, 1))
+    whole = np.empty((samples, 3), dtype=np.int64)
+    _BATCHES[variant](3, 2, whole, replicate_rng(23, 1))
     assert rows.dtype == np.int8
     assert np.array_equal(rows, whole)
 
@@ -485,23 +496,27 @@ def test_generate_pairing_heap_peak():
     assert peak < 15.0, peak
 
 
-# Heap peak with a margin over the 9.2 MB that numpy 2.4 gives here (10.0 MB
-# as the first call in a process): the sticks, the keys and their argsort,
-# with one TARGET_CHUNK block of sorted keys and hits.  Searching every key
-# at once, with divisors from an int64 arange, took it to 12.0 MB.
+# Heap peak with a margin over the 8.1 MB that numpy 2.4 gives here (8.8 MB
+# as the first call in a process): the sticks, the keys, the int32 bucket
+# table and one TARGET_CHUNK block of buckets and positions.  A bisection of
+# the keys in argsort order took it to 9.2 MB; searching every key at once,
+# with divisors from an int64 arange, to 12.0 MB.
 def test_generate_urn_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**5, 3, "urn")))
     assert peak < 11.0, peak
 
 
-# tracemalloc peaks at (3, 2, 2e5) are 2.2 (2.9 as the first call in a
-# process), 4.0 and 2.4 MB: the 0.6 MB int8 result and one BATCH_BLOCK of
-# rows.  An int64 result, 4.8 MB, breaks every bound.
-BATCH_HEAP_BOUNDS = {"sequential": 3.5, "pairing": 5.5, "urn": 3.5}
+# tracemalloc peaks at (3, 2, 2e5), after a small batch of the variant has
+# run once, are 2.2, 3.2 and 2.4 MB: the 0.6 MB int8 result and one
+# BATCH_BLOCK of rows.  The first call in a process adds about 0.8 MB.
+# Pairing rows kept as an int64 np.diff of the sorted ends peaked at 4.0 MB;
+# an int64 result, 4.8 MB, breaks every bound.
+BATCH_HEAP_BOUNDS = {"sequential": 3.0, "pairing": 3.5, "urn": 3.0}
 
 
 @pytest.mark.parametrize("variant", sorted(BATCH_HEAP_BOUNDS))
 def test_batch_heap_peak(variant):
+    batch_total_degrees(variant, 3, 2, 1000, replicate_rng(4))
     peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
     assert peak < BATCH_HEAP_BOUNDS[variant], peak
 
