@@ -10,7 +10,6 @@ from collections import Counter
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from lcdgraph.analysis import (
     concentration_experiment,

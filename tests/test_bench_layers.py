@@ -1,0 +1,74 @@
+"""The layer timing tool, driven in-process with stub runs and small inputs."""
+
+import hashlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lcdgraph.oracles import DkQuery, count_ns, prob_dk
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_layers.py"
+_spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
+bench_layers = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_layers)
+REPEATS = bench_layers.REPEATS
+
+
+def stub_runs(seconds: dict, calls: list) -> list:
+    """Two trees' runs: tree t's run of input ``name`` takes seconds[name][t]
+    and is logged to ``calls`` as (t, name)."""
+    def run(tree, name):
+        calls.append((tree, name))
+        return [seconds[name][tree]]
+
+    return [lambda name, tree=tree: run(tree, name) for tree in (0, 1)]
+
+
+def test_compare_pairs_every_run_and_counts_wins():
+    calls = []
+    runs = stub_runs({"a": (1.0, 2.0), "b": (3.0, 2.0)}, calls)
+    facts = [{"a": {"sha256": "x"}, "b": {}}, {"a": {"sha256": "y"}, "b": {}, "only_there": {}}]
+    results = bench_layers.compare(runs, facts)
+    assert calls == [(tree, name) for repeat in range(REPEATS) for name in "ab"
+                     for tree in ((0, 1) if repeat % 2 == 0 else (1, 0))]
+    assert list(results) == ["a", "b"]
+    assert [results[name]["wins"] for name in "ab"] == [REPEATS, 0]
+    assert results["a"]["this"]["sha256"] == "x"
+    assert results["a"]["against"]["sha256"] == "y"
+    assert results["b"]["against"]["median_s"] == 2.0
+    assert all(results[name][side]["repeats"] == REPEATS
+               for name in "ab" for side in ("this", "against"))
+
+
+def test_compare_one_tree_summarises_its_runs():
+    starts = iter([(0.1 * i, i == 3, 1000 + i) for i in range(REPEATS)])
+    results = bench_layers.compare([lambda name: next(starts)], [{"start": {}}])
+    assert results == {"start": {
+        "min_s": 0.0, "q1_s": pytest.approx(0.45), "median_s": 1.0, "q3_s": pytest.approx(1.55),
+        "repeats": REPEATS, "peak_rss_bytes": 1010 * 1024, "numpy_imported": True}}
+
+
+def test_each_warm_oracle_sweep_follows_its_cold_one(tmp_path):
+    names = list(bench_layers.oracle_calls(tmp_path))
+    formulas = list(bench_layers.oracle_cells())
+    assert names == [name for formula in formulas for name in (f"{formula}_cold", formula)]
+
+
+def test_digest_of_an_array_a_file_and_oracle_values(tmp_path):
+    expected = hashlib.sha256(np.array([1, -2, 3], dtype="<i8").tobytes()).hexdigest()
+    assert bench_layers.digest(np.array([1, -2, 3], dtype=np.int8)) == expected
+    path = tmp_path / "rows.txt"
+    path.write_bytes(b"1,2\n3,4\n")
+    assert bench_layers.digest(path) == hashlib.sha256(b"1,2\n3,4\n").hexdigest()
+    values = [count_ns(DkQuery(4, 1, 1)), prob_dk(DkQuery(4, 1, 1))]
+    printed = f"{values[0]}\n{values[1].format()}".encode()
+    assert bench_layers.digest(values) == hashlib.sha256(printed).hexdigest()
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["--against", "{tmp}", "nope"],
+                                  ["--against", "{tmp}", "writer"]])
+def test_main_refuses_before_any_run(argv, tmp_path, capsys):
+    assert bench_layers.main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.count("\n") == 1

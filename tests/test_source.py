@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "lcdgraph"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lcdgraph"
 
 
 def unused_imports(source: str) -> list:
@@ -30,7 +31,10 @@ def test_unused_imports_are_found():
     ]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(SRC.glob("*.py")) + sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("tools/*.py")),
+    ids=lambda p: p.name if p.parent == SRC else p.relative_to(ROOT).as_posix())
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
@@ -121,7 +125,7 @@ def test_method_names_are_found():
 def test_every_top_level_name_is_read():
     # a definition, method or property that no module and no test names is
     # dead code
-    files = sorted(SRC.glob("*.py")) + sorted((SRC.parents[1] / "tests").glob("*.py"))
+    files = sorted(SRC.glob("*.py")) + sorted(ROOT.glob("tests/*.py"))
     read = set().union(*(names_read(p.read_text()) for p in files))
     unread = [
         f"{path.name}:{name}"

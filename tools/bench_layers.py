@@ -1,20 +1,29 @@
 """Time five layers on fixed work and write one ``BENCH_*.json`` for each
 at the repository root.
 
-    python3 tools/bench_layers.py [writer|oracles|kernels|startup|equivalence ...]
-    python3 tools/bench_layers.py --against <tree> [kernels|startup|equivalence ...]
+    python3 tools/bench_layers.py [--against <tree>] [layer ...]
 
-With no layer named every layer runs.  Seeds, sizes and repeat counts are
-fixed, so two checkouts run the same work.  The package is imported from
-this checkout's ``src/``.  Each JSON holds, per input, the min and median
-seconds over the repeats, a sha256 of the output (equal digests mean equal
-output across checkouts) where there is one, and the machine: cores, Python
-and numpy versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE``
-(when it is set, every fresh interpreter compiles ``src/`` again).
+A layer is ``writer``, ``oracles``, ``kernels``, ``startup`` or
+``equivalence``; with none named every layer runs.  Seeds, sizes and
+repeat counts are fixed, so two checkouts run the same work.  One loop
+runs every layer: it makes ``REPEATS`` runs of each input, the inputs
+interleaved so that host load hits each alike.  Each JSON holds, per input, the min, quartiles and
+median seconds of the runs, and the machine: cores, Python and numpy
+versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE`` (when it
+is set, every fresh interpreter compiles ``src/`` again).
+
+The first three layers are served: one child process imports the package
+from the tree's ``src/``, builds the layer's inputs, and then makes one
+timed call of an input per name it is sent.  Each of their inputs records
+the sha256 of its output (equal digests mean equal output across
+checkouts): of an array as little-endian int64, whatever its dtype, of a
+written file's bytes, or of the printed oracle values joined by newlines;
+and ``peak_bytes``, the peak of the heap that ``tracemalloc`` sees (numpy's
+buffers included) over one untimed call.
 
 ``BENCH_writer.json`` times the edge-list text writer,
-``lcdgraph.io.write_rows``, on its three kinds of input, each built once
-before timing:
+``lcdgraph.io.write_rows``, each call writing one input to a fresh file,
+from ``open`` to ``close``:
 
 - ``sequential_1e6``: the (source, target) columns of ``generate`` at
   n = 10^6, m = 1, sequential, master seed 0 (2 * 10^6 values);
@@ -22,19 +31,15 @@ before timing:
 - ``enumerate_7``: every block that ``lcdgraph enumerate --n 7`` writes,
   135,135 int8 rows of 21 columns, in one file.
 
-Each repeat writes one input to a fresh file in a temporary directory,
-timed from ``open`` to ``close``; the digest is of the bytes written.
-
 ``BENCH_oracles.json`` times ``prob_dk``, ``cond_prob_degree`` and
 ``count_ns`` in the exact regime, each over ``ORACLE_CELLS`` random cells
-at every n in ``ORACLE_NS`` (up to 2048, the top of that regime).  A cold
-sweep runs right after ``oracles`` is reloaded, so it starts with empty
-caches; ``cold_min_s`` and ``cold_median_s`` summarise those.  A warm sweep
-repeats the cells in the same process.  The digest is of the printed values.
+at every n in ``ORACLE_NS`` (up to 2048, the top of that regime).  The
+input ``<formula>_cold`` first empties every cache of ``oracles``; the
+input ``<formula>`` comes right after it, so it finds the caches holding
+its own cells.
 
 ``BENCH_kernels.json`` times the construction kernels of
-``lcdgraph.processes``, each from a fresh ``replicate_rng(0)``, in one child
-process that imports the package and makes each call on request:
+``lcdgraph.processes``, each from a fresh ``replicate_rng(0)``:
 
 - ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
   vertices of n = 10^5, m = 3, before the blocks of m are identified;
@@ -52,14 +57,11 @@ process that imports the package and makes each call on request:
   ``generate`` workload: each variant at n = 10^5, m = 3, and sequential
   at n = 10^6, m = 1, master seed 0.
 
-Besides the median, quartiles and min of the seconds, each input records
-``peak_bytes``, the peak of the heap that ``tracemalloc`` sees (numpy's
-buffers included) over one untimed call.  The digest is of the output as
-little-endian int64, whatever its dtype, and for ``generate_write_<shape>``
-of the edge-list bytes written.
-
-``BENCH_startup.json`` times fresh interpreters, each running one command
-of ``STARTUP`` from start to exit, the five commands interleaved:
+The last two layers run fresh interpreters, each running one command from
+start to exit, with the tree's ``src/`` on ``PYTHONPATH``.  Each input
+records ``peak_rss_bytes``, the median of the child's peak resident memory
+at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
+loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
 
 - ``import_parser``: ``import lcdgraph.cli`` and ``build_parser()``, what
   the benchmark's ``setup_s`` times;
@@ -72,35 +74,28 @@ of ``STARTUP`` from start to exit, the five commands interleaved:
 - ``import_analysis``: ``import lcdgraph.analysis``, the sampled
   experiments.
 
-Each records ``peak_rss_bytes``, the median of the child's peak resident
-memory at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
-loaded.
+``BENCH_equivalence.json`` runs the two commands of ``EQUIVALENCE``:
+``lcdgraph experiment equivalence`` at (n, m, samples) = (3, 2, 2 * 10^5)
+and (4, 1, 10^6), whose peak is that of the three batches of degree rows
+and their counts.
 
-``BENCH_equivalence.json`` does the same for the two commands of
-``EQUIVALENCE``, interleaved: ``lcdgraph experiment equivalence`` at
-(n, m, samples) = (3, 2, 2 * 10^5) and (4, 1, 10^6), whose peak is that of
-the three batches of degree rows and their counts.
-
-Both fresh-interpreter files record, per input, the median, quartiles and
-min of the seconds.
-
-With ``--against <tree>``, another checkout of this repository, only
-``kernels`` and the two fresh-interpreter layers run, and each run of this
-checkout is paired with one of ``<tree>`` right before or after it (the two
-alternate which goes first), each in a child that imports the package from
-its own tree's ``src/``: a start is one fresh interpreter, a kernel call one
-call in its tree's kernel child.  Each input then records both trees'
-figures, under ``this`` and ``against``, and ``wins``, the number of pairs
-in which this checkout's run was the faster; the file records each tree's
-commit and whether its tracked files differ from it, read without changing
-any git state.  Two copies of one tree should win about half of the
-``REPEATS`` pairs: a fair coin lands in 6..15 of 21 with probability 0.97.
+With ``--against <tree>``, another checkout of this repository, every
+layer pairs each run of this checkout with one of ``<tree>`` right before
+or after it (the two alternate which goes first), each tree's served calls
+in its own child and each start with its own ``src/``.  Each input then
+records both trees' figures, under ``this`` and ``against``, and ``wins``,
+the number of pairs in which this checkout's run was the faster; the file
+records each tree's commit and whether its tracked files differ from it,
+read without changing any git state.  Two copies of one tree should win
+about half of the ``REPEATS`` pairs: a fair coin lands in 6..15 of 21 with
+probability 0.97.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
@@ -162,16 +157,16 @@ with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 sys.stderr.write(json.dumps(["numpy" in sys.modules, hwm]))
 """
-# A child that serves kernel_calls from the tree whose src/ is argv[1]: that
-# tree's package is imported before this file, whose own src/ then comes too
-# late to shadow it.
-_KERNEL_SERVER = """
+# A child that serves the calls of layer argv[3] from the tree whose src/ is
+# argv[1]: that tree's package is imported before this file, whose own src/
+# then comes too late to shadow it.
+_SERVER = """
 import sys
 sys.path.insert(0, sys.argv[1])
 import lcdgraph
 sys.path.insert(0, sys.argv[2])
 import bench_layers
-bench_layers.serve_kernels()
+bench_layers.serve(sys.argv[3])
 """
 
 
@@ -193,17 +188,28 @@ def enumerate_blocks(n: int, tmp: Path) -> list:
     return calls
 
 
-def time_writes(calls: list, path: Path) -> float:
-    start = time.perf_counter()
+def write_calls(calls: list, path: Path) -> Path:
     with open(path, "wb") as fh:
         for columns, seps in calls:
             write_rows(fh, columns, seps)
-    return time.perf_counter() - start
+    return path
+
+
+def writer_calls(tmp: Path) -> dict:
+    """input name -> a call that writes that input's rows to a file in
+    ``tmp``, returning the path; the rows are built here, once."""
+    inputs = {
+        "sequential_1e6": edge_list(10**6, 1, "sequential"),
+        "urn_1e5x3": edge_list(10**5, 3, "urn"),
+        "enumerate_7": enumerate_blocks(7, tmp),
+    }
+    return {name: functools.partial(write_calls, calls, tmp / f"{name}.txt")
+            for name, calls in inputs.items()}
 
 
 def numba_imports() -> bool:
     try:
-        import numba  # noqa: F401
+        importlib.import_module("numba")
     except ImportError:
         return False
     return True
@@ -241,28 +247,6 @@ def write_report(name: str, layer: str, results: dict, against: Path | None = No
     print(f"wrote {out}")
 
 
-def bench_writer() -> None:
-    results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        inputs = {
-            "sequential_1e6": edge_list(10**6, 1, "sequential"),
-            "urn_1e5x3": edge_list(10**5, 3, "urn"),
-            "enumerate_7": enumerate_blocks(7, Path(tmp)),
-        }
-        times = {name: [] for name in inputs}
-        path = Path(tmp) / "rows.txt"
-        for name, calls in inputs.items():  # warm-up, and the bytes written
-            time_writes(calls, path)
-            data = path.read_bytes()
-            results[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
-        for _ in range(REPEATS):  # inputs interleaved, so host load hits each alike
-            for name, calls in inputs.items():
-                times[name].append(time_writes(calls, path))
-    for name, ts in times.items():
-        results[name].update(min_s=min(ts), median_s=statistics.median(ts), repeats=len(ts))
-    write_report("writer", "io.write_rows", results)
-
-
 def oracle_cells() -> dict:
     """formula -> list of in-domain argument tuples, the same in every run."""
     rng = random.Random(0)
@@ -279,45 +263,28 @@ def oracle_cells() -> dict:
     return cells
 
 
-def oracle_sweep(formula: str, cells: list) -> tuple:
-    """(seconds, values) of one formula over its cells."""
+def oracle_sweep(formula: str, cells: list, cold: bool) -> list:
+    """The values of one formula over its cells; ``cold`` empties every
+    cache of ``oracles`` first."""
+    if cold:
+        for value in vars(oracles).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     call = getattr(oracles, formula)
     if formula != "cond_prob_degree":
         cells = [(oracles.DkQuery(*c),) for c in cells]
-    start = time.perf_counter()
-    values = [call(*c) for c in cells]
-    return time.perf_counter() - start, values
+    return [call(*c) for c in cells]
 
 
-def printed(value) -> bytes:
-    return (str(value) if isinstance(value, int) else value.format()).encode()
-
-
-def bench_oracles() -> None:
-    cells = oracle_cells()
-    cold = {name: [] for name in cells}
-    warm = {name: [] for name in cells}
-    results = {}
-    for _ in range(REPEATS):  # each formula from empty caches
-        for name in cells:
-            importlib.reload(oracles)
-            cold[name].append(oracle_sweep(name, cells[name])[0])
-    for name in cells:  # warm-up, and the values
-        values = oracle_sweep(name, cells[name])[1]
-        digest = hashlib.sha256(b"\n".join(map(printed, values))).hexdigest()
-        results[name] = {"cells": len(values), "sha256": digest}
-    for _ in range(REPEATS):  # formulas interleaved, so host load hits each alike
-        for name in cells:
-            warm[name].append(oracle_sweep(name, cells[name])[0])
-    for name in cells:
-        results[name].update(
-            cold_min_s=min(cold[name]),
-            cold_median_s=statistics.median(cold[name]),
-            min_s=min(warm[name]),
-            median_s=statistics.median(warm[name]),
-            repeats=REPEATS,
-        )
-    write_report("oracles", "oracles", results)
+def oracle_calls(tmp: Path) -> dict:
+    """input name -> one sweep of a formula.  Each ``<formula>`` comes
+    straight after its ``<formula>_cold``, and the loop keeps this order, so
+    the warm sweep finds the caches holding exactly its own cells."""
+    calls = {}
+    for formula, cells in oracle_cells().items():
+        for name, cold in ((f"{formula}_cold", True), (formula, False)):
+            calls[name] = functools.partial(oracle_sweep, formula, cells, cold)
+    return calls
 
 
 def kernel_calls(tmp: Path) -> dict:
@@ -347,6 +314,22 @@ def kernel_calls(tmp: Path) -> dict:
     return calls
 
 
+def printed(value) -> bytes:
+    return (str(value) if isinstance(value, int) else value.format()).encode()
+
+
+def digest(out) -> str:
+    """The sha256 of a call's output: a written file's bytes, printed
+    oracle values joined by newlines, or an array as little-endian int64."""
+    if isinstance(out, Path):
+        data = out.read_bytes()
+    elif isinstance(out, list):
+        data = b"\n".join(map(printed, out))
+    else:
+        data = out.astype("<i8").tobytes()
+    return hashlib.sha256(data).hexdigest()
+
+
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -356,83 +339,68 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-def kernel_outputs(calls: dict) -> dict:
-    """input name -> the digest of one call's output and the heap peak of
-    another; the first call is also the warm-up."""
-    results = {}
-    for name, call in calls.items():
-        out = call()
-        data = out.read_bytes() if isinstance(out, Path) else out.astype("<i8").tobytes()
-        results[name] = {"sha256": hashlib.sha256(data).hexdigest(),
-                         "peak_bytes": traced_peak(call)}
-    return results
-
-
 def timed(call) -> float:
     start = time.perf_counter()
     call()
     return time.perf_counter() - start
 
 
-def serve_kernels() -> None:
-    """Print one JSON line of ``kernel_outputs``, then, for each input name
-    read from stdin, the seconds of one call of it."""
+def serve(layer: str) -> None:
+    """Print one JSON line of each input's digest and heap peak (the first
+    call is also the warm-up), then, for each input name read from stdin,
+    the seconds of one call of it."""
+    sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
     with tempfile.TemporaryDirectory() as tmp:
-        calls = kernel_calls(Path(tmp))
-        print(json.dumps(kernel_outputs(calls)), flush=True)
+        calls = LAYERS[layer][1](Path(tmp))
+        print(json.dumps({name: {"sha256": digest(call()), "peak_bytes": traced_peak(call)}
+                          for name, call in calls.items()}), flush=True)
         for line in sys.stdin:
-            print(json.dumps(timed(calls[line.strip()])), flush=True)
+            print(json.dumps([timed(calls[line.strip()])]), flush=True)
 
 
-def served_kernels(trees: list) -> tuple:
-    """Each tree's ``kernel_outputs`` and, per input, the seconds of its
-    ``REPEATS`` calls.  Each tree's calls run in one child that imports that
-    tree's ``src/``; each call of one tree is paired with one of the next,
-    and the trees take turns to go first."""
-    servers, outputs = [], []
+def ask(server: subprocess.Popen, name: str) -> list:
+    """[seconds] of one call of ``name`` in a served child."""
+    server.stdin.write(name + "\n")
+    server.stdin.flush()
+    return json.loads(server.stdout.readline())
+
+
+@contextlib.contextmanager
+def served(layer: str, trees: list):
+    """Each tree's run of one input in its own serving child, and each
+    tree's digests and heap peaks."""
+    servers, facts = [], []
     try:
         for tree in trees:  # one at a time, so the warm-ups do not overlap
             servers.append(subprocess.Popen(
-                [sys.executable, "-c", _KERNEL_SERVER, str(tree / "src"), str(ROOT / "tools")],
+                [sys.executable, "-c", _SERVER, str(tree / "src"), str(ROOT / "tools"), layer],
                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
-            outputs.append(json.loads(servers[-1].stdout.readline()))
-        names = [name for name in outputs[0] if all(name in out for out in outputs)]
-        times = [{name: [] for name in names} for _ in servers]
-        order = list(range(len(servers)))
-        for repeat in range(REPEATS):  # inputs interleaved, so host load hits each alike
-            for name in names:
-                for tree in order if repeat % 2 == 0 else order[::-1]:
-                    servers[tree].stdin.write(name + "\n")
-                    servers[tree].stdin.flush()
-                    times[tree][name].append(json.loads(servers[tree].stdout.readline()))
+            facts.append(json.loads(servers[-1].stdout.readline()))
+        yield [functools.partial(ask, server) for server in servers], facts
     finally:
         for server in servers:
             server.stdin.close()
             server.wait()
-    return outputs, times
 
 
-def bench_kernels(against: Path | None = None) -> None:
-    outputs, times = served_kernels([ROOT] + ([against] if against else []))
-    summaries = [{name: dict(out[name], **time_summary(ts)) for name, ts in tree_times.items()}
-                 for out, tree_times in zip(outputs, times)]
-    results = summaries[0]
-    if against:
-        results = {name: {"this": summaries[0][name], "against": summaries[1][name],
-                          "wins": sum(a < b for a, b in zip(times[0][name], times[1][name]))}
-                   for name in results}
-    write_report("kernels", "processes._KERNELS, processes.batch_total_degrees, "
-                 "processes.sequential_choices, analysis.replicate_counts, "
-                 "processes.generate + io.write_graph", results, against)
-
-
-def start(code: str, argv: list, env: dict) -> tuple:
-    """(seconds, numpy imported, peak RSS in KiB) of one fresh interpreter."""
+def start(commands: dict, tmp: str, env: dict, name: str) -> tuple:
+    """(seconds, numpy imported, peak RSS in KiB) of one fresh interpreter
+    running command ``name``."""
+    code, argv = commands[name]
     begin = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", code + _STARTUP_TAIL, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code + _STARTUP_TAIL,
+                           *(a.format(tmp=tmp) for a in argv)], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
     seconds = time.perf_counter() - begin
     return (seconds, *json.loads(proc.stderr))
+
+
+@contextlib.contextmanager
+def started(commands: dict, trees: list):
+    """Each tree's fresh start of one command, all in one scratch directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        yield ([functools.partial(start, commands, tmp, tree_env(tree)) for tree in trees],
+               [{name: {} for name in commands} for _ in trees])
 
 
 def tree_env(tree: Path) -> dict:
@@ -455,77 +423,78 @@ def git_state(tree: Path) -> dict:
             "modified": bool(git("status", "--porcelain", "--untracked-files=no"))}
 
 
-def time_summary(seconds) -> dict:
-    """The min, quartiles and median of one input's seconds."""
+def summary(runs: list) -> dict:
+    """The min, quartiles and median of one input's seconds, the first item
+    of each run; a fresh start's run adds its numpy flag and peak RSS."""
+    seconds, *extra = zip(*runs)
     q1, _, q3 = statistics.quantiles(seconds, n=4)
-    return {"min_s": min(seconds), "q1_s": q1, "median_s": statistics.median(seconds),
-            "q3_s": q3, "repeats": len(seconds)}
+    result = {"min_s": min(seconds), "q1_s": q1, "median_s": statistics.median(seconds),
+              "q3_s": q3, "repeats": len(seconds)}
+    if extra:
+        numpy_flags, rss = extra
+        result.update(peak_rss_bytes=statistics.median(rss) * 1024,
+                      numpy_imported=any(numpy_flags))
+    return result
 
 
-def start_summary(runs: list) -> dict:
-    """The seconds, median peak RSS and numpy flag of one command's starts."""
-    seconds, numpy_flags, rss = zip(*runs)
-    return dict(time_summary(seconds), peak_rss_bytes=statistics.median(rss) * 1024,
-                numpy_imported=any(numpy_flags))
+def compare(runs: list, facts: list) -> dict:
+    """input name -> the facts and run summary of each input that every tree
+    has, from ``REPEATS`` runs per tree, or with two trees both trees' and
+    the pairs the first won.  ``runs[tree](name)`` makes one run."""
+    names = [name for name in facts[0] if all(name in f for f in facts)]
+    results = [{name: [] for name in names} for _ in runs]
+    order = list(range(len(runs)))
+    for repeat in range(REPEATS):  # inputs interleaved, so host load hits each alike
+        for name in names:
+            # the trees take turns to go first, so neither always follows the other
+            for tree in order if repeat % 2 == 0 else order[::-1]:
+                results[tree][name].append(runs[tree](name))
+    summaries = [{name: dict(f[name], **summary(rs[name])) for name in names}
+                 for f, rs in zip(facts, results)]
+    if len(runs) == 1:
+        return summaries[0]
+    this, other = results
+    return {name: {"this": summaries[0][name], "against": summaries[1][name],
+                   "wins": sum(a[0] < b[0] for a, b in zip(this[name], other[name]))}
+            for name in names}
 
 
-def fresh_starts(commands: dict, against: Path | None = None) -> dict:
-    """input name -> the summary of ``REPEATS`` fresh interpreters of each
-    command, or with ``against`` of each tree and the pairs this one won."""
-    envs = [tree_env(ROOT)] + ([tree_env(against)] if against else [])
-    order = list(range(len(envs)))
-    runs = {name: [[] for _ in envs] for name in commands}
-    with tempfile.TemporaryDirectory() as tmp:
-        for repeat in range(REPEATS):  # commands interleaved, so host load hits each alike
-            for name, (code, argv) in commands.items():
-                argv = [a.format(tmp=tmp) for a in argv]
-                # the trees take turns to start first, so neither always follows the other
-                for tree in order if repeat % 2 == 0 else order[::-1]:
-                    runs[name][tree].append(start(code, argv, envs[tree]))
-    if against is None:
-        return {name: start_summary(rs) for name, (rs,) in runs.items()}
-    return {name: {"this": start_summary(this), "against": start_summary(other),
-                   "wins": sum(a[0] < b[0] for a, b in zip(this, other))}
-            for name, (this, other) in runs.items()}
+def bench(layer: str, against: Path | None = None) -> None:
+    what, source = LAYERS[layer]
+    trees = [ROOT] + ([against] if against else [])
+    runner = started(source, trees) if isinstance(source, dict) else served(layer, trees)
+    with runner as (runs, facts):
+        write_report(layer, what, compare(runs, facts), against)
 
 
-def bench_startup(against: Path | None = None) -> None:
-    write_report("startup", "fresh interpreters: import lcdgraph.cli, oracle, generate, "
-                 "import lcdgraph.exact, import lcdgraph.analysis",
-                 fresh_starts(STARTUP, against), against)
+# layer -> (what it times, its served calls or its fresh-interpreter commands)
+LAYERS = {
+    "writer": ("io.write_rows", writer_calls),
+    "oracles": ("oracles", oracle_calls),
+    "kernels": ("processes._KERNELS, processes.batch_total_degrees, "
+                "processes.sequential_choices, analysis.replicate_counts, "
+                "processes.generate + io.write_graph", kernel_calls),
+    "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, "
+                "import lcdgraph.exact, import lcdgraph.analysis", STARTUP),
+    "equivalence": ("fresh interpreters: experiment equivalence", EQUIVALENCE),
+}
 
 
-def bench_equivalence(against: Path | None = None) -> None:
-    write_report("equivalence", "fresh interpreters: experiment equivalence",
-                 fresh_starts(EQUIVALENCE, against), against)
-
-
-LAYERS = {"writer": bench_writer, "oracles": bench_oracles, "kernels": bench_kernels,
-          "startup": bench_startup, "equivalence": bench_equivalence}
-AGAINST_LAYERS = ("kernels", "startup", "equivalence")  # the layers that --against compares
-
-
-def main() -> int:
+def main(argv: list | None = None) -> int:
     parser = argparse.ArgumentParser(description="Time layers of lcdgraph on fixed work.")
     parser.add_argument("layers", nargs="*", metavar="layer", help=f"any of {tuple(LAYERS)}")
     parser.add_argument("--against", type=Path, metavar="TREE",
-                        help=f"another checkout to pair with this one's runs, {AGAINST_LAYERS} only")
-    args = parser.parse_args()
-    allowed = AGAINST_LAYERS if args.against else tuple(LAYERS)
-    names = args.layers or allowed
-    unknown = [name for name in names if name not in allowed]
+                        help="another checkout to pair with this one's runs")
+    args = parser.parse_args(argv)
+    unknown = [name for name in args.layers if name not in LAYERS]
     if unknown:
-        print(f"unknown layer {unknown[0]!r}, not one of {allowed}", file=sys.stderr)
+        print(f"unknown layer {unknown[0]!r}, not one of {tuple(LAYERS)}", file=sys.stderr)
         return 2
     if args.against and not (args.against / "src" / "lcdgraph" / "cli.py").is_file():
         print(f"--against {args.against} holds no src/lcdgraph/cli.py", file=sys.stderr)
         return 2
-    sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
-    for name in names:
-        if args.against:
-            LAYERS[name](args.against)
-        else:
-            LAYERS[name]()
+    for name in args.layers or LAYERS:
+        bench(name, args.against)
     return 0
 
 
