@@ -4,7 +4,6 @@ asymptotic-sum surrogates and batch degree-row laws; the exact laws are in ``exa
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,8 @@ def replicate_counts(params: ProcessParams, degree: int, replicates: int, thread
     # one thread runs without a pool: a one-worker pool took 182-244 ms against
     # 120-187 ms for 2,000 replicates at n = 2 (2-core Xeon)
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # with logging, ~5.5 ms to import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(one, range(replicates)))
     return [one(r) for r in range(replicates)]

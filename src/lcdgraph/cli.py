@@ -10,11 +10,11 @@ outputs.  An experiment's report records as its parameters the parsed flags
 other than ``--out`` and ``--threads``, plus any value it derives from them.
 
 Importing this module and building its parser load only ``errors`` and the
-standard library that parsing needs.  A command imports what it runs when
-``main`` starts it: ``oracle`` the ``oracles`` module, every other command
-every module of the package and numpy (``_BINDINGS``); a standard-library
-module that only some commands use is imported inside the function that
-uses it.
+standard library that parsing needs.  A command imports only what it runs:
+each handler and helper first binds the modules whose names it reads
+(``_BINDINGS``), not ``main``, so ``oracle`` loads ``oracles`` alone and
+``generate`` numpy, ``lcd``, ``io`` and ``processes``.  A standard-library
+module that only some commands use is imported inside the function that uses it.
 """
 
 import argparse
@@ -30,10 +30,10 @@ from . import __version__
 from .errors import DomainError
 
 # The names that the command handlers read from the other modules of the
-# package, by module; ``np`` is numpy, as ``io`` imports it.  ``main`` binds
-# a module's names into this module's globals when a command first needs
-# them (``oracle`` binds ``.oracles`` alone, every other command all of
-# them), and so does outside code reading one as ``cli.<name>``.
+# package, by module; ``np`` is numpy, as ``io`` imports it.  Every function
+# here that reads one of these names binds its module's names into this
+# module's globals as its first statement, and so does outside code reading
+# one as ``cli.<name>``; there is no command-wide bind.
 _BINDINGS = {
     ".oracles": {
         "DkQuery",
@@ -152,6 +152,7 @@ def _write_manifest(args, out_path: Path, outputs) -> None:
     """Record the resolved invocation next to its outputs, the seconds since
     ``main`` parsed it, the process's peak resident memory and the Python
     and numpy versions.  ``replay`` compares only the output digests."""
+    _bind((".io",))
     import platform
 
     argv = [args.subcommand]
@@ -179,6 +180,7 @@ def _write_manifest(args, out_path: Path, outputs) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    _bind((".lcd", ".io"))
     blocks = enumerate_pairings(args.n)  # checks n before the file is opened
     out = Path(args.out)
     n = args.n
@@ -199,6 +201,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _bind((".processes", ".io"))
     params = ProcessParams(
         n=args.n, m=args.m, variant=args.variant, master_seed=args.seed
     )
@@ -226,6 +229,7 @@ _ORACLES = {
 
 
 def cmd_oracle(args) -> int:
+    _bind((".oracles",))
     print(_ORACLES[args.formula](args))
     return 0
 
@@ -237,6 +241,7 @@ def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=
     each ``(name, passed, detail)`` verdict.  The report's parameters are
     the parsed flags, None values kept, plus ``extra``; it holds no timing,
     so that a replay with the same seed writes the same bytes."""
+    _bind((".io",))
     out = Path(args.out)
     flags = {k: v for k, v in vars(args).items() if k not in _NOT_FLAGS + ("out", "threads")}
     report = {
@@ -257,6 +262,7 @@ def _finish_experiment(args, aggregates, verdicts, replicates=(), extra_outputs=
 
 
 def _exp_fraction(args) -> int:
+    _bind((".processes", ".oracles", ".analysis"))
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     target = expected_count(args.n, args.m, args.d) / args.n  # checks d before any replicate
     res = empirical_fraction(params, args.d, args.replicates, threads=args.threads)
@@ -272,6 +278,7 @@ def _exp_fraction(args) -> int:
 
 
 def _exp_gamma(args) -> int:
+    _bind((".processes", ".analysis"))
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
     if args.dhi > args.m * args.n:  # no in-degree reaches past the m*n edges
         raise DomainError(f"--dhi must be at most m*n = {args.m * args.n}, got {args.dhi}")
@@ -299,6 +306,7 @@ def _exp_gamma(args) -> int:
 
 
 def _exp_concentration(args) -> int:
+    _bind((".processes", ".analysis"))
     import dataclasses
 
     params = ProcessParams(args.n, args.m, "sequential", args.seed)
@@ -311,6 +319,7 @@ def _exp_concentration(args) -> int:
 
 
 def _exp_sums(args) -> int:
+    _bind((".analysis",))
     s2 = sum_s2_bound(args.n, args.d, args.beta)  # checks d >= 1 before S1 is summed
     s1 = sum_s1(args.n, args.d, args.beta, alpha=args.alpha)
     aggregates = {
@@ -334,6 +343,7 @@ def _exp_sums(args) -> int:
 
 
 def _exp_corollary(args) -> int:
+    _bind((".analysis",))
     parts = args.n_grid.split(",")
     if not all(x.strip().isdecimal() and int(x) >= 1 for x in parts):
         raise DomainError(f"--n-grid must be comma-separated integers >= 1, got {args.n_grid!r}")
@@ -353,6 +363,7 @@ def _exp_corollary(args) -> int:
 
 
 def _exp_region(args) -> int:
+    _bind((".regions", ".io"))
     if args.inequalities:
         lines = Path(args.inequalities).read_text().splitlines()
         result = region_max_alpha(RegionSystem.from_lines(lines))
@@ -377,6 +388,7 @@ def _exp_region(args) -> int:
 
 
 def _exp_equivalence(args) -> int:
+    _bind((".processes", ".analysis", ".exact"))
     # VARIANTS[i] draws from stream i: that index is part of the seed-to-bytes contract
     dists = {
         v: degree_rows_to_distribution(
@@ -543,7 +555,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.started = time.time()
-    _bind((".oracles",) if args.subcommand == "oracle" else _BINDINGS)
     if "seed" in vars(args) and args.seed is None:
         import secrets
 

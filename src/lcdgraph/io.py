@@ -4,7 +4,6 @@ the CSV writer of the experiment tables."""
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 
@@ -50,6 +49,8 @@ def write_json(path: str | Path, obj) -> None:
 def write_csv(path: str | Path, fieldnames, rows) -> None:
     """Write ``rows``, dicts keyed by ``fieldnames``, to ``path`` as CSV
     under a header row; a key a row lacks is an empty cell."""
+    import csv  # only the experiment tables are CSV through this module
+
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()

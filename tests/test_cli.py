@@ -1143,12 +1143,12 @@ import json, sys
 import lcdgraph.cli as cli
 def loaded():
     return sorted(name for name in sys.modules
-                  if name in ("numpy", "dataclasses") or name.partition(".")[0] == "lcdgraph")
+                  if name in ("numpy", "dataclasses", "csv", "concurrent.futures")
+                  or name.partition(".")[0] == "lcdgraph")
 """
 STARTUP_CHECKS = {
     # the parser loads no other module of the package; oracle adds the
-    # oracles alone, import lcdgraph.exact adds exact alone, and generate
-    # binds them all
+    # oracles alone, and import lcdgraph.exact adds exact alone
     "start": """
 cli.build_parser()
 facts = {"parser": loaded()}
@@ -1156,6 +1156,11 @@ cli.main(["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"])
 facts["oracle"] = loaded()
 import lcdgraph.exact
 facts["exact"] = loaded()
+""",
+    # enumerate adds numpy, lcd and io alone, and generate adds processes
+    "commands": """
+cli.main(["enumerate", "--n", "3", "--out", sys.argv[1] + "/p.csv"])
+facts = {"enumerate": loaded()}
 cli.main(["generate", "--n", "2", "--seed", "0", "--out", sys.argv[1] + "/g.csv"])
 from lcdgraph import processes
 facts |= {"generate": loaded(), "bound": cli.generate is processes.generate}
@@ -1201,10 +1206,12 @@ def test_cli_starts_without_the_sampling_layers(tmp_path):
     parser = ["lcdgraph", "lcdgraph.cli", "lcdgraph.errors"]
     oracle = sorted(parser + ["lcdgraph.oracles"])
     assert facts == {"parser": parser, "oracle": oracle,
-                     "exact": sorted(oracle + ["lcdgraph.exact"]), "bound": True,
-                     "generate": sorted(oracle + ["dataclasses", "numpy", "lcdgraph.analysis",
-                                                  "lcdgraph.exact", "lcdgraph.io", "lcdgraph.lcd",
-                                                  "lcdgraph.processes", "lcdgraph.regions"])}
+                     "exact": sorted(oracle + ["lcdgraph.exact"])}
+    # no analysis, regions, exact or oracles, and neither csv nor concurrent.futures
+    enumerate_ = sorted(parser + ["dataclasses", "numpy", "lcdgraph.io", "lcdgraph.lcd"])
+    facts = startup_facts(tmp_path, "commands")
+    assert facts == {"enumerate": enumerate_, "bound": True,
+                     "generate": sorted(enumerate_ + ["lcdgraph.processes"])}
     facts = startup_facts(tmp_path, "wrapper")
     assert facts == {"code": 0, "calls": list(VARIANTS), "kept": True}
     facts = startup_facts(tmp_path, "oracle_wrapper")

@@ -222,3 +222,53 @@ EXACT_START_IMPORTS = {"bisect", "collections", "fractions", "functools", "itert
 @pytest.mark.parametrize("name", ["exact.py", "oracles.py"])
 def test_exact_start_imports_are_allowlisted(name):
     assert start_imports((SRC / name).read_text()) <= EXACT_START_IMPORTS
+
+
+def missing_binds(source: str) -> list:
+    """``function: name`` for each name of a ``_BINDINGS`` table that a
+    top-level function of ``source`` reads, itself or through an entry of a
+    top-level table that it calls (``_ORACLES[...](args)``), unless the
+    function's first statement, after its docstring, is a ``_bind`` of the
+    name's module."""
+    tree = ast.parse(source)
+    tables = {t.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+              for t in node.targets if isinstance(t, ast.Name)}
+    home = {name: module for module, names in ast.literal_eval(tables["_BINDINGS"]).items()
+            for name in names}
+
+    def reads(node) -> set:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+
+    missing = []
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        names = reads(node).union(*(
+            reads(tables[call.func.value.id]) for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Subscript)
+            and isinstance(call.func.value, ast.Name) and call.func.value.id in tables))
+        body = node.body[1:] if ast.get_docstring(node) else node.body
+        first = body[0].value if body and isinstance(body[0], ast.Expr) else None
+        bound = set()
+        if isinstance(first, ast.Call) and getattr(first.func, "id", None) == "_bind":
+            bound = set(ast.literal_eval(first.args[0]))
+        missing += sorted(f"{node.name}: {name}" for name in names
+                          if name in home and home[name] not in bound)
+    return missing
+
+
+def test_missing_binds_are_found():
+    source = ("_BINDINGS = {'.a': {'x'}, '.b': {'y', 'z'}}\n"
+              "T = {'k': lambda: z}\n"
+              "def f():\n    '''Doc.'''\n    _bind(('.a',))\n    return x + y\n"
+              "def g():\n    return T['k']()\n"
+              "def h():\n    return tuple(T)\n"
+              "def i():\n    w = 1\n    _bind(('.a',))\n    return x + w\n")
+    assert missing_binds(source) == ["f: y", "g: z", "i: x"]
+
+
+def test_every_cli_function_binds_what_it_reads():
+    # tests in one process share cli's globals, so a function that reads a
+    # name it does not bind passes whenever an earlier test bound the module
+    assert missing_binds((SRC / "cli.py").read_text()) == []

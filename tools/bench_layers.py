@@ -68,6 +68,7 @@ loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
 - ``oracle_prob_dk``: ``lcdgraph oracle prob-dk --n 100 --k 3 --s 2``;
 - ``generate_n2``: ``lcdgraph generate --n 2 --seed 0``, into a temporary
   directory;
+- ``enumerate_n3``: ``lcdgraph enumerate --n 3``, the same way;
 - ``import_exact``: ``import lcdgraph.exact``, the home of the exact laws
   (in a tree without ``exact.py``, ``import lcdgraph.analysis``, where
   they lived before);
@@ -138,6 +139,7 @@ STARTUP = {
     "import_parser": ("import lcdgraph.cli\nlcdgraph.cli.build_parser()\n", []),
     "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
     "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
+    "enumerate_n3": (_MAIN, ["enumerate", "--n", "3", "--out", "{tmp}/p.csv"]),
     "import_exact": ("try:\n    import lcdgraph.exact\n"
                      "except ModuleNotFoundError:\n    import lcdgraph.analysis\n", []),
     "import_analysis": ("import lcdgraph.analysis\n", []),
@@ -474,7 +476,7 @@ LAYERS = {
     "kernels": ("processes._KERNELS, processes.batch_total_degrees, "
                 "processes.sequential_choices, analysis.replicate_counts, "
                 "processes.generate + io.write_graph", kernel_calls),
-    "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, "
+    "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, enumerate, "
                 "import lcdgraph.exact, import lcdgraph.analysis", STARTUP),
     "equivalence": ("fresh interpreters: experiment equivalence", EQUIVALENCE),
 }
