@@ -131,23 +131,6 @@ def limiting_in_degree_gamma(m: int, d_lo: int, d_hi: int) -> float:
     return float(-sxy / sxx)
 
 
-def hill_exponent(degrees, counts, d_min: int) -> float:
-    """Hill-style maximum-likelihood tail exponent of a histogram of
-    ``degrees`` and their ``counts`` over degrees >= d_min, using the
-    discrete-data continuity correction d_min - 1/2."""
-    if d_min < 1:
-        raise DomainError(f"Hill window [{d_min}, inf) needs d_min >= 1")
-    total = 0
-    log_sum = 0.0
-    for d, c in zip(degrees.tolist(), counts.tolist()):
-        if d >= d_min:
-            total += c
-            log_sum += c * math.log(d / (d_min - 0.5))
-    if total < 5:
-        raise InsufficientDataError(f"only {total} vertices with degree >= {d_min}")
-    return 1.0 + total / log_sum
-
-
 @dataclass
 class ConcentrationResult:
     threshold: float

@@ -54,7 +54,6 @@ _BINDINGS = {
         "degree_histogram",
         "degree_rows_to_distribution",
         "empirical_fraction",
-        "hill_exponent",
         "limiting_in_degree_gamma",
         "power_law_exponent",
         "sum_s1",
@@ -287,13 +286,11 @@ def _exp_gamma(args) -> int:
     degrees, counts = degree_histogram(g)
     fit_in = power_law_exponent(degrees, counts, args.dlo, args.dhi)
     fit_tot = power_law_exponent(degrees + args.m, counts, args.dlo, args.dhi)  # total degree
-    hill = hill_exponent(degrees, counts, args.dlo)
     aggregates = {
         "gamma_in": fit_in.gamma,
         "stderr_in": fit_in.stderr,
         "gamma_total": fit_tot.gamma,
         "stderr_total": fit_tot.stderr,
-        "gamma_hill_in": hill,
         "predicted_gamma_in": predicted,
     }
     return _finish_experiment(args, aggregates, [(
@@ -301,7 +298,7 @@ def _exp_gamma(args) -> int:
         2.8 <= fit_in.gamma <= 3.2,
         f"in-degree fit gamma={fit_in.gamma:.4f} (se {fit_in.stderr:.4f}), "
         f"limiting law over the window {predicted:.4f}; "
-        f"total-degree fit gamma={fit_tot.gamma:.4f}; Hill {hill:.4f}",
+        f"total-degree fit gamma={fit_tot.gamma:.4f}",
     )])
 
 
@@ -464,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     # A flag that several commands take with the same type and default is
     # declared once, in a parent parser that each of them lists; argparse
     # refuses a command that declares it again.
-    n, m, seed, out, threads = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    n, m, seed, out, threads, d = (argparse.ArgumentParser(add_help=False) for _ in range(6))
     n.add_argument("--n", type=integer, required=True, help="vertices of the graph")
     m.add_argument("--m", type=integer, default=1, help="edges sent by each vertex (default 1)")
     seed.add_argument("--seed", type=int, default=None,
@@ -472,6 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", required=True, help="output file path")
     threads.add_argument("--threads", type=int, default=1,
                          help=f"worker threads, 1..{MAX_THREADS} (default 1)")
+    d.add_argument("--d", type=integer, required=True, help="in-degree d (sums: the exponent d)")
     parser = argparse.ArgumentParser(
         prog="lcdgraph",
         description="Preferential-attachment graphs via chord diagrams: "
@@ -500,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a named experiment")
     exp = p.add_subparsers(dest="experiment_name", required=True)
 
-    e = exp.add_parser("fraction", parents=[n, m, seed, out, threads])
-    e.add_argument("--d", type=integer, required=True)
+    e = exp.add_parser("fraction", parents=[n, m, seed, out, threads, d])
     e.add_argument("--replicates", type=integer, default=50)
     e.set_defaults(func=_exp_fraction)
 
@@ -510,13 +507,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--dhi", type=integer, default=50)
     e.set_defaults(func=_exp_gamma)
 
-    e = exp.add_parser("concentration", parents=[n, m, seed, out, threads])
-    e.add_argument("--d", type=integer, required=True)
+    e = exp.add_parser("concentration", parents=[n, m, seed, out, threads, d])
     e.add_argument("--replicates", type=integer, default=200)
     e.set_defaults(func=_exp_concentration)
 
-    e = exp.add_parser("sums", parents=[n, out])
-    e.add_argument("--d", type=integer, required=True)
+    e = exp.add_parser("sums", parents=[n, out, d])
     e.add_argument("--beta", type=finite_float, required=True)
     e.add_argument("--alpha", type=finite_float, default=None)
     e.set_defaults(func=_exp_sums)

@@ -14,7 +14,6 @@ from lcdgraph.analysis import (
     degree_histogram,
     degree_rows_to_distribution,
     empirical_fraction,
-    hill_exponent,
     limiting_in_degree_gamma,
     power_law_exponent,
     replicate_counts,
@@ -114,11 +113,6 @@ def test_power_law_too_few_bins():
         power_law_exponent(np.array([5, 6]), np.array([10, 8]), 5, 50)
 
 
-def test_hill_exponent_on_synthetic():
-    gamma = hill_exponent(*_synthetic_histogram(3.0), 5)
-    assert 2.6 <= gamma <= 3.4
-
-
 def test_limiting_in_degree_gamma_values():
     # the finite-window slope of the exact limiting law, not the asymptotic 3
     assert round(limiting_in_degree_gamma(3, 5, 50), 4) == 2.4303
@@ -163,18 +157,7 @@ def test_fit_windows_must_start_at_degree_1():
     for lo, hi in ((0, 50), (-3, 50), (20, 10)):
         with pytest.raises(DomainError, match=rf"\[{lo}, {hi}\]"):
             power_law_exponent(*h, lo, hi)
-    for d_min in (0, -1):
-        with pytest.raises(DomainError, match=rf"\[{d_min}, inf\)"):
-            hill_exponent(*h, d_min)
     assert power_law_exponent(np.arange(1, 6), np.full(5, 10), 1, 5).gamma == pytest.approx(0.0)
-    assert hill_exponent(np.array([1, 2]), np.array([4, 1]), 1) > 1.0
-
-
-def test_hill_exponent_needs_5_tail_vertices():
-    # 4 vertices at degree 3 or more: too few for a tail estimate
-    with pytest.raises(InsufficientDataError, match="only 4 vertices with degree >= 3"):
-        hill_exponent(np.array([1, 3, 7]), np.array([50, 3, 1]), 3)
-    assert hill_exponent(np.array([1, 3, 7]), np.array([50, 4, 1]), 3) > 1.0
 
 
 def test_concentration_degenerate_n1():

@@ -524,8 +524,11 @@ def test_experiment_sums_term_cap_exits_before_allocating(capsys, tmp_path):
     (("gamma", "--n", "3000", "--dlo", "-1", "--seed", "3"), (cli, "generate"), "[-1, 50]"),
     (("gamma", "--n", "3000", "--dlo", "1", "--dhi", "3", "--seed", "3"), (cli, "generate"),
      "only 3 nonzero bins"),
+    (("gamma", "--n", "3000", "--dlo", "10", "--dhi", "12", "--seed", "3"), (cli, "generate"),
+     "only 3 nonzero bins in [10, 12]"),
 ], ids=["concentration-d-negative", "sums-d-0", "gamma-dhi-past-mn", "gamma-dhi-int64-max",
-        "gamma-window-reversed", "gamma-dlo-0", "gamma-dlo-negative", "gamma-window-3-bins"])
+        "gamma-window-reversed", "gamma-dlo-0", "gamma-dlo-negative", "gamma-window-3-bins",
+        "gamma-window-3-bins-past-1"])
 def test_degree_outside_its_range_exits_2_before_any_work(capsys, tmp_path, monkeypatch,
                                                           argv, stub, named):
     # an in-degree lies in [0, m*n], S2's degree is at least 1 and a fit
@@ -885,6 +888,11 @@ def test_experiment_failed_verdict_nonzero_exit(capsys, tmp_path):
     assert "limiting law over the window 2.4303" in stdout
     payload = json.loads(out.read_text())
     assert round(payload["aggregates"]["predicted_gamma_in"], 4) == 2.4303
+    # the report holds the two log-log fits and the law's slope, and no other estimate
+    assert set(payload["aggregates"]) == {"gamma_in", "stderr_in", "gamma_total",
+                                          "stderr_total", "predicted_gamma_in"}
+    verdict = next(line for line in stdout.splitlines() if "gamma_in_band" in line)
+    assert "Hill" not in verdict
 
 
 def test_corollary_rejects_zero_replicates(capsys, tmp_path):
