@@ -35,16 +35,9 @@ from .lcd import LcdGraph, pair_degree_rows, pair_targets, sample_pairs
 # id: edge targets are int32 from each kernel to LcdGraph and the writer.
 # It also bounds a batch's (samples, n) result, held in the narrowest type
 # that holds m*(n+1): at most 25 MB in int8 (m = 1, n <= 126) and 100 MB in
-# int32 (m = 1, n >= 32767), where int64 rows took up to 200 MB.
+# int32 (m = 1, n >= 32767), where int64 rows took up to 200 MB; the rest of
+# a batch's heap is one block of TARGET_CHUNK primed entries.
 POINT_CAP = 50_000_000
-
-# Rows of a batch that are sampled and reduced at a time; the urn's batch
-# rows depend on it (tests' BATCH_DIGESTS).  The (3, 2, 2e5) batches at
-# 2^12 .. 2^16, medians of 31 interleaved runs (2-core Xeon, numpy 2.4):
-# sequential 36, 34, 32, 31, 32 ms; urn 32, 30, 31, 31, 32 ms; pairing 64,
-# 63, 63, 64, 79 ms.  The block's heap, beside the result, grows with it:
-# 1.6 MB sequential and 3.4 MB pairing at 2^14, 6.3 and 13 MB at 2^16.
-BATCH_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -206,11 +199,13 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
     bits.state = state
 
 
-# Entries that sequential_targets resolves at a time, and urn_targets' block
-# of boundaries and of keys.
+# Entries that sequential_targets resolves at a time, urn_targets' block of
+# boundaries and of keys, and the primed entries of a batch_total_degrees
+# block, max(1, TARGET_CHUNK // (n*m)) graphs, so that a block of small
+# graphs is resolved as one chunk.
 # Resolving, 2^13 .. 2^17, medians of 31 interleaved runs (2-core Xeon, numpy
 # 2.4): N = 1e6 12.4, 11.5, 11.4, 12.1, 12.9 ms (26.3 unblocked); N = 3e5 3.5,
-# 3.3, 3.5, 3.8, 4.4 ms; 2^14 rows of N = 6 1.55, 1.35, 1.23, 1.22, 1.15 ms.
+# 3.3, 3.5, 3.8, 4.4 ms.
 TARGET_CHUNK = 1 << 15
 
 
@@ -260,22 +255,30 @@ def _urn_draw(big_n: int, samples: int, rng: np.random.Generator):
     """The cumulative stick lengths ``l`` of ``samples`` independent urns on
     big_n primed vertices, one column per urn, then their keys ``a``.
 
-    psi_k ~ Beta(1, 2k-2) is drawn by inversion,
+    Each urn draws its N-1 stick uniforms, then its N keys' uniforms, urn
+    after urn.  psi_k ~ Beta(1, 2k-2) is drawn by inversion,
     1 - psi_k = V**(1/(2k-2)) with V uniform on (0, 1].  ``l`` is a product
     of factors in (0, 1], so it is non-decreasing in k even after rounding,
     and its last row is exactly 1.  Primed vertex k's key is uniform on [0, l_k].
     """
-    b = np.arange(2.0, 2.0 * big_n, 2.0)[:, None]
-    f = rng.random((big_n - 1, samples))  # V, then 1 - psi_k, in place
+    if samples == 1:  # two calls, so that its keys are not held while its sticks are built
+        f = rng.random((big_n - 1, 1))  # V, then 1 - psi_k, in place
+    else:  # one call, transposed once
+        u = rng.random((samples, 2 * big_n - 1)).T.copy()
+        f = u[: big_n - 1]
     np.negative(f, out=f)
     np.log1p(f, out=f)
-    f /= b
+    f /= np.arange(2.0, 2.0 * big_n, 2.0)[:, None]
     np.exp(f, out=f)
-    del b
-    l = np.ones((big_n, samples), dtype=np.float64)
-    np.cumprod(f[::-1], axis=0, out=l[:-1][::-1])  # l_k = prod_{j>k} (1 - psi_j)
-    del f
-    a = rng.random((big_n, samples))
+    l = np.ones((big_n, samples), dtype=np.float64)  # l_k = prod_{j>k} (1 - psi_j)
+    if samples == 1:
+        np.cumprod(f[::-1], axis=0, out=l[:-1][::-1])
+        del f
+        a = rng.random((big_n, 1))
+    else:  # the same products a row at a time: cumprod steps down each column
+        for k in range(big_n - 2, -1, -1):
+            np.multiply(l[k + 1], f[k], out=l[k])
+        a = u[big_n - 1 :]
     a *= l
     return l, a
 
@@ -361,22 +364,24 @@ def generate(params: ProcessParams, replicate: int = 0) -> LcdGraph:
 def batch_total_degrees(
     variant: str, n: int, m: int, samples: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Total-degree sequences of many independent small graphs, one row per
-    sample, drawn ``BATCH_BLOCK`` rows at a time by the variant's row kernel
-    in ``_BATCHES``, which writes each block straight into the result.  The
-    rows are in the narrowest signed type that holds m*(n+1), the largest
-    total degree (m out-edges and all m*n in-edges): int8 up to 127.
-    Intended for n*m small (distribution tests); memory is that of one block
-    plus the (samples, n) result.  n, m and the variant are checked by
-    ``ProcessParams``, 2 * samples * n * m here."""
+    """Total-degree rows of ``samples`` graphs: row i is the total degrees
+    of the graph that ``_KERNELS[variant]`` draws i-th from the same stream,
+    which is left where those draws leave it.  The row kernel in
+    ``_BATCHES`` draws and reduces one block of TARGET_CHUNK // (n*m) graphs
+    (at least one) at a time into the result, so a batch holds one block
+    beside its (samples, n) result.  The rows are in the narrowest signed
+    type that holds m*(n+1), the largest total degree: int8 up to 127.
+    n, m and the variant are checked by ``ProcessParams``, 2 * samples * n *
+    m here."""
     ProcessParams(n, m, variant)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     _check_points(n, m, samples)
     top = m * (n + 1)
     rows = np.empty((samples, n), dtype=np.min_scalar_type(-top - 1))  # signed, holds top
-    for start in range(0, samples, BATCH_BLOCK):
-        _BATCHES[variant](n, m, rows[start : start + BATCH_BLOCK], rng)
+    per = max(1, TARGET_CHUNK // (n * m))
+    for start in range(0, samples, per):
+        _BATCHES[variant](n, m, rows[start : start + per], rng)
     return rows
 
 
@@ -393,48 +398,40 @@ def _batch_sequential(n, m, out, rng):
 
 
 def _batch_urn(n, m, out, rng):
-    # The urn draws one column per graph, not each graph's draws in turn as
-    # its kernel does.  One draw per block laid out graph after graph, which
-    # gives the kernel's graphs, took 36 ms against 25 ms for the (3, 2)
-    # batch of 2e5 and peaked at 5.2 MB of heap against 2.4 MB, above the
-    # urn's 3.0 MB in the tests' BATCH_HEAP_BOUNDS (2-core Xeon, numpy 2.4).
-    # The urn keeps two searches: urn_targets buckets the keys of one large
-    # graph, and this path counts, per block boundary, the keys beyond it,
-    # for many tiny graphs.  Both single-path alternatives were slower on
-    # both shapes (2-core Xeon; one graph at N = 3e5 / the (3, 2) batch of
-    # 2e5): a batched binary search took 190 / 118 ms against 33 / 31 ms
-    # for a bisection of the sorted keys / this count, a stable per-row
-    # merge 65 / 166 ms.  Batched targets plus a count took 1.56 ms per
-    # BATCH_BLOCK rows at N = 6 against 0.30 ms for this count.
-    big_n = n * m
-    l, a = _urn_draw(big_n, len(out), rng)
+    # Two searches: urn_targets buckets the keys of one large graph; this
+    # counts, per block boundary, the keys beyond it (2-core Xeon, one graph
+    # at N = 3e5 / the (3, 2) batch of 2e5): a batched binary search took
+    # 190 / 118 ms against 33 / 31 ms for a bisection of the sorted keys /
+    # this count, a stable per-row merge 65 / 166 ms.
+    big_n, rows = n * m, len(out)
+    l, a = _urn_draw(big_n, rows, rng)
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which
     # lies in block v (primed vm+1..vm+m, v from 0) iff l_{vm} < a_k <= l_{vm+m};
-    # out[:, v] counts the keys beyond l_{vm} (all of them for v = 0), less
-    # those beyond l_{vm+m}; only these n - 1 inner boundaries of l are kept
-    l = l[m - 1 : big_n - 1 : m].copy()
-    out[:, 0] = big_n
-    for v, bound in enumerate(l):
-        out[:, v + 1] = (a > bound).sum(axis=0)
-        out[:, v] -= out[:, v + 1]
+    # so out[:, v] is beyond[v] - beyond[v + 1], where beyond[v] counts the
+    # keys beyond l_{vm} (all N for v = 0, none for v = n).  A key never
+    # exceeds its own stick, so only those of primed vertices above vm can.
+    beyond = np.zeros((n + 1, rows), dtype=out.dtype)
+    beyond[0] = big_n
+    # Boundaries are compared in groups of up to 1024 columns (boundaries
+    # times graphs), with a mask of at most 16 TARGET_CHUNKs: (2000, 1, 160)
+    # took 452 against 802 ms one boundary a call, (200, 1, 3000) 64.5
+    # against 68.9 ms, (30, 1, 2e4) 14.4 against 14.3 ms (medians of 5-9).
+    group = max(1, min(1024, 16 * TARGET_CHUNK // big_n) // rows)
+    for v in range(1, n, group):
+        w = min(v + group, n)
+        np.sum(a[v * m :, None] > l[v * m - 1 : w * m - 1 : m], axis=0, out=beyond[v:w])
+    np.subtract(beyond[:-1], beyond[1:], out=out.T)
     out += m  # in-degree plus out-degree m
 
 
 # variant -> (n, m, out, rng) -> None: fill ``out``, a block of
-# batch_total_degrees' narrow rows, with the total degrees of len(out) graphs.
-# Each kernel stores into the block as it reduces, so no int64 rows are held:
-# sequential adds m to its bincount into it, the urn counts its boundaries
-# into its columns and pairing subtracts its block ends into it.
-# Sequential and pairing draw graph after graph: row i is the total degrees
-# of the graph that _KERNELS[variant](n * m, rng) draws i-th from the same
-# stream, which the batch leaves where those draws leave it, so their rows do
-# not depend on BATCH_BLOCK.  The urn draws one column per graph across a
-# block (see _batch_urn), so its rows do, and they are not its kernel's.
-# Pairing keeps two reductions (2-core Xeon): per BATCH_BLOCK rows at N = 6, a
+# batch_total_degrees' narrow rows, with the total degrees of the len(out)
+# graphs that _KERNELS[variant](n * m, rng) draws in turn.  Each kernel
+# stores into the block as it reduces, so no int64 rows are held.
+# Pairing keeps two reductions (2-core Xeon): per 2^14 graphs at N = 6, a
 # batched pair_targets plus a count took 2.8 ms against pair_degree_rows' 0.83
 # (the (3, 2) batch of 2e5: 67-89 ms against 53), and sort-based targets of
-# one graph at N = 3e5 took 53 ms against pair_targets' 7.3.  A pairing block
-# holds its int64 points and one sorted copy of their right endpoints.
+# one graph at N = 3e5 took 53 ms against pair_targets' 7.3.
 _BATCHES = {
     "sequential": _batch_sequential,
     "urn": _batch_urn,

@@ -11,7 +11,6 @@ from lcdgraph import processes
 from lcdgraph.errors import CapacityError, DomainError
 from lcdgraph.lcd import LcdGraph
 from lcdgraph.processes import (
-    BATCH_BLOCK,
     DRAW_CHUNK,
     POINT_CAP,
     TARGET_CHUNK,
@@ -401,12 +400,12 @@ def test_negative_seed_or_replicate_rejected():
 
 
 # sha256 of the rows of batch_total_degrees(variant, n, m, samples,
-# replicate_rng(17, 10 * n + m)), widened to little-endian int64, recorded
-# before the pairing rows came from right-endpoint gaps, the sequential
-# pointer setup lost its np.where and the rows were narrowed to int8: the
-# seed-to-bytes contract of the batch path.  The urn draws one column per
-# graph, so its rows above BATCH_BLOCK samples depend on the block size; the
-# (3, 2, 20000) case pins them.
+# replicate_rng(17, 10 * n + m)), widened to little-endian int64: the
+# seed-to-bytes contract of the batch path.  Sequential and pairing were
+# recorded before their rows came from right-endpoint gaps, the sequential
+# pointer setup lost its np.where and the rows were narrowed to int8; the urn
+# when its rows became its kernel's graphs, drawn in turn.  No variant's rows
+# depend on the block size; the (3, 2, 20000) case spans several blocks.
 BATCH_DIGESTS = {
     ("sequential", 3, 2, 2000): "ce17acb93ea9db3e3f4f849147c059d0be6db0cc9b7f5bb753a820881d6ef153",
     ("sequential", 4, 1, 1500): "df6b728570827947ad50122fad919688f712c327987168766d2c23b6e304f332",
@@ -414,10 +413,10 @@ BATCH_DIGESTS = {
     ("pairing", 3, 2, 2000): "ab89e8f2aed1f7fcf7d75b034f246cd089ba401cd5d943b2cd640ae6b228813d",
     ("pairing", 4, 1, 1500): "713628b1bcba326dbcb5cde374542bc9af2dcb215bf7a013e3323fcd1e783640",
     ("pairing", 2, 3, 1000): "e1c8c97ce473e20aa62ca4efddf17e2850c68a0cae2381a72ca8d87d0134b82c",
-    ("urn", 3, 2, 2000): "32f7f5666128ab2d31833328258ce254ed1512920ad94da097c85d4b6caafd45",
-    ("urn", 4, 1, 1500): "1b800b703f80180b2d6ee4756eec6f3fe5c2368ae724eef5059e0d5c2443a01c",
-    ("urn", 2, 3, 1000): "cb8e77ee8ee3b4cb57e60a168eb394fe9500cf40821c094d72c22675ddfee5d6",
-    ("urn", 3, 2, 20000): "b2b0be3d7e078c139aba6dc69f9c0cde4b36447ed6e5def7e9d6024e6c451358",
+    ("urn", 3, 2, 2000): "a560e4458dc172253b0c14583b717001cec2b401f5b8bcac429901e8060293fd",
+    ("urn", 4, 1, 1500): "bf67f7b2f02206c8b9dadd4c5da5e51cf766f7f06e2f2a0f914f85321101d8b8",
+    ("urn", 2, 3, 1000): "9fdf18c3b19ea207b3c240a03d8680d1c6f9dd0814de9454a9baaddd099f5ff6",
+    ("urn", 3, 2, 20000): "108fef4553b6aa5ca86935e78181d27a79e689b4572b893b4eaf0bec20ee2892",
 }
 
 
@@ -429,13 +428,13 @@ def test_batch_rows_keep_their_bytes(variant, n, m, samples):
     assert digest == BATCH_DIGESTS[variant, n, m, samples]
 
 
-@pytest.mark.parametrize("variant", ["sequential", "pairing"])
+@pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n, m, samples", [(3, 2, 300), (4, 1, 200), (2, 3, 100), (30, 1, 50)])
 def test_batch_is_its_kernel_drawn_in_turn(monkeypatch, variant, n, m, samples):
     # row i is the total degrees of the graph that the variant's kernel draws
-    # i-th from the same stream, in blocks of 16 with a ragged last one; the batch
-    # leaves the stream where the kernel draws leave it
-    monkeypatch.setattr(processes, "BATCH_BLOCK", 16)
+    # i-th from the same stream, in blocks of 100 // (n*m) graphs with a ragged
+    # last one; the batch leaves the stream where the kernel draws leave it
+    monkeypatch.setattr(processes, "TARGET_CHUNK", 100)
     batch_rng, kernel_rng = replicate_rng(29, n), replicate_rng(29, n)
     rows = batch_total_degrees(variant, n, m, samples, batch_rng)
     drawn = [LcdGraph(n, m, (_KERNELS[variant](n * m, kernel_rng) - 1) // m + 1).total_degrees
@@ -444,11 +443,11 @@ def test_batch_is_its_kernel_drawn_in_turn(monkeypatch, variant, n, m, samples):
     assert batch_rng.bit_generator.state == kernel_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("variant", ["sequential", "pairing"])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_blocks_are_one_draw(variant):
-    # three blocks, the last one ragged: the same rows as one call of the
-    # row kernel into an int64 block, since these two draw row after row
-    samples = 2 * BATCH_BLOCK + 1234
+    # three blocks of TARGET_CHUNK // 6 graphs, the last one ragged: the same
+    # rows as one call of the row kernel into an int64 block
+    samples = 2 * (TARGET_CHUNK // 6) + 1234
     rows = batch_total_degrees(variant, 3, 2, samples, replicate_rng(23, 1))
     whole = np.empty((samples, 3), dtype=np.int64)
     _BATCHES[variant](3, 2, whole, replicate_rng(23, 1))
@@ -507,11 +506,11 @@ def test_generate_urn_heap_peak():
 
 
 # tracemalloc peaks at (3, 2, 2e5), after a small batch of the variant has
-# run once, are 2.2, 3.2 and 2.4 MB: the 0.6 MB int8 result and one
-# BATCH_BLOCK of rows.  The first call in a process adds about 0.8 MB.
-# Pairing rows kept as an int64 np.diff of the sorted ends peaked at 4.0 MB;
+# run once, are 1.1, 1.6 and 1.6 MB: the 0.6 MB int8 result and one block of
+# TARGET_CHUNK primed entries.  Blocks of 2^14 graphs peaked at 2.2, 3.2 and
+# 2.4 MB, pairing rows kept as an int64 np.diff of the sorted ends at 4.0 MB;
 # an int64 result, 4.8 MB, breaks every bound.
-BATCH_HEAP_BOUNDS = {"sequential": 3.0, "pairing": 3.5, "urn": 3.0}
+BATCH_HEAP_BOUNDS = {"sequential": 1.5, "pairing": 2.0, "urn": 2.0}
 
 
 @pytest.mark.parametrize("variant", sorted(BATCH_HEAP_BOUNDS))
@@ -519,6 +518,15 @@ def test_batch_heap_peak(variant):
     batch_total_degrees(variant, 3, 2, 1000, replicate_rng(4))
     peak = traced_peak_mb(lambda: batch_total_degrees(variant, 3, 2, 200_000, replicate_rng(4)))
     assert peak < BATCH_HEAP_BOUNDS[variant], peak
+
+
+# At (200, 1, 5000) the int16 result is 2.0 MB and a block of 163 graphs adds
+# about 1 MB: 2.7 (3.4 as the first call in a process), 3.0 and 3.1 MB.  With
+# all 5000 graphs in one block of 2^14 the peaks were 22.0, 26.2 and 26.0 MB.
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_heap_peak_at_n_200(variant):
+    peak = traced_peak_mb(lambda: batch_total_degrees(variant, 200, 1, 5000, replicate_rng(4)))
+    assert peak < 4.0, peak
 
 
 def test_batch_handshake_all_variants():

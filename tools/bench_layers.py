@@ -44,10 +44,11 @@ its own cells.
 - ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
   vertices of n = 10^5, m = 3, before the blocks of m are identified;
 - ``sequential_1e6``: the sequential kernel at n = 10^6, m = 1;
-- ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``;
+- ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``,
+  and ``batch_<variant>_200x2e4`` the same at (200, 1, 2 * 10^4);
 - ``draw_<N>``: the sequential choices alone, ``sequential_choices(N, 1)``
   for N = 2, 2 * 10^4, 10^6 and 10^7 (past ``DRAW_HANDOFF``), and
-  ``draw_6x16384`` for 2^14 rows of N = 6, the shape of a batch block;
+  ``draw_6x5461`` for 5,461 rows of N = 6, the shape of a (3, 2) batch block;
 - ``replicates_t<k>``: ``replicate_counts`` of in-degree 1 over 100
   sequential graphs of n = 2 * 10^4, m = 1, on k = 1 and 2 threads, as the
   ``experiment fraction`` and ``concentration`` loops run them;
@@ -297,10 +298,11 @@ def kernel_calls(tmp: Path) -> dict:
         calls[f"{variant}_1e5x3"] = lambda kernel=kernel: kernel(3 * 10**5, replicate_rng(0))
     calls["sequential_1e6"] = lambda: _KERNELS["sequential"](10**6, replicate_rng(0))
     for variant in _KERNELS:
-        calls[f"batch_{variant}"] = lambda variant=variant: batch_total_degrees(
-            variant, 3, 2, 200_000, replicate_rng(0))
+        for name, n, m, samples in (("", 3, 2, 200_000), ("_200x2e4", 200, 1, 20_000)):
+            calls[f"batch_{variant}{name}"] = lambda v=variant, n=n, m=m, s=samples: (
+                batch_total_degrees(v, n, m, s, replicate_rng(0)))
     for name, big_n, samples in (("2", 2, 1), ("2e4", 20_000, 1), ("1e6", 10**6, 1),
-                                 ("1e7", 10**7, 1), ("6x16384", 6, 1 << 14)):
+                                 ("1e7", 10**7, 1), ("6x5461", 6, 5461)):
         calls[f"draw_{name}"] = lambda big_n=big_n, samples=samples: sequential_choices(
             big_n, samples, replicate_rng(0))
     for name, n, replicates in (("", 20_000, 100), ("1e6_", 10**6, 8)):
