@@ -66,7 +66,7 @@ _BINDINGS = {
                    "replicate_rng"},
 }
 
-MAX_THREADS = 64  # --threads above this is refused: each worker is an OS thread
+MAX_THREADS = 64  # --threads above this is refused: each thread past the caller is an OS thread
 INT_FLAG_MAX = 2**63 - 1  # an int flag above this is refused: it may overflow a float
 # parsed values that are not flags: the command path, its handler, its start time
 _NOT_FLAGS = ("subcommand", "experiment_name", "func", "started")
@@ -468,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="master seed; drawn from entropy when omitted")
     out.add_argument("--out", required=True, help="output file path")
     threads.add_argument("--threads", type=int, default=1,
-                         help=f"worker threads, 1..{MAX_THREADS} (default 1)")
+                         help=f"threads drawing replicates, the calling one included, "
+                              f"1..{MAX_THREADS} (default 1)")
     d.add_argument("--d", type=integer, required=True, help="in-degree d (sums: the exponent d)")
     parser = argparse.ArgumentParser(
         prog="lcdgraph",
@@ -556,7 +557,7 @@ def main(argv=None) -> int:
         args.seed = secrets.randbits(63)
     try:
         threads = getattr(args, "threads", 1)
-        if not 1 <= threads <= MAX_THREADS:  # before any worker pool exists
+        if not 1 <= threads <= MAX_THREADS:  # before any thread is started
             raise DomainError(f"--threads must be an integer in 1..{MAX_THREADS}, got {threads}")
         if args.subcommand == "experiment" and Path(args.out).suffix == ".csv":
             raise DomainError(f"--out {args.out} ends in .csv, the name of the report's CSV; "

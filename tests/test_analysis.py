@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -77,18 +80,64 @@ def test_empirical_fraction_validation():
         empirical_fraction(params, 2, replicates=1)
 
 
-def test_empirical_fraction_threaded_matches_serial():
+def counted_starts(monkeypatch) -> list:
+    """The threads started from now on, each still started for real."""
+    started, start = [], threading.Thread.start
+
+    def counting(self):
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return started
+
+
+def test_empirical_fraction_threaded_matches_serial(monkeypatch):
     params = ProcessParams(2000, 1, "sequential", 9)
+    started = counted_starts(monkeypatch)
     serial = empirical_fraction(params, 2, replicates=8, threads=1)
+    assert len(started) == 0  # one thread is the caller alone
     threaded = empirical_fraction(params, 2, replicates=8, threads=4)
+    assert len(started) == 3  # the caller draws beside three started threads
     assert serial.fractions == threaded.fractions  # replicate streams are keyed
+    # no more threads than replicates: the caller and two started ones
+    capped = empirical_fraction(params, 2, replicates=3, threads=64)
+    assert len(started) == 5
+    assert capped.fractions == serial.fractions[:3]
+    # many short replicates, more threads than cores and a short switch
+    # interval: a count lost or written at another replicate's index shows
+    tiny = ProcessParams(2, 1, "sequential", 9)
+    tiny_serial = replicate_counts(tiny, 1, 2000, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert replicate_counts(tiny, 1, 2000, threads=8) == tiny_serial
+    finally:
+        sys.setswitchinterval(interval)
 
 
-def test_replicate_counts_threaded_matches_serial_with_rejections():
+def test_replicate_counts_threaded_matches_serial_with_rejections(monkeypatch):
     # at n = 3e5 each replicate's draw rejects about ten 32-bit words, so
     # each thread carries its own generator through rejections and spare halves
     params = ProcessParams(3 * 10**5, 1, "sequential", 3)
-    assert replicate_counts(params, 1, 4, threads=2) == replicate_counts(params, 1, 4, threads=1)
+    serial = replicate_counts(params, 1, 4, threads=1)
+    started = counted_starts(monkeypatch)
+    assert replicate_counts(params, 1, 4, threads=2) == serial
+    assert len(started) == 1
+
+    def failing(p, r):
+        if r == 1:
+            raise RuntimeError("replicate 1 failed")
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.05)  # a started thread is still drawing when the caller stops
+        return generate(p, r)
+
+    monkeypatch.setattr(analysis, "generate", failing)
+    before = threading.active_count()
+    for threads in (1, 3):  # the error is raised once every started thread is joined
+        with pytest.raises(RuntimeError, match="replicate 1 failed"):
+            replicate_counts(ProcessParams(200, 1, "sequential", 3), 1, 6, threads)
+        assert threading.active_count() == before
 
 
 def _synthetic_histogram(gamma: float, c: float = 10**9) -> tuple:

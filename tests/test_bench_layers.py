@@ -50,6 +50,11 @@ def test_compare_one_tree_summarises_its_runs():
         "repeats": REPEATS, "peak_rss_bytes": 1010 * 1024, "numpy_imported": True}}
 
 
+def test_every_fresh_start_is_documented():
+    doc = bench_layers.__doc__
+    assert [name for name in bench_layers.STARTUP if f"- ``{name}``:" not in doc] == []
+
+
 def test_each_warm_oracle_sweep_follows_its_cold_one(tmp_path):
     names = list(bench_layers.oracle_calls(tmp_path))
     formulas = list(bench_layers.oracle_cells())

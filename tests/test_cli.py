@@ -1197,6 +1197,13 @@ cli.prob_dk = wrapper
 codes = [cli.main(["oracle", "prob-dk", "--n", str(n), "--k", "1", "--s", "1"]) for n in (2, 3)]
 facts = {"codes": codes, "calls": calls, "kept": cli.prob_dk is wrapper}
 """,
+    # a replicate experiment on two threads loads no thread pool, nor the logging it imports
+    "threads": """
+code = cli.main(["experiment", "fraction", "--n", "200", "--d", "1", "--replicates", "4",
+                 "--threads", "2", "--seed", "3", "--out", sys.argv[1] + "/f.json"])
+facts = {"code": code, "pool": [name for name in ("concurrent.futures", "logging")
+                                if name in sys.modules]}
+""",
 }
 
 
@@ -1224,5 +1231,6 @@ def test_cli_starts_without_the_sampling_layers(tmp_path):
     assert facts == {"code": 0, "calls": list(VARIANTS), "kept": True}
     facts = startup_facts(tmp_path, "oracle_wrapper")
     assert facts == {"codes": [0, 0], "calls": [2, 3], "kept": True}
+    assert startup_facts(tmp_path, "threads") == {"code": 0, "pool": []}
     with pytest.raises(AttributeError, match="nope"):
         cli.__getattr__("nope")

@@ -74,7 +74,10 @@ loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
   (in a tree without ``exact.py``, ``import lcdgraph.analysis``, where
   they lived before);
 - ``import_analysis``: ``import lcdgraph.analysis``, the sampled
-  experiments.
+  experiments;
+- ``fraction_t2``: ``lcdgraph experiment fraction --n 20000 --d 1
+  --replicates 20 --threads 2 --seed 3``, a replicate loop on two threads,
+  into a temporary directory.
 
 ``BENCH_equivalence.json`` runs the two commands of ``EQUIVALENCE``:
 ``lcdgraph experiment equivalence`` at (n, m, samples) = (3, 2, 2 * 10^5)
@@ -144,6 +147,8 @@ STARTUP = {
     "import_exact": ("try:\n    import lcdgraph.exact\n"
                      "except ModuleNotFoundError:\n    import lcdgraph.analysis\n", []),
     "import_analysis": ("import lcdgraph.analysis\n", []),
+    "fraction_t2": (_MAIN, ["experiment", "fraction", "--n", "20000", "--d", "1", "--replicates",
+                            "20", "--threads", "2", "--seed", "3", "--out", "{tmp}/f.json"]),
 }
 EQUIVALENCE = {
     f"equivalence_{n}x{m}_{name}": (_MAIN, [
@@ -479,7 +484,7 @@ LAYERS = {
                 "processes.sequential_choices, analysis.replicate_counts, "
                 "processes.generate + io.write_graph", kernel_calls),
     "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, enumerate, "
-                "import lcdgraph.exact, import lcdgraph.analysis", STARTUP),
+                "import lcdgraph.exact, import lcdgraph.analysis, experiment fraction", STARTUP),
     "equivalence": ("fresh interpreters: experiment equivalence", EQUIVALENCE),
 }
 
