@@ -308,6 +308,15 @@ def corollary_experiment(
     )
 
 
+def row_code_space(shape: tuple, base: int) -> int:
+    """base^width, the codes of rows of ``shape`` (samples, width) over
+    (base,) * width; raises DomainError when an int64 cannot hold them."""
+    space = base ** min(shape[1], 63)  # a base of 2 or more passes int64 at width 63
+    if space > np.iinfo(np.int64).max:
+        raise DomainError(f"rows of shape {shape} are too wide for an int64 row code")
+    return space
+
+
 def count_rows(rows: np.ndarray) -> dict:
     """Occurrences of each distinct row of a 2-D array of non-negative ints,
     keyed by the row as a tuple of ints, in increasing row-code order.
@@ -318,11 +327,7 @@ def count_rows(rows: np.ndarray) -> dict:
     exceeds int64 raise DomainError."""
     base = int(rows.max()) + 1
     shape = (base,) * rows.shape[1]
-    space = base ** rows.shape[1]
-    if space > np.iinfo(np.int64).max:
-        raise DomainError(
-            f"rows of shape {rows.shape} are too wide for an int64 row code"
-        )
+    space = row_code_space(rows.shape, base)
     # signed: an unsigned code plus a signed column would promote past it
     codes = rows[:, 0].astype(np.min_scalar_type(-space))
     for col in rows.T[1:]:

@@ -56,6 +56,7 @@ _BINDINGS = {
         "empirical_fraction",
         "limiting_in_degree_gamma",
         "power_law_exponent",
+        "row_code_space",
         "sum_s1",
         "sum_s2_bound",
     },
@@ -386,6 +387,10 @@ def _exp_region(args) -> int:
 
 def _exp_equivalence(args) -> int:
     _bind((".processes", ".analysis", ".exact"))
+    # a row's largest total degree is at least its mean 2m, so count_rows
+    # codes rows over a base of at least 2m + 1: refuse a shape that no int64
+    # code holds before any batch is drawn (an m below 1 is the run's to refuse)
+    row_code_space((args.samples, args.n), 2 * max(args.m, 0) + 1)
     # VARIANTS[i] draws from stream i: that index is part of the seed-to-bytes contract
     dists = {
         v: degree_rows_to_distribution(

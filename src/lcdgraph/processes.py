@@ -293,14 +293,17 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     a boundary in a lower bucket than a key lies below it, one in a higher
     bucket above it.  So a key's target is 1 + the boundaries below its
     bucket, from a table of counts, + those of its own bucket below it,
-    which a few vectorised passes step through.  Under the stick-breaking
-    law (l_k is near sqrt(k / N)) a bucket that holds any boundary holds
-    about 2, at most 10 at N = 3e5, so the passes are few.  Keys and table
-    are built ``TARGET_CHUNK`` at a time."""
+    which a few vectorised passes step through, one comparison each: a walk
+    cannot leave its bucket, nor pass l_N, which the entry check keeps at or
+    above every key, so that check is what bounds it.  Under the
+    stick-breaking law (l_k is near sqrt(k / N)) a bucket that holds any
+    boundary holds about 2, at most 10 at N = 3e5, so the passes are few.
+    Keys and table are built ``TARGET_CHUNK`` at a time."""
     if a.size and not 0.0 <= a.min() <= a.max() <= l[-1]:
         raise DomainError("urn keys must lie in [0, l_N]")
     big_n = l.size
-    # lo[b] counts the boundaries in buckets below b, for b = 0 .. N + 1
+    # lo[b] counts the boundaries in buckets below b, for b = 0 .. N + 1 (a
+    # boundary of 1.0 lies in bucket N)
     lo = np.zeros(big_n + 2, dtype=np.int32)
     for start in range(0, big_n, TARGET_CHUNK):  # sorted buckets, one span each
         bucket = (l[start : start + TARGET_CHUNK] * big_n).astype(np.int32)
@@ -312,16 +315,13 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     tgt = np.empty(a.size, dtype=np.int32)
     for start in range(0, a.size, TARGET_CHUNK):
         key = a[start : start + TARGET_CHUNK]
-        bucket = (key * big_n).astype(np.int32)
-        pos, end = lo[bucket], lo[1:][bucket]  # the key's bucket holds l[pos:end]
+        pos = lo[(key * big_n).astype(np.int32)]  # the key's bucket starts at l[pos]
         # each pass steps every key past one more boundary of its bucket below
         # it, over the whole block: passes over only the keys still moving
         # made ever smaller arrays, and raised the generate benchmark's peak
         # RSS by about 1.4 MB on 2 of 16 seeds, where this form raised none
-        last = big_n - 1
         while True:
-            more = pos < end
-            more &= l[np.minimum(pos, last)] < key
+            more = l[pos] < key
             if not more.any():
                 break
             pos += more
@@ -398,11 +398,13 @@ def _batch_sequential(n, m, out, rng):
 
 
 def _batch_urn(n, m, out, rng):
-    # Two searches: urn_targets buckets the keys of one large graph; this
-    # counts, per block boundary, the keys beyond it (2-core Xeon, one graph
-    # at N = 3e5 / the (3, 2) batch of 2e5): a batched binary search took
-    # 190 / 118 ms against 33 / 31 ms for a bisection of the sorted keys /
-    # this count, a stable per-row merge 65 / 166 ms.
+    # Two searches: urn_targets buckets the keys of one graph; this counts,
+    # per block boundary, the keys beyond it.  urn_targets' search run over a
+    # whole block (a bucket table per graph, then a bincount into rows) gave
+    # the same rows, but took 81.4 against 14.4 ms at (n, m, samples) =
+    # (3, 2, 2e5) and 33.9 against 8.9 ms at (4, 1, 2e5); it won only at
+    # large n, 252 against 485 ms at (200, 1, 2e4) and 189 against 1,770 ms
+    # at (2000, 1, 600) (2-core Xeon, medians of 7; see ROADMAP item 6).
     big_n, rows = n * m, len(out)
     l, a = _urn_draw(big_n, rows, rng)
     # primed vertex k's edge goes to #{i: l_i < a_k} + 1 (urn_targets), which

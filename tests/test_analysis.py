@@ -20,6 +20,7 @@ from lcdgraph.analysis import (
     limiting_in_degree_gamma,
     power_law_exponent,
     replicate_counts,
+    row_code_space,
     sum_s1,
     sum_s2_bound,
 )
@@ -397,6 +398,13 @@ def test_count_rows_rejects_rows_too_wide_for_a_code():
     with pytest.raises(DomainError, match="too wide"):
         count_rows(np.full((2, 18), 17))
     assert count_rows(np.full((2, 15), 17)) == {(17,) * 15: 2}  # 18**15 codes fit
+    # the bound that experiment equivalence checks before drawing: base 3
+    # passes int64 at width 40, and a huge width is refused at once
+    assert row_code_space((5, 39), 3) == 3**39
+    for shape, base in (((5, 40), 3), ((5, 2**63 - 1), 2)):
+        with pytest.raises(DomainError, match=rf"rows of shape \({shape[0]}, {shape[1]}\)"):
+            row_code_space(shape, base)
+    assert row_code_space((5, 2**63 - 1), 1) == 1
 
 
 # at width 2, 181**2 codes fit an int16 and 182**2 need an int32

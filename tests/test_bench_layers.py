@@ -55,6 +55,28 @@ def test_every_fresh_start_is_documented():
     assert [name for name in bench_layers.STARTUP if f"- ``{name}``:" not in doc] == []
 
 
+def test_every_command_is_documented():
+    doc = bench_layers.__doc__
+    assert [name for name in bench_layers.COMMANDS if f"``{name}``" not in doc] == []
+
+
+def test_each_command_runs_in_a_fresh_directory_that_its_measure_removes(tmp_path, monkeypatch):
+    monkeypatch.setitem(bench_layers.COMMANDS, "generate_5", [
+        "generate", "--n", "5", "--seed", "3", "--out", "{out}/graph.csv"])
+    call = bench_layers.command_calls(tmp_path)["generate_5"]
+    first, second = call(), call()
+    assert first != second and sorted(tmp_path.iterdir()) == sorted([first, second])
+    names = sorted(p.name for p in first.iterdir())
+    assert "graph.csv.manifest.json" in names
+    outputs = b"".join((first / name).read_bytes() for name in names
+                       if not name.endswith(".manifest.json"))
+    assert bench_layers.digest(first) == bench_layers.digest(second)
+    assert bench_layers.digest(first) == hashlib.sha256(outputs).hexdigest()
+    assert bench_layers.traced_peak(call) > 0 and bench_layers.timed(call) > 0
+    bench_layers.discard(first)
+    assert list(tmp_path.iterdir()) == [second]
+
+
 def test_each_warm_oracle_sweep_follows_its_cold_one(tmp_path):
     names = list(bench_layers.oracle_calls(tmp_path))
     formulas = list(bench_layers.oracle_cells())

@@ -1071,6 +1071,22 @@ def test_equivalence_rejects_nonpositive_samples(capsys, tmp_path):
         assert "samples" in err
 
 
+@pytest.mark.parametrize("n, m", [(40, 1), (28, 2)])
+def test_equivalence_refuses_rows_too_wide_before_drawing(capsys, tmp_path, monkeypatch, n, m):
+    # every row's largest total degree is at least 2m, so (2m + 1)^n codes
+    # past int64 are refused whatever the rows drawn would be
+    def no_batch(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(cli, "batch_total_degrees", no_batch)
+    code, stdout, err = run(capsys, "experiment", "equivalence", "--n", str(n), "--m", str(m),
+                            "--samples", "100000", "--seed", "3",
+                            "--out", str(tmp_path / "eq.json"))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: rows of shape (100000, {n}) are too wide for an int64 row code\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generate_rejects_negative_seed_or_replicate(capsys, tmp_path):
     for flag in ("--seed", "--replicate"):
         code, _, err = run(capsys, "generate", "--n", "5", flag, "-1",

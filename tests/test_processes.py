@@ -107,11 +107,27 @@ def test_sequential_targets_in_tiny_blocks(monkeypatch):
     assert np.array_equal(sequential_targets(choices), whole)
 
 
+def urn_search_inputs():
+    """(l, keys) of urn_targets: one urn drawn at N = 1000, then, for each N,
+    a non-decreasing l with ties (values to 2 decimals) that ends at 1.0,
+    searched at 0, at 1, at every boundary and at the floats on either side
+    of each boundary that lie in [0, 1]."""
+    yield tuple(c[:, 0] for c in _urn_draw(1000, 1, replicate_rng(2)))
+    for big_n in (1, 2, 3, 7, 50, 1000):
+        l = np.sort(np.random.default_rng(big_n).random(big_n).round(2))
+        l[-1] = 1.0
+        keys = np.concatenate([[0.0, 1.0], l, np.nextafter(l, -1.0), np.nextafter(l, 2.0)])
+        yield l, keys[(keys >= 0.0) & (keys <= 1.0)]
+
+
 def test_urn_targets_in_tiny_blocks(monkeypatch):
-    l, a = (c[:, 0] for c in _urn_draw(1000, 1, replicate_rng(2)))
-    whole = urn_targets(l, a)
-    monkeypatch.setattr(processes, "TARGET_CHUNK", 7)
-    assert np.array_equal(urn_targets(l, a), whole)
+    # a key goes to 1 + the boundaries below it, whatever the block size;
+    # ties and keys next to a boundary test where each bucket walk stops
+    inputs = list(urn_search_inputs())
+    for chunk in (TARGET_CHUNK, 7):
+        monkeypatch.setattr(processes, "TARGET_CHUNK", chunk)
+        for l, keys in inputs:
+            assert np.array_equal(urn_targets(l, keys), np.searchsorted(l, keys, side="left") + 1)
 
 
 def words_drawn(seed, replicate, draw, at_least):

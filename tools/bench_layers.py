@@ -1,10 +1,10 @@
-"""Time five layers on fixed work and write one ``BENCH_*.json`` for each
+"""Time six layers on fixed work and write one ``BENCH_*.json`` for each
 at the repository root.
 
     python3 tools/bench_layers.py [--against <tree>] [layer ...]
 
-A layer is ``writer``, ``oracles``, ``kernels``, ``startup`` or
-``equivalence``; with none named every layer runs.  Seeds, sizes and
+A layer is ``writer``, ``oracles``, ``kernels``, ``commands``, ``startup``
+or ``equivalence``; with none named every layer runs.  Seeds, sizes and
 repeat counts are fixed, so two checkouts run the same work.  One loop
 runs every layer: it makes ``REPEATS`` runs of each input, the inputs
 interleaved so that host load hits each alike.  Each JSON holds, per input, the min, quartiles and
@@ -12,14 +12,15 @@ median seconds of the runs, and the machine: cores, Python and numpy
 versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE`` (when it
 is set, every fresh interpreter compiles ``src/`` again).
 
-The first three layers are served: one child process imports the package
+The first four layers are served: one child process imports the package
 from the tree's ``src/``, builds the layer's inputs, and then makes one
 timed call of an input per name it is sent.  Each of their inputs records
 the sha256 of its output (equal digests mean equal output across
 checkouts): of an array as little-endian int64, whatever its dtype, of a
-written file's bytes, or of the printed oracle values joined by newlines;
-and ``peak_bytes``, the peak of the heap that ``tracemalloc`` sees (numpy's
-buffers included) over one untimed call.
+written file's bytes, of a command's output files, or of the printed
+oracle values joined by newlines; and ``peak_bytes``, the peak of the heap
+that ``tracemalloc`` sees (numpy's buffers included) over one untimed call,
+traced from its start, after an untraced first call.
 
 ``BENCH_writer.json`` times the edge-list text writer,
 ``lcdgraph.io.write_rows``, each call writing one input to a fresh file,
@@ -57,6 +58,25 @@ its own cells.
   ``lcdgraph generate`` runs them, on the four graphs of the benchmark's
   ``generate`` workload: each variant at n = 10^5, m = 3, and sequential
   at n = 10^6, m = 1, master seed 0.
+
+``BENCH_commands.json`` runs the commands of ``COMMANDS`` through
+``lcdgraph.cli.main``, as the benchmark's workloads do, each run into a
+fresh directory that is removed after it (outside the timing); the digest
+is of the files it wrote other than the manifest, which records wall time
+and resident memory, in name order:
+
+- ``generate_sequential_1e5x3``, ``generate_pairing_1e5x3``,
+  ``generate_urn_1e5x3`` and ``generate_sequential_1e6``: ``lcdgraph
+  generate --seed 3`` on the four graphs of the benchmark's ``generate``
+  workload, each variant at n = 10^5, m = 3, and sequential at n = 10^6,
+  m = 1;
+- ``fraction``: ``lcdgraph experiment fraction --n 20000 --m 1 --d 1
+  --replicates 20 --threads 2 --seed 3``, and ``concentration`` the same
+  with 100 replicates, the replicate loops of the ``experiments`` workload;
+- ``equivalence``: ``lcdgraph experiment equivalence --n 3 --m 2 --samples
+  200000 --seed 3``, its batch path;
+- ``enumerate_7``: ``lcdgraph enumerate --n 7``, the ``exact`` workload's
+  enumeration.
 
 The last two layers run fresh interpreters, each running one command from
 start to exit, with the tree's ``src/`` on ``PYTHONPATH``.  Each input
@@ -108,6 +128,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -149,6 +170,21 @@ STARTUP = {
     "import_analysis": ("import lcdgraph.analysis\n", []),
     "fraction_t2": (_MAIN, ["experiment", "fraction", "--n", "20000", "--d", "1", "--replicates",
                             "20", "--threads", "2", "--seed", "3", "--out", "{tmp}/f.json"]),
+}
+# input name -> argv of one command run through cli.main; {out} is a fresh directory
+COMMANDS = {
+    **{f"generate_{name}": ["generate", "--n", str(n), "--m", str(m), "--variant", variant,
+                            "--seed", "3", "--out", "{out}/graph.csv"]
+       for name, n, m, variant in (("sequential_1e5x3", 10**5, 3, "sequential"),
+                                   ("pairing_1e5x3", 10**5, 3, "pairing"),
+                                   ("urn_1e5x3", 10**5, 3, "urn"),
+                                   ("sequential_1e6", 10**6, 1, "sequential"))},
+    **{name: ["experiment", name, "--n", "20000", "--m", "1", "--d", "1", "--replicates",
+              str(replicates), "--threads", "2", "--seed", "3", "--out", f"{{out}}/{name}.json"]
+       for name, replicates in (("fraction", 20), ("concentration", 100))},
+    "equivalence": ["experiment", "equivalence", "--n", "3", "--m", "2", "--samples", "200000",
+                    "--seed", "3", "--out", "{out}/equivalence.json"],
+    "enumerate_7": ["enumerate", "--n", "7", "--out", "{out}/pairings.csv"],
 }
 EQUIVALENCE = {
     f"equivalence_{n}x{m}_{name}": (_MAIN, [
@@ -323,14 +359,40 @@ def kernel_calls(tmp: Path) -> dict:
     return calls
 
 
+def run_command(argv: list, tmp: Path) -> Path:
+    """Run one command through ``cli.main`` into a fresh directory in
+    ``tmp``, its printed lines discarded; returns the directory."""
+    out = Path(tempfile.mkdtemp(dir=tmp))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([a.format(out=out) for a in argv])
+    if code not in (0, 1):  # 1: a verdict failed, the outputs are written
+        raise RuntimeError(f"{argv} exited {code}")
+    return out
+
+
+def command_calls(tmp: Path) -> dict:
+    """input name -> a call that runs that command into a fresh directory."""
+    return {name: functools.partial(run_command, argv, tmp) for name, argv in COMMANDS.items()}
+
+
+def discard(out) -> None:
+    """Remove a command's output directory once its call is measured."""
+    if isinstance(out, Path) and out.is_dir():
+        shutil.rmtree(out)
+
+
 def printed(value) -> bytes:
     return (str(value) if isinstance(value, int) else value.format()).encode()
 
 
 def digest(out) -> str:
-    """The sha256 of a call's output: a written file's bytes, printed
-    oracle values joined by newlines, or an array as little-endian int64."""
-    if isinstance(out, Path):
+    """The sha256 of a call's output: a written file's bytes, a command's
+    output files but its manifest in name order, printed oracle values
+    joined by newlines, or an array as little-endian int64."""
+    if isinstance(out, Path) and out.is_dir():
+        data = b"".join(p.read_bytes() for p in sorted(out.iterdir())
+                        if not p.name.endswith(".manifest.json"))
+    elif isinstance(out, Path):
         data = out.read_bytes()
     elif isinstance(out, list):
         data = b"\n".join(map(printed, out))
@@ -342,16 +404,20 @@ def digest(out) -> str:
 def traced_peak(call) -> int:
     tracemalloc.start()
     try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    discard(out)
+    return peak
 
 
 def timed(call) -> float:
     start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
+    out = call()
+    seconds = time.perf_counter() - start
+    discard(out)
+    return seconds
 
 
 def serve(layer: str) -> None:
@@ -361,8 +427,12 @@ def serve(layer: str) -> None:
     sys.set_int_max_str_digits(0)  # exact values near n = 2048 run to thousands of digits
     with tempfile.TemporaryDirectory() as tmp:
         calls = LAYERS[layer][1](Path(tmp))
-        print(json.dumps({name: {"sha256": digest(call()), "peak_bytes": traced_peak(call)}
-                          for name, call in calls.items()}), flush=True)
+        facts = {}
+        for name, call in calls.items():
+            out = call()
+            facts[name] = {"sha256": digest(out), "peak_bytes": traced_peak(call)}
+            discard(out)
+        print(json.dumps(facts), flush=True)
         for line in sys.stdin:
             print(json.dumps([timed(calls[line.strip()])]), flush=True)
 
@@ -483,6 +553,8 @@ LAYERS = {
     "kernels": ("processes._KERNELS, processes.batch_total_degrees, "
                 "processes.sequential_choices, analysis.replicate_counts, "
                 "processes.generate + io.write_graph", kernel_calls),
+    "commands": ("cli.main: the generate, experiment fraction, concentration and equivalence, "
+                 "and enumerate commands of the benchmark's workloads", command_calls),
     "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, enumerate, "
                 "import lcdgraph.exact, import lcdgraph.analysis, experiment fraction", STARTUP),
     "equivalence": ("fresh interpreters: experiment equivalence", EQUIVALENCE),
