@@ -55,6 +55,26 @@ def test_every_fresh_start_is_documented():
     assert [name for name in bench_layers.STARTUP if f"- ``{name}``:" not in doc] == []
 
 
+def test_every_bench_file_belongs_to_a_layer():
+    files = {path.name for path in bench_layers.ROOT.glob("BENCH_*.json")}
+    assert files == {f"BENCH_{layer}.json" for layer in bench_layers.LAYERS}
+
+
+def test_a_failing_start_raises_with_its_stderr(tmp_path):
+    commands = {"fails": ("import sys\nsys.stderr.write('child-said-' + 'hello')\nsys.exit(3)\n", [])}
+    env = bench_layers.tree_env(bench_layers.ROOT)
+    with pytest.raises(RuntimeError, match="fails exited 3") as failed:
+        bench_layers.start(commands, str(tmp_path), env, "fails")
+    assert "child-said-hello" in str(failed.value)
+
+
+def test_a_start_reads_its_tail_after_a_warning(tmp_path):
+    commands = {"warns": ("import sys\nsys.stderr.write('a warning\\n')\n", [])}
+    env = bench_layers.tree_env(bench_layers.ROOT)
+    seconds, numpy_imported, hwm = bench_layers.start(commands, str(tmp_path), env, "warns")
+    assert seconds > 0 and numpy_imported is False and hwm > 0
+
+
 def test_every_command_is_documented():
     doc = bench_layers.__doc__
     assert [name for name in bench_layers.COMMANDS if f"``{name}``" not in doc] == []

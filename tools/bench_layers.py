@@ -1,16 +1,16 @@
-"""Time six layers on fixed work and write one ``BENCH_*.json`` for each
+"""Time five layers on fixed work and write one ``BENCH_*.json`` for each
 at the repository root.
 
     python3 tools/bench_layers.py [--against <tree>] [layer ...]
 
-A layer is ``writer``, ``oracles``, ``kernels``, ``commands``, ``startup``
-or ``equivalence``; with none named every layer runs.  Seeds, sizes and
-repeat counts are fixed, so two checkouts run the same work.  One loop
-runs every layer: it makes ``REPEATS`` runs of each input, the inputs
-interleaved so that host load hits each alike.  Each JSON holds, per input, the min, quartiles and
-median seconds of the runs, and the machine: cores, Python and numpy
-versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE`` (when it
-is set, every fresh interpreter compiles ``src/`` again).
+A layer is ``writer``, ``oracles``, ``kernels``, ``commands`` or
+``startup``; with none named every layer runs.  Seeds, sizes and repeat
+counts are fixed, so two checkouts run the same work.  One loop runs every
+layer: it makes ``REPEATS`` runs of each input, the inputs interleaved so
+that host load hits each alike.  Each JSON holds, per input, the min,
+quartiles and median seconds of the runs, and the machine: cores, Python
+and numpy versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE``
+(when it is set, every fresh interpreter compiles ``src/`` again).
 
 The first four layers are served: one child process imports the package
 from the tree's ``src/``, builds the layer's inputs, and then makes one
@@ -53,11 +53,10 @@ its own cells.
 - ``replicates_t<k>``: ``replicate_counts`` of in-degree 1 over 100
   sequential graphs of n = 2 * 10^4, m = 1, on k = 1 and 2 threads, as the
   ``experiment fraction`` and ``concentration`` loops run them;
-  ``replicates_1e6_t<k>`` the same over 8 graphs of n = 10^6;
-- ``generate_write_<shape>``: ``generate`` then ``write_graph``, as
-  ``lcdgraph generate`` runs them, on the four graphs of the benchmark's
-  ``generate`` workload: each variant at n = 10^5, m = 3, and sequential
-  at n = 10^6, m = 1, master seed 0.
+  ``replicates_1e6_t<k>`` the same over 8 graphs of n = 10^6.  A two-thread
+  ``peak_bytes`` depends on how the threads' graphs overlap (identical
+  trees read 28.3 and 29.0 MB at n = 10^6), so it backs no memory claim:
+  cite ``fraction`` and ``concentration`` of ``BENCH_commands.json``.
 
 ``BENCH_commands.json`` runs the commands of ``COMMANDS`` through
 ``lcdgraph.cli.main``, as the benchmark's workloads do, each run into a
@@ -78,7 +77,7 @@ and resident memory, in name order:
 - ``enumerate_7``: ``lcdgraph enumerate --n 7``, the ``exact`` workload's
   enumeration.
 
-The last two layers run fresh interpreters, each running one command from
+The last layer runs fresh interpreters, each running one command from
 start to exit, with the tree's ``src/`` on ``PYTHONPATH``.  Each input
 records ``peak_rss_bytes``, the median of the child's peak resident memory
 at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
@@ -90,19 +89,16 @@ loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
 - ``generate_n2``: ``lcdgraph generate --n 2 --seed 0``, into a temporary
   directory;
 - ``enumerate_n3``: ``lcdgraph enumerate --n 3``, the same way;
-- ``import_exact``: ``import lcdgraph.exact``, the home of the exact laws
-  (in a tree without ``exact.py``, ``import lcdgraph.analysis``, where
-  they lived before);
+- ``import_exact``: ``import lcdgraph.exact``, the home of the exact laws;
 - ``import_analysis``: ``import lcdgraph.analysis``, the sampled
   experiments;
 - ``fraction_t2``: ``lcdgraph experiment fraction --n 20000 --d 1
   --replicates 20 --threads 2 --seed 3``, a replicate loop on two threads,
-  into a temporary directory.
-
-``BENCH_equivalence.json`` runs the two commands of ``EQUIVALENCE``:
-``lcdgraph experiment equivalence`` at (n, m, samples) = (3, 2, 2 * 10^5)
-and (4, 1, 10^6), whose peak is that of the three batches of degree rows
-and their counts.
+  into a temporary directory;
+- ``equivalence_3x2_2e5``: ``lcdgraph experiment equivalence --n 3 --m 2
+  --samples 200000 --seed 3``, the same way, whose peak is that of the
+  three batches of degree rows and their counts;
+- ``equivalence_4x1_1e6``: the same at n = 4, m = 1 and 10^6 samples.
 
 With ``--against <tree>``, another checkout of this repository, every
 layer pairs each run of this checkout with one of ``<tree>`` right before
@@ -145,7 +141,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.analysis import replicate_counts  # noqa: E402
-from lcdgraph.io import write_graph, write_json, write_rows  # noqa: E402
+from lcdgraph.io import write_json, write_rows  # noqa: E402
 from lcdgraph.processes import (  # noqa: E402
     _KERNELS,
     ProcessParams,
@@ -165,11 +161,14 @@ STARTUP = {
     "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
     "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
     "enumerate_n3": (_MAIN, ["enumerate", "--n", "3", "--out", "{tmp}/p.csv"]),
-    "import_exact": ("try:\n    import lcdgraph.exact\n"
-                     "except ModuleNotFoundError:\n    import lcdgraph.analysis\n", []),
+    "import_exact": ("import lcdgraph.exact\n", []),
     "import_analysis": ("import lcdgraph.analysis\n", []),
     "fraction_t2": (_MAIN, ["experiment", "fraction", "--n", "20000", "--d", "1", "--replicates",
                             "20", "--threads", "2", "--seed", "3", "--out", "{tmp}/f.json"]),
+    **{f"equivalence_{n}x{m}_{name}": (_MAIN, [
+        "experiment", "equivalence", "--n", str(n), "--m", str(m), "--samples", str(samples),
+        "--seed", "3", "--out", "{tmp}/eq.json"])
+       for name, n, m, samples in (("2e5", 3, 2, 200_000), ("1e6", 4, 1, 10**6))},
 }
 # input name -> argv of one command run through cli.main; {out} is a fresh directory
 COMMANDS = {
@@ -185,12 +184,6 @@ COMMANDS = {
     "equivalence": ["experiment", "equivalence", "--n", "3", "--m", "2", "--samples", "200000",
                     "--seed", "3", "--out", "{out}/equivalence.json"],
     "enumerate_7": ["enumerate", "--n", "7", "--out", "{out}/pairings.csv"],
-}
-EQUIVALENCE = {
-    f"equivalence_{n}x{m}_{name}": (_MAIN, [
-        "experiment", "equivalence", "--n", str(n), "--m", str(m), "--samples", str(samples),
-        "--seed", "3", "--out", "{tmp}/eq.json"])
-    for name, n, m, samples in (("2e5", 3, 2, 200_000), ("1e6", 4, 1, 10**6))
 }
 # appended to each start: whether numpy was loaded, and the peak RSS in KiB.
 # VmHWM is the peak of the child's own image; its ru_maxrss would start from
@@ -332,8 +325,8 @@ def oracle_calls(tmp: Path) -> dict:
 
 
 def kernel_calls(tmp: Path) -> dict:
-    """input name -> a call that runs one kernel or batch from a fresh stream,
-    or a ``generate`` and ``write_graph`` into ``tmp``, returning the path."""
+    """input name -> a call that runs one kernel, batch, draw or replicate
+    loop from a fresh stream."""
     calls = {}
     for variant, kernel in _KERNELS.items():
         calls[f"{variant}_1e5x3"] = lambda kernel=kernel: kernel(3 * 10**5, replicate_rng(0))
@@ -351,11 +344,6 @@ def kernel_calls(tmp: Path) -> dict:
         for threads in (1, 2):
             calls[f"replicates_{name}t{threads}"] = lambda p=params, r=replicates, t=threads: (
                 np.array(replicate_counts(p, 1, r, t)))
-    for name, n, m, variant in [(f"{v}_1e5x3", 10**5, 3, v) for v in _KERNELS] + [
-            ("sequential_1e6", 10**6, 1, "sequential")]:
-        params = ProcessParams(n=n, m=m, variant=variant, master_seed=0)
-        calls[f"generate_write_{name}"] = lambda p=params, path=tmp / f"{name}.csv": write_graph(
-            generate(p), path, {})
     return calls
 
 
@@ -469,9 +457,11 @@ def start(commands: dict, tmp: str, env: dict, name: str) -> tuple:
     begin = time.perf_counter()
     proc = subprocess.run([sys.executable, "-c", code + _STARTUP_TAIL,
                            *(a.format(tmp=tmp) for a in argv)], env=env,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, check=True)
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     seconds = time.perf_counter() - begin
-    return (seconds, *json.loads(proc.stderr))
+    if proc.returncode:
+        raise RuntimeError(f"start {name} exited {proc.returncode}:\n{proc.stderr}")
+    return (seconds, *json.loads(proc.stderr.splitlines()[-1]))
 
 
 @contextlib.contextmanager
@@ -551,13 +541,11 @@ LAYERS = {
     "writer": ("io.write_rows", writer_calls),
     "oracles": ("oracles", oracle_calls),
     "kernels": ("processes._KERNELS, processes.batch_total_degrees, "
-                "processes.sequential_choices, analysis.replicate_counts, "
-                "processes.generate + io.write_graph", kernel_calls),
+                "processes.sequential_choices, analysis.replicate_counts", kernel_calls),
     "commands": ("cli.main: the generate, experiment fraction, concentration and equivalence, "
                  "and enumerate commands of the benchmark's workloads", command_calls),
-    "startup": ("fresh interpreters: import lcdgraph.cli, oracle, generate, enumerate, "
-                "import lcdgraph.exact, import lcdgraph.analysis, experiment fraction", STARTUP),
-    "equivalence": ("fresh interpreters: experiment equivalence", EQUIVALENCE),
+    "startup": ("fresh interpreters: import lcdgraph.cli, .exact and .analysis; oracle, "
+                "generate, enumerate, experiment fraction and equivalence", STARTUP),
 }
 
 
