@@ -190,10 +190,7 @@ def cmd_enumerate(args) -> int:
     with open(out, "wb") as fh:
         fh.write(b"pairing,total_degrees\n")
         for pairs in blocks:
-            table = np.empty((len(pairs), 3 * n), dtype=pairs.dtype)
-            table[:, : 2 * n] = pairs.reshape(len(pairs), 2 * n)
-            pair_degree_rows(pairs, out=table[:, 2 * n :])
-            write_rows(fh, table.T, seps)
+            write_rows(fh, [*pairs.reshape(len(pairs), 2 * n).T, *pair_degree_rows(pairs).T], seps)
             rows += len(pairs)
     _write_manifest(args, out, [out])
     print(f"wrote {rows} pairings to {out}")

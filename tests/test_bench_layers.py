@@ -2,6 +2,8 @@
 
 import hashlib
 import importlib.util
+import py_compile
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +64,7 @@ def test_every_bench_file_belongs_to_a_layer():
 
 def test_a_failing_start_raises_with_its_stderr(tmp_path):
     commands = {"fails": ("import sys\nsys.stderr.write('child-said-' + 'hello')\nsys.exit(3)\n", [])}
-    env = bench_layers.tree_env(bench_layers.ROOT)
+    env = bench_layers.child_env(bench_layers.ROOT, str(tmp_path))
     with pytest.raises(RuntimeError, match="fails exited 3") as failed:
         bench_layers.start(commands, str(tmp_path), env, "fails")
     assert "child-said-hello" in str(failed.value)
@@ -70,9 +72,35 @@ def test_a_failing_start_raises_with_its_stderr(tmp_path):
 
 def test_a_start_reads_its_tail_after_a_warning(tmp_path):
     commands = {"warns": ("import sys\nsys.stderr.write('a warning\\n')\n", [])}
-    env = bench_layers.tree_env(bench_layers.ROOT)
+    env = bench_layers.child_env(bench_layers.ROOT, str(tmp_path))
+    blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    assert [env[var] for var in blas] == ["1", "1", "1"]
     seconds, numpy_imported, hwm = bench_layers.start(commands, str(tmp_path), env, "warns")
     assert seconds > 0 and numpy_imported is False and hwm > 0
+
+
+def test_a_trees_bytecode_cannot_reach_a_child(tmp_path):
+    shutil.copytree(bench_layers.ROOT / "src", tmp_path / "tree" / "src")
+    init = tmp_path / "tree" / "src" / "lcdgraph" / "__init__.py"
+    poisoned = tmp_path / "poisoned.py"
+    poisoned.write_text('__version__ = "poisoned"\n')
+    # an unchecked-hash .pyc is loaded without reading its source, even with
+    # PYTHONDONTWRITEBYTECODE set
+    unchecked = py_compile.PycInvalidationMode.UNCHECKED_HASH
+    py_compile.compile(str(poisoned), cfile=importlib.util.cache_from_source(str(init)),
+                       doraise=True, invalidation_mode=unchecked)
+    commands = {"version": ('import lcdgraph\nassert lcdgraph.__version__ != "poisoned"\n', [])}
+    env = bench_layers.child_env(tmp_path / "tree", str(tmp_path))
+    assert bench_layers.start(commands, str(tmp_path), env, "version")[0] > 0
+
+
+def test_a_served_child_that_dies_before_its_facts_says_so(tmp_path):
+    package = tmp_path / "src" / "lcdgraph"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("raise ImportError('broken tree')\n")
+    with pytest.raises(RuntimeError, match=f"the writer child of {tmp_path} exited 1 before"):
+        with bench_layers.served("writer", [tmp_path]):
+            pass
 
 
 def test_every_command_is_documented():

@@ -5,22 +5,26 @@ at the repository root.
 
 A layer is ``writer``, ``oracles``, ``kernels``, ``commands`` or
 ``startup``; with none named every layer runs.  Seeds, sizes and repeat
-counts are fixed, so two checkouts run the same work.  One loop runs every
-layer: it makes ``REPEATS`` runs of each input, the inputs interleaved so
-that host load hits each alike.  Each JSON holds, per input, the min,
-quartiles and median seconds of the runs, and the machine: cores, Python
-and numpy versions, whether numba imports, and ``PYTHONDONTWRITEBYTECODE``
-(when it is set, every fresh interpreter compiles ``src/`` again).
+counts are fixed, so two checkouts run the same work.  Every run is made
+in a child process, all in one environment (``child_env``): the package is
+imported from a copy of the tree's ``src/``, made without any
+``__pycache__`` in the run's scratch directory and written none, so each
+child compiles it afresh, whatever cache the tree holds; BLAS pools run at
+one thread, as in the benchmark.  One loop runs every layer: it makes
+``REPEATS`` runs of each input, the inputs interleaved so that host load
+hits each alike.  Each JSON holds, per input, the min, quartiles and
+median seconds of the runs, and the machine: cores, Python and numpy
+versions, and whether numba imports.
 
-The first four layers are served: one child process imports the package
-from the tree's ``src/``, builds the layer's inputs, and then makes one
-timed call of an input per name it is sent.  Each of their inputs records
-the sha256 of its output (equal digests mean equal output across
-checkouts): of an array as little-endian int64, whatever its dtype, of a
-written file's bytes, of a command's output files, or of the printed
-oracle values joined by newlines; and ``peak_bytes``, the peak of the heap
-that ``tracemalloc`` sees (numpy's buffers included) over one untimed call,
-traced from its start, after an untraced first call.
+The first four layers are served: one child per tree imports the package
+from that copy, builds the layer's inputs, and then makes one timed call
+of an input per name it is sent.  Each of their inputs records the sha256
+of its output (equal digests mean equal output across checkouts): of an
+array as little-endian int64, whatever its dtype, of a written file's
+bytes, of a command's output files, or of the printed oracle values joined
+by newlines; and ``peak_bytes``, the peak of the heap that ``tracemalloc``
+sees (numpy's buffers included) over one untimed call, traced from its
+start, after an untraced first call.
 
 ``BENCH_writer.json`` times the edge-list text writer,
 ``lcdgraph.io.write_rows``, each call writing one input to a fresh file,
@@ -78,10 +82,10 @@ and resident memory, in name order:
   enumeration.
 
 The last layer runs fresh interpreters, each running one command from
-start to exit, with the tree's ``src/`` on ``PYTHONPATH``.  Each input
-records ``peak_rss_bytes``, the median of the child's peak resident memory
-at exit (``VmHWM``, Linux), and ``numpy_imported``, whether numpy was
-loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
+start to exit.  Each input records ``peak_rss_bytes``, the median of the
+child's peak resident memory at exit (``VmHWM``, Linux), and
+``numpy_imported``, whether numpy was loaded.  ``BENCH_startup.json`` runs
+the commands of ``STARTUP``:
 
 - ``import_parser``: ``import lcdgraph.cli`` and ``build_parser()``, what
   the benchmark's ``setup_s`` times;
@@ -103,7 +107,7 @@ loaded.  ``BENCH_startup.json`` runs the commands of ``STARTUP``:
 With ``--against <tree>``, another checkout of this repository, every
 layer pairs each run of this checkout with one of ``<tree>`` right before
 or after it (the two alternate which goes first), each tree's served calls
-in its own child and each start with its own ``src/``.  Each input then
+in its own child and each start from its own copy.  Each input then
 records both trees' figures, under ``this`` and ``against``, and ``wins``,
 the number of pairs in which this checkout's run was the faster; the file
 records each tree's commit and whether its tracked files differ from it,
@@ -137,7 +141,8 @@ from unittest import mock
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+if __name__ == "__main__":  # a child finds its tree's copy of src/ on PYTHONPATH
+    sys.path.insert(0, str(ROOT / "src"))
 
 from lcdgraph import cli, oracles  # noqa: E402
 from lcdgraph.analysis import replicate_counts  # noqa: E402
@@ -193,17 +198,6 @@ import json, sys
 with open("/proc/self/status") as status:
     hwm = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 sys.stderr.write(json.dumps(["numpy" in sys.modules, hwm]))
-"""
-# A child that serves the calls of layer argv[3] from the tree whose src/ is
-# argv[1]: that tree's package is imported before this file, whose own src/
-# then comes too late to shadow it.
-_SERVER = """
-import sys
-sys.path.insert(0, sys.argv[1])
-import lcdgraph
-sys.path.insert(0, sys.argv[2])
-import bench_layers
-bench_layers.serve(sys.argv[3])
 """
 
 
@@ -262,7 +256,6 @@ def write_report(name: str, layer: str, results: dict, against: Path | None = No
             "python": platform.python_version(),
             "numpy": np.__version__,
             "numba_imports": numba_imports(),
-            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
         },
     }
     if against:
@@ -437,17 +430,18 @@ def served(layer: str, trees: list):
     """Each tree's run of one input in its own serving child, and each
     tree's digests and heap peaks."""
     servers, facts = [], []
-    try:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as children:
         for tree in trees:  # one at a time, so the warm-ups do not overlap
-            servers.append(subprocess.Popen(
-                [sys.executable, "-c", _SERVER, str(tree / "src"), str(ROOT / "tools"), layer],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True))
-            facts.append(json.loads(servers[-1].stdout.readline()))
+            servers.append(children.enter_context(subprocess.Popen(
+                [sys.executable, "-c", f"import bench_layers\nbench_layers.serve({layer!r})"],
+                env=child_env(tree, tmp), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True)))
+            line = servers[-1].stdout.readline()
+            if not line:
+                raise RuntimeError(f"the {layer} child of {tree} exited {servers[-1].wait()} "
+                                   "before its facts line")
+            facts.append(json.loads(line))
         yield [functools.partial(ask, server) for server in servers], facts
-    finally:
-        for server in servers:
-            server.stdin.close()
-            server.wait()
 
 
 def start(commands: dict, tmp: str, env: dict, name: str) -> tuple:
@@ -468,14 +462,18 @@ def start(commands: dict, tmp: str, env: dict, name: str) -> tuple:
 def started(commands: dict, trees: list):
     """Each tree's fresh start of one command, all in one scratch directory."""
     with tempfile.TemporaryDirectory() as tmp:
-        yield ([functools.partial(start, commands, tmp, tree_env(tree)) for tree in trees],
+        yield ([functools.partial(start, commands, tmp, child_env(tree, tmp)) for tree in trees],
                [{name: {} for name in commands} for _ in trees])
 
 
-def tree_env(tree: Path) -> dict:
-    """The environment of a child that imports the package from ``tree``."""
-    path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=str(tree / "src") + (os.pathsep + path if path else ""))
+def child_env(tree: Path, tmp: str) -> dict:
+    """The environment of every child that runs ``tree``'s package: a copy
+    of its ``src/`` in ``tmp``, then ``tools/``, first on ``PYTHONPATH``."""
+    src = shutil.copytree(tree / "src", tempfile.mkdtemp(dir=tmp), dirs_exist_ok=True,
+                          ignore=shutil.ignore_patterns("__pycache__"))
+    path = [src, str(ROOT / "tools"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), PYTHONDONTWRITEBYTECODE="1",
+                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 
 def git_state(tree: Path) -> dict:
