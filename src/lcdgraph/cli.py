@@ -30,10 +30,9 @@ from . import __version__
 from .errors import DomainError
 
 # The names that the command handlers read from the other modules of the
-# package, by module; ``np`` is numpy, as ``io`` imports it.  Every function
-# here that reads one of these names binds its module's names into this
-# module's globals as its first statement, and so does outside code reading
-# one as ``cli.<name>``; there is no command-wide bind.
+# package, by module.  Every function here that reads one of these names
+# binds its module's names into this module's globals as its first statement,
+# and so does outside code reading one as ``cli.<name>``: no command-wide bind.
 _BINDINGS = {
     ".oracles": {
         "DkQuery",
@@ -61,7 +60,7 @@ _BINDINGS = {
         "sum_s2_bound",
     },
     ".exact": {"tv_distance"},
-    ".io": {"graph_files", "np", "write_csv", "write_graph", "write_json", "write_rows"},
+    ".io": {"graph_files", "write_csv", "write_graph", "write_json", "write_rows"},
     ".lcd": {"enumerate_pairings", "pair_degree_rows"},
     ".processes": {"VARIANTS", "ProcessParams", "batch_total_degrees", "generate",
                    "replicate_rng"},
@@ -150,8 +149,8 @@ def _peak_rss_bytes() -> int | None:
 
 def _write_manifest(args, out_path: Path, outputs) -> None:
     """Record the resolved invocation next to its outputs, the seconds since
-    ``main`` parsed it, the process's peak resident memory and the Python
-    and numpy versions.  ``replay`` compares only the output digests."""
+    ``main`` parsed it, the process's peak resident memory, the Python version
+    and that of the numpy loaded, or None.  ``replay`` compares only the digests."""
     _bind((".io",))
     import platform
 
@@ -169,7 +168,7 @@ def _write_manifest(args, out_path: Path, outputs) -> None:
         "wall_clock_seconds": time.time() - args.started,
         "peak_rss_bytes": _peak_rss_bytes(),
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": getattr(sys.modules.get("numpy"), "__version__", None),
         "outputs": {p.name: _sha256(p) for p in outputs},
     }
     write_json(out_path.with_name(out_path.name + ".manifest.json"), manifest)
@@ -438,6 +437,8 @@ def cmd_replay(args) -> int:
             code = main(argv)
         except SystemExit:  # the parser refused the recorded command, or ran none
             raise DomainError(f"cannot replay {args.manifest}: the parser stopped its command")
+        if code == 2:  # the program refused it, and main printed why
+            raise DomainError(f"cannot replay {args.manifest}: its recorded command exited 2")
         ok = True
         for name, digest in manifest["outputs"].items():
             replayed = Path(tmp) / name
@@ -445,8 +446,6 @@ def cmd_replay(args) -> int:
             match = actual == digest
             ok = ok and match
             print(f"{'PASS' if match else 'FAIL'} {name}")
-        if code not in (0, 1):
-            ok = False
     print("replay " + ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
 

@@ -1,16 +1,14 @@
 """Persistence: a graph's edge-list CSV and JSON header, the numpy text
 writer behind it and ``lcdgraph enumerate``, the one strict JSON writer and
-the CSV writer of the experiment tables."""
+the CSV writer of the experiment tables.  numpy is imported in the two writers
+that use it, so that ``experiment region``, writing JSON and CSV, runs without it."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .errors import DomainError
-from .lcd import LcdGraph
 
 # Values formatted per pass: bounds the writer's buffers.  The 10^6 x 1 edge
 # list at 2^15 .. 2^19, medians of 31 interleaved writes (2-core Xeon, numpy
@@ -24,13 +22,15 @@ def graph_files(path: str | Path) -> list:
     return [path, path.with_name(path.name + ".header.json")]
 
 
-def write_graph(g: LcdGraph, path: str | Path, header: dict) -> Path:
-    """Write the edge list as `source,target` lines (1-indexed, no header
-    row) and ``header``, the run parameters, to the two ``graph_files(path)``.
+def write_graph(g, path: str | Path, header: dict) -> Path:
+    """Write the edges of ``g``, an ``LcdGraph``, as `source,target` lines
+    (1-indexed, no header row) and ``header`` to the two ``graph_files(path)``.
 
     The CSV holds exactly the bytes of ``f"{s},{t}\\n"`` for each edge in
     order, as written by ``write_rows``.  Ids must be >= 0.
     """
+    import numpy as np
+
     path, header_path = graph_files(path)
     with open(path, "wb") as fh:
         for lo in range(0, g.n_edges, CHUNK_CELLS // 2):  # g.src, a chunk at a time
@@ -76,6 +76,8 @@ def write_rows(fh, columns, seps: bytes) -> None:
     ``bytes.translate`` leaves the text.  Memory per chunk is fixed,
     whatever the number of rows.
     """
+    import numpy as np
+
     sep_bytes = np.frombuffer(seps, dtype=np.uint8)[:, None]
     step = CHUNK_CELLS // len(columns)
     for lo in range(0, len(columns[0]), step):

@@ -1049,9 +1049,23 @@ def test_replay_fails_a_command_that_fails_when_run(capsys, tmp_path):
     path.write_text(json.dumps({"argv": ["enumerate", "--n", "9", "--out", "p.csv"],
                                 "outputs": {"p.csv": "0" * 64}}))
     code, stdout, err = run(capsys, "replay", "--manifest", str(path))
-    assert code == 1
+    assert code == 2
     assert "exceeds the enumeration cap" in err
-    assert stdout.splitlines() == ["FAIL p.csv", "replay FAIL"]
+    assert f"cannot replay {path}: its recorded command exited 2" in err
+    assert stdout == ""  # no digest is checked
+
+
+def test_replay_names_a_manifest_whose_command_the_program_refuses(capsys, tmp_path):
+    # the parser takes --m 0, and generate refuses it
+    run(capsys, "generate", "--n", "5", "--seed", "0", "--out", str(tmp_path / "g.csv"))
+    path = tmp_path / "g.csv.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["argv"][manifest["argv"].index("--m") + 1] = "0"
+    path.write_text(json.dumps(manifest))
+    code, stdout, err = run(capsys, "replay", "--manifest", str(path))
+    assert code == 2
+    assert f"error: cannot replay {path}: its recorded command exited 2" in err
+    assert stdout == ""
 
 
 def test_replay_rejects_raw_text(capsys, tmp_path):
@@ -1213,6 +1227,19 @@ cli.prob_dk = wrapper
 codes = [cli.main(["oracle", "prob-dk", "--n", str(n), "--k", "1", "--s", "1"]) for n in (2, 3)]
 facts = {"codes": codes, "calls": calls, "kept": cli.prob_dk is wrapper}
 """,
+    # experiment region and its replay write JSON and CSV alone: no numpy, and no lcd
+    "region": """
+import contextlib, io
+import lcdgraph.io
+facts = {"io": loaded()}
+out = sys.argv[1] + "/r.json"
+cli.main(["experiment", "region", "--system", "combined", "--out", out])
+printed = io.StringIO()
+with contextlib.redirect_stdout(printed):
+    cli.main(["replay", "--manifest", out + ".manifest.json"])
+facts |= {"region": loaded(), "replay": printed.getvalue().splitlines()[-1],
+          "numpy": json.load(open(out + ".manifest.json"))["numpy"]}
+""",
     # a replicate experiment on two threads loads no thread pool, nor the logging it imports
     "threads": """
 code = cli.main(["experiment", "fraction", "--n", "200", "--d", "1", "--replicates", "4",
@@ -1248,5 +1275,9 @@ def test_cli_starts_without_the_sampling_layers(tmp_path):
     facts = startup_facts(tmp_path, "oracle_wrapper")
     assert facts == {"codes": [0, 0], "calls": [2, 3], "kept": True}
     assert startup_facts(tmp_path, "threads") == {"code": 0, "pool": []}
+    io_ = sorted(parser + ["lcdgraph.io"])
+    assert startup_facts(tmp_path, "region") == {
+        "io": io_, "region": sorted(io_ + ["csv", "dataclasses", "lcdgraph.regions"]),
+        "replay": "replay PASS", "numpy": None}
     with pytest.raises(AttributeError, match="nope"):
         cli.__getattr__("nope")

@@ -224,6 +224,16 @@ def test_exact_start_imports_are_allowlisted(name):
     assert start_imports((SRC / name).read_text()) <= EXACT_START_IMPORTS
 
 
+# What ``io`` may import when it is loaded: numpy and ``csv`` wait for the
+# writers that use them, so that ``experiment region`` and its replay, which
+# write JSON and CSV alone, start without numpy.
+IO_START_IMPORTS = {"__future__", "json", "pathlib", ".errors"}
+
+
+def test_io_start_imports_are_allowlisted():
+    assert start_imports((SRC / "io.py").read_text()) <= IO_START_IMPORTS
+
+
 def missing_binds(source: str) -> list:
     """``function: name`` for each name of a ``_BINDINGS`` table that a
     top-level function of ``source`` reads, itself or through an entry of a

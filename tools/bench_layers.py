@@ -93,6 +93,8 @@ the commands of ``STARTUP``:
 - ``generate_n2``: ``lcdgraph generate --n 2 --seed 0``, into a temporary
   directory;
 - ``enumerate_n3``: ``lcdgraph enumerate --n 3``, the same way;
+- ``region``: ``lcdgraph experiment region --system theorem2-case3``, the
+  same way, an experiment solved in exact rationals alone;
 - ``import_exact``: ``import lcdgraph.exact``, the home of the exact laws;
 - ``import_analysis``: ``import lcdgraph.analysis``, the sampled
   experiments;
@@ -166,6 +168,8 @@ STARTUP = {
     "oracle_prob_dk": (_MAIN, ["oracle", "prob-dk", "--n", "100", "--k", "3", "--s", "2"]),
     "generate_n2": (_MAIN, ["generate", "--n", "2", "--seed", "0", "--out", "{tmp}/g.csv"]),
     "enumerate_n3": (_MAIN, ["enumerate", "--n", "3", "--out", "{tmp}/p.csv"]),
+    "region": (_MAIN, ["experiment", "region", "--system", "theorem2-case3",
+                       "--out", "{tmp}/r.json"]),
     "import_exact": ("import lcdgraph.exact\n", []),
     "import_analysis": ("import lcdgraph.analysis\n", []),
     "fraction_t2": (_MAIN, ["experiment", "fraction", "--n", "20000", "--d", "1", "--replicates",
@@ -543,7 +547,7 @@ LAYERS = {
     "commands": ("cli.main: the generate, experiment fraction, concentration and equivalence, "
                  "and enumerate commands of the benchmark's workloads", command_calls),
     "startup": ("fresh interpreters: import lcdgraph.cli, .exact and .analysis; oracle, "
-                "generate, enumerate, experiment fraction and equivalence", STARTUP),
+                "generate, enumerate, experiment region, fraction and equivalence", STARTUP),
 }
 
 
