@@ -29,17 +29,28 @@ class FractionResult:
     std: float
 
 
+# primed edges (m*n) of one graph from which replicate_counts starts helper
+# threads: below it a helper's start, stack and lock hand-offs cost more than
+# its share of the draws.  On 2 cores BENCH_kernels.json reads 63 ms with a
+# helper against 48 ms without at n = 2*10^4 (replicates_t2_forced,
+# replicates_t1), about even at 10^5 (38 against 39 ms, replicates_1e5_*)
+# and 142 against 174 ms at 10^6 (replicates_1e6_*).
+THREAD_MIN_EDGES = 10**5
+
+
 def replicate_counts(params: ProcessParams, degree: int, replicates: int, threads: int) -> list:
     """Vertices of in-degree ``degree`` in ``generate(params, r)`` for
     r = 0..replicates-1, in replicate order; ``degree`` < 0 is refused, and
     past m*n, the largest in-degree, no graph is drawn.
 
-    ``threads`` threads draw the replicates: the calling thread and
-    min(threads, replicates) - 1 started ones, each taking the next index
-    from one shared ``iter(range(replicates))`` and writing its count at
-    that index.  A replicate that raises stops the loop: every thread
-    finishes the replicate it holds and takes no other, the started ones
-    are joined, and then the first error is raised."""
+    At most ``threads`` threads draw the replicates.  The calling thread
+    draws them all alone when a graph holds fewer than ``THREAD_MIN_EDGES``
+    primed edges (m*n); from there on it draws beside min(threads,
+    replicates) - 1 started ones.  Each thread takes the next index from
+    one shared ``iter(range(replicates))`` and writes its count at that
+    index.  A replicate that raises stops the loop: every thread finishes
+    the replicate it holds and takes no other, the started ones are joined,
+    and then the first error is raised."""
     if degree < 0:
         raise DomainError(f"need in-degree d >= 0, got d={degree}")
     if degree > params.m * params.n:
@@ -57,7 +68,8 @@ def replicate_counts(params: ProcessParams, degree: int, replicates: int, thread
         except BaseException as exc:
             errors.append(exc)
 
-    helpers = [threading.Thread(target=draw) for _ in range(min(threads, replicates) - 1)]
+    started = min(threads, replicates) - 1 if params.m * params.n >= THREAD_MIN_EDGES else 0
+    helpers = [threading.Thread(target=draw) for _ in range(started)]
     for helper in helpers:
         helper.start()
     draw()

@@ -469,8 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="master seed; drawn from entropy when omitted")
     out.add_argument("--out", required=True, help="output file path")
     threads.add_argument("--threads", type=int, default=1,
-                         help=f"threads drawing replicates, the calling one included, "
-                              f"1..{MAX_THREADS} (default 1)")
+                         help=f"at most this many threads draw replicates, the calling one "
+                              f"included, 1..{MAX_THREADS} (default 1); graphs of fewer than "
+                              f"100000 primed edges (m*n, THREAD_MIN_EDGES) are drawn on the "
+                              f"calling one alone")
     d.add_argument("--d", type=integer, required=True, help="in-degree d (sums: the exponent d)")
     parser = argparse.ArgumentParser(
         prog="lcdgraph",

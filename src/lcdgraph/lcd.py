@@ -61,13 +61,19 @@ def sample_pairs(n: int, samples: int, rng: np.random.Generator) -> np.ndarray:
     A pairing arises from exactly 2^n n! of the (2n)! orders (its n pairs in
     any order, each either way round), so each has probability
     2^n n!/(2n)! = 1/(2n-1)!!.  O(n) time per row.  The points are int64,
-    which ``rng.permuted`` shuffles faster than int32, filled by
-    broadcasting one row of 1..2n and shuffled in place.
+    which ``rng.permuted`` shuffles faster than int32, filled by writing
+    one row of 1..2n and doubling the filled rows by copies (on a batch
+    block of short rows, faster than broadcasting the row or ``np.tile``),
+    and shuffled in place.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
     points = np.empty((samples, 2 * n), dtype=np.int64)
-    points[...] = np.arange(1, 2 * n + 1, dtype=np.int64)  # one row, broadcast
+    points[:1] = np.arange(1, 2 * n + 1, dtype=np.int64)
+    filled = 1
+    while filled < samples:
+        points[filled : 2 * filled] = points[: min(filled, samples - filled)]
+        filled *= 2
     pairs = rng.permuted(points, axis=1, out=points).reshape(samples, n, 2)
     a, b = pairs[..., 0], pairs[..., 1]  # made (min, max) in place
     hi = np.maximum(a, b)

@@ -95,6 +95,7 @@ def counted_starts(monkeypatch) -> list:
 
 def test_empirical_fraction_threaded_matches_serial(monkeypatch):
     params = ProcessParams(2000, 1, "sequential", 9)
+    monkeypatch.setattr(analysis, "THREAD_MIN_EDGES", 1)  # helpers start at n = 2000 and 2
     started = counted_starts(monkeypatch)
     serial = empirical_fraction(params, 2, replicates=8, threads=1)
     assert len(started) == 0  # one thread is the caller alone
@@ -115,6 +116,21 @@ def test_empirical_fraction_threaded_matches_serial(monkeypatch):
         assert replicate_counts(tiny, 1, 2000, threads=8) == tiny_serial
     finally:
         sys.setswitchinterval(interval)
+    assert len(started) == 12
+
+
+def test_replicate_counts_starts_helpers_from_the_edge_threshold(monkeypatch):
+    started = counted_starts(monkeypatch)
+    small = ProcessParams(2 * 10**4, 1, "sequential", 9)
+    assert small.m * small.n < analysis.THREAD_MIN_EDGES
+    serial = replicate_counts(small, 1, 4, threads=1)
+    assert replicate_counts(small, 1, 4, threads=2) == serial
+    assert len(started) == 0  # the caller draws every replicate alone
+    # the threshold counts primed edges m*n, not vertices
+    at = ProcessParams(-(-analysis.THREAD_MIN_EDGES // 2), 2, "sequential", 9)
+    assert at.m * at.n >= analysis.THREAD_MIN_EDGES > at.n
+    assert replicate_counts(at, 1, 2, threads=2) == replicate_counts(at, 1, 2, threads=1)
+    assert len(started) == 1
 
 
 def test_replicate_counts_threaded_matches_serial_with_rejections(monkeypatch):
@@ -134,11 +150,13 @@ def test_replicate_counts_threaded_matches_serial_with_rejections(monkeypatch):
         return generate(p, r)
 
     monkeypatch.setattr(analysis, "generate", failing)
+    monkeypatch.setattr(analysis, "THREAD_MIN_EDGES", 1)  # helpers start at n = 200
     before = threading.active_count()
     for threads in (1, 3):  # the error is raised once every started thread is joined
         with pytest.raises(RuntimeError, match="replicate 1 failed"):
             replicate_counts(ProcessParams(200, 1, "sequential", 3), 1, 6, threads)
         assert threading.active_count() == before
+    assert len(started) == 3  # the n = 3e5 loop's helper, then the two of the error loop
 
 
 def _synthetic_histogram(gamma: float, c: float = 10**9) -> tuple:

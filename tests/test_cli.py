@@ -1119,11 +1119,19 @@ def test_threads_flag_rejects_nonpositive(capsys, tmp_path):
         assert "--threads" in err
 
 
+def test_threads_help_names_the_edge_threshold():
+    actions = {(command, flag): a for command, flag, a in option_surface(build_parser())}
+    for command in ("experiment fraction", "experiment concentration", "experiment corollary"):
+        assert f"fewer than {analysis.THREAD_MIN_EDGES} primed edges" in actions[
+            command, "--threads"].help
+
+
 def test_threads_flag_rejects_more_than_the_cap(capsys, tmp_path, monkeypatch):
     def no_thread(self):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(threading.Thread, "start", no_thread)
+    monkeypatch.setattr(analysis, "THREAD_MIN_EDGES", 1)  # a loop that ran would start helpers
     for experiment, extra in (("fraction", ["--d", "1"]), ("concentration", ["--d", "1"]),
                               ("corollary", ["--n-grid", "100,200"])):
         for threads in (str(MAX_THREADS + 1), "100000"):

@@ -55,9 +55,14 @@ its own cells.
   for N = 2, 2 * 10^4, 10^6 and 10^7 (past ``DRAW_HANDOFF``), and
   ``draw_6x5461`` for 5,461 rows of N = 6, the shape of a (3, 2) batch block;
 - ``replicates_t<k>``: ``replicate_counts`` of in-degree 1 over 100
-  sequential graphs of n = 2 * 10^4, m = 1, on k = 1 and 2 threads, as the
-  ``experiment fraction`` and ``concentration`` loops run them;
-  ``replicates_1e6_t<k>`` the same over 8 graphs of n = 10^6.  A two-thread
+  sequential graphs of n = 2 * 10^4, m = 1, with ``threads`` k = 1 and 2,
+  as the ``experiment fraction`` and ``concentration`` loops run them;
+  ``replicates_1e5_t<k>`` the same over 20 graphs of n = 10^5 and
+  ``replicates_1e6_t<k>`` over 8 graphs of n = 10^6.  These graphs lie on
+  either side of ``analysis.THREAD_MIN_EDGES``, below which the caller
+  draws every replicate alone; ``replicates_t2_forced`` is
+  ``replicates_t2`` with that threshold set to 0, so that its helper
+  starts, the other side of the crossover at 2 * 10^4.  A two-thread
   ``peak_bytes`` depends on how the threads' graphs overlap (identical
   trees read 28.3 and 29.0 MB at n = 10^6), so it backs no memory claim:
   cite ``fraction`` and ``concentration`` of ``BENCH_commands.json``.
@@ -146,7 +151,7 @@ ROOT = Path(__file__).resolve().parents[1]
 if __name__ == "__main__":  # a child finds its tree's copy of src/ on PYTHONPATH
     sys.path.insert(0, str(ROOT / "src"))
 
-from lcdgraph import cli, oracles  # noqa: E402
+from lcdgraph import analysis, cli, oracles  # noqa: E402
 from lcdgraph.analysis import replicate_counts  # noqa: E402
 from lcdgraph.io import write_json, write_rows  # noqa: E402
 from lcdgraph.processes import (  # noqa: E402
@@ -336,11 +341,17 @@ def kernel_calls(tmp: Path) -> dict:
                                  ("1e7", 10**7, 1), ("6x5461", 6, 5461)):
         calls[f"draw_{name}"] = lambda big_n=big_n, samples=samples: sequential_choices(
             big_n, samples, replicate_rng(0))
-    for name, n, replicates in (("", 20_000, 100), ("1e6_", 10**6, 8)):
+    for name, n, replicates in (("", 20_000, 100), ("1e5_", 10**5, 20), ("1e6_", 10**6, 8)):
         params = ProcessParams(n=n, m=1, variant="sequential", master_seed=0)
         for threads in (1, 2):
             calls[f"replicates_{name}t{threads}"] = lambda p=params, r=replicates, t=threads: (
                 np.array(replicate_counts(p, 1, r, t)))
+
+    def forced(call=calls["replicates_t2"]):  # a tree without the threshold always starts one
+        with mock.patch.object(analysis, "THREAD_MIN_EDGES", 0, create=True):
+            return call()
+
+    calls["replicates_t2_forced"] = forced
     return calls
 
 
