@@ -126,11 +126,8 @@ def integer(text: str) -> int:
 def _sha256(path: Path) -> str:
     import hashlib
 
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def _peak_rss_bytes() -> int | None:
@@ -549,9 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # exact oracle values reach thousands of digits (count-ns at 2n = 4096);
-    # lift the int-to-str limit for the process, where the interpreter has one
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    # lift the int-to-str limit for the process
+    sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     args.started = time.time()
     if "seed" in vars(args) and args.seed is None:

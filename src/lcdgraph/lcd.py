@@ -41,15 +41,16 @@ def enumerate_pairings(n: int):
 def _first_pair_blocks(n: int):
     """The blocks of ``enumerate_pairings(n)``: after the pair (1, j), the
     other 2n-2 points in increasing order relabel 1..2n-2 in every pairing
-    of n-1, which keeps the order and the a < b of every pair."""
+    of n-1, which keeps the order and the a < b of every pair: point x of
+    that pairing becomes x + 1 for x < j - 1 and x + 2 for x >= j - 1."""
     rest = np.zeros((1, 0, 2), np.int8)  # the one pairing of no points
     if n > 1:
         rest = np.concatenate(list(_first_pair_blocks(n - 1)))
-    points = np.arange(2, 2 * n + 1, dtype=np.int8)
-    for i in range(2 * n - 1):
+    for j in range(2, 2 * n + 1):
         block = np.empty((len(rest), n, 2), dtype=np.int8)
-        block[:, 0] = 1, points[i]
-        block[:, 1:] = np.delete(points, i)[rest - 1]
+        block[:, 0] = 1, j
+        block[:, 1:] = rest + 1
+        block[:, 1:] += rest >= j - 1
         yield block
 
 

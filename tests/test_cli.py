@@ -986,6 +986,22 @@ def test_manifest_peak_memory_is_null_without_proc(capsys, tmp_path, monkeypatch
     assert manifest["peak_rss_bytes"] is None
 
 
+@pytest.mark.parametrize("size", [2 << 10, 5 << 20], ids=["2kB", "5MB"])
+def test_manifest_digest_peaks_below_300_kB(tmp_path, size):
+    # one 2^18-byte buffer for any file; a 1 MiB read allocates 1 MiB even for 2 kB
+    path = tmp_path / "out.bin"
+    data = np.random.default_rng(0).bytes(size)
+    path.write_bytes(data)
+    expected = hashlib.sha256(data).hexdigest()
+    del data
+    tracemalloc.start()
+    digest = cli._sha256(path)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert digest == expected
+    assert peak < 300_000
+
+
 def test_replay_reproduces_experiment(capsys, tmp_path):
     out = tmp_path / "sums.json"
     run(capsys, "experiment", "sums", "--n", "100000", "--d", "3", "--beta", "0.8",
