@@ -204,8 +204,8 @@ def _lemire_rows(bits: np.random.PCG64, block: np.ndarray) -> None:
 # block, max(1, TARGET_CHUNK // (n*m)) graphs, so that a block of small
 # graphs is resolved as one chunk.
 # Resolving, 2^13 .. 2^17, medians of 31 interleaved runs (2-core Xeon, numpy
-# 2.4): N = 1e6 12.4, 11.5, 11.4, 12.1, 12.9 ms (26.3 unblocked); N = 3e5 3.5,
-# 3.3, 3.5, 3.8, 4.4 ms.
+# 2.4): N = 1e6 7.5, 7.1, 7.0, 7.4, 7.9 ms (15.6 unblocked); N = 3e5 2.9,
+# 2.7, 2.7, 3.3, 3.7 ms.
 TARGET_CHUNK = 1 << 15
 
 
@@ -242,9 +242,12 @@ def sequential_targets(choices: np.ndarray) -> np.ndarray:
         block = ptr[lo : lo + TARGET_CHUNK]
         pending = np.flatnonzero(block >= 0)
         while pending.size:
-            nxt = ptr[block[pending]]
+            # take and compress: 0.21 against 0.32 ms at N = 2e4, 8.2 against 9.5
+            # at 1e6 for ptr[block[pending]] and pending[mask]; block.put(...)
+            # took 75 against 21 us for 2^14 entries, and lost at 1e6
+            nxt = ptr.take(block.take(pending))
             block[pending] = nxt
-            pending = pending[nxt >= 0]
+            pending = pending.compress(nxt >= 0)
     ptr = ptr.reshape(samples, big_n)
     np.invert(ptr, out=ptr)
     ptr -= base - 1
@@ -315,13 +318,14 @@ def urn_targets(l: np.ndarray, a: np.ndarray) -> np.ndarray:
     tgt = np.empty(a.size, dtype=np.int32)
     for start in range(0, a.size, TARGET_CHUNK):
         key = a[start : start + TARGET_CHUNK]
-        pos = lo[(key * big_n).astype(np.int32)]  # the key's bucket starts at l[pos]
+        pos = (key * big_n).astype(np.intp)  # the key's bucket
+        pos[...] = lo.take(pos)  # where it starts, l[pos]
         # each pass steps every key past one more boundary of its bucket below
         # it, over the whole block: passes over only the keys still moving
         # made ever smaller arrays, and raised the generate benchmark's peak
         # RSS by about 1.4 MB on 2 of 16 seeds, where this form raised none
         while True:
-            more = l[pos] < key
+            more = l.take(pos) < key  # intp pos, take: 11.1 against 15.7 ms (l[pos]) at N = 3e5
             if not more.any():
                 break
             pos += more

@@ -9,7 +9,7 @@ import pytest
 
 from lcdgraph import processes
 from lcdgraph.errors import CapacityError, DomainError
-from lcdgraph.lcd import LcdGraph
+from lcdgraph.lcd import LcdGraph, pair_targets
 from lcdgraph.processes import (
     DRAW_CHUNK,
     POINT_CAP,
@@ -105,6 +105,16 @@ def test_sequential_targets_in_tiny_blocks(monkeypatch):
     whole = sequential_targets(choices)
     monkeypatch.setattr(processes, "TARGET_CHUNK", 7)
     assert np.array_equal(sequential_targets(choices), whole)
+
+
+def test_kernel_gathers_refuse_an_index_out_of_range():
+    # the gathers keep numpy's default mode, which raises; mode="clip" would
+    # read vertex 2's choice 7 (it draws from [0, 2]) as the last entry and
+    # return targets
+    with pytest.raises(IndexError):
+        sequential_targets(np.array([[0, 7, 0]], dtype=np.int32))
+    with pytest.raises(IndexError):
+        pair_targets(np.array([[1, 5]]))
 
 
 def urn_search_inputs():
@@ -513,9 +523,10 @@ def test_generate_pairing_heap_peak():
 
 # Heap peak with a margin over the 8.1 MB that numpy 2.4 gives here (8.8 MB
 # as the first call in a process): the sticks, the keys, the int32 bucket
-# table and one TARGET_CHUNK block of buckets and positions.  A bisection of
-# the keys in argsort order took it to 9.2 MB; searching every key at once,
-# with divisors from an int64 arange, to 12.0 MB.
+# table and one TARGET_CHUNK block of intp positions (int32 ones, gathered
+# by indexing, gave 7.8 and 8.6 MB).  A bisection of the keys in argsort
+# order took it to 9.2 MB; searching every key at once, with divisors from
+# an int64 arange, to 12.0 MB.
 def test_generate_urn_heap_peak():
     peak = traced_peak_mb(lambda: generate(ProcessParams(10**5, 3, "urn")))
     assert peak < 11.0, peak

@@ -48,7 +48,9 @@ its own cells.
 
 - ``<variant>_1e5x3``: the kernel of each variant on the 3 * 10^5 primed
   vertices of n = 10^5, m = 3, before the blocks of m are identified;
-- ``sequential_1e6``: the sequential kernel at n = 10^6, m = 1;
+- ``sequential_1e6``: the sequential kernel at n = 10^6, m = 1, and
+  ``sequential_2e4`` at n = 2 * 10^4, m = 1, the graph of each replicate
+  that ``replicates_t<k>`` draws, without its counting;
 - ``batch_<variant>``: ``batch_total_degrees(variant, 3, 2, 2 * 10^5)``,
   and ``batch_<variant>_200x2e4`` the same at (200, 1, 2 * 10^4);
 - ``draw_<N>``: the sequential choices alone, ``sequential_choices(N, 1)``
@@ -332,7 +334,9 @@ def kernel_calls(tmp: Path) -> dict:
     calls = {}
     for variant, kernel in _KERNELS.items():
         calls[f"{variant}_1e5x3"] = lambda kernel=kernel: kernel(3 * 10**5, replicate_rng(0))
-    calls["sequential_1e6"] = lambda: _KERNELS["sequential"](10**6, replicate_rng(0))
+    for name, big_n in (("1e6", 10**6), ("2e4", 20_000)):
+        calls[f"sequential_{name}"] = lambda big_n=big_n: _KERNELS["sequential"](
+            big_n, replicate_rng(0))
     for variant in _KERNELS:
         for name, n, m, samples in (("", 3, 2, 200_000), ("_200x2e4", 200, 1, 20_000)):
             calls[f"batch_{variant}{name}"] = lambda v=variant, n=n, m=m, s=samples: (
